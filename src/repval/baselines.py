@@ -28,11 +28,9 @@ def max_p_bh(dataset: ValidatedDataset, config: AnalysisConfig,
     """BH at level q / (1 - l00) on max(p1, p2), with the maximum set to 1
     for the m - R1 features that were not followed up. The l00 inflation
     keeps the comparison with the r-value procedure fair."""
-    r1 = len(dataset)
-    maxp = np.concatenate([np.maximum(dataset.p1, dataset.p2),
-                           np.ones(config.m - r1)])
-    rejected = bh_reject(maxp, q / (1.0 - config.l00))
-    return frozenset(dataset.ids[i] for i in rejected if i < r1)
+    rejected = bh_reject(np.maximum(dataset.p1, dataset.p2),
+                         q / (1.0 - config.l00), n=config.m)
+    return frozenset(dataset.ids[i] for i in rejected)
 
 
 def _chi2_sf_4(x: float) -> float:

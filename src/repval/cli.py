@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .baselines import meta_p
-from .dependence import (fdr_rvalues_all_general_dep,
+from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
                          fdr_rvalues_all_threshold_dep,
                          step_up_set_general_dep, step_up_set_threshold_dep)
 from .fwer import bonferroni_rvalues_all
@@ -147,6 +147,9 @@ def cmd_rvalues(args) -> int:
         return EXIT_FLAGS
     try:
         config = AnalysisConfig(m=args.m, l00=args.l00, c2=args.c2, t=args.t)
+        for flag, q in (("--q", args.q), ("--refine-q", args.refine_q)):
+            if q is not None and not 0.0 < q < 1.0:
+                raise ValueError(f"{flag} must lie in (0, 1), got {q!r}")
     except ValueError as exc:
         print(f"repval rvalues: error: {exc}", file=sys.stderr)
         return EXIT_FLAGS
@@ -183,23 +186,24 @@ def cmd_rvalues(args) -> int:
             report = fdr_rvalues_all_threshold_dep(dataset, config)
         else:
             report = bonferroni_rvalues_all(dataset, config)
-    except ValueError as exc:
+
+        replicated: Optional[frozenset[str]] = None
+        if args.q is not None:
+            if method is Method.FDR_INDEPENDENT:
+                replicated = step_up_set(dataset, config,
+                                         args.q).replicated_ids
+            elif method is Method.FDR_GENERAL_DEP:
+                replicated = step_up_set_general_dep(
+                    dataset, config, args.q).replicated_ids
+            elif method is Method.FDR_THRESHOLD_DEP:
+                replicated = step_up_set_threshold_dep(
+                    dataset, config, args.q).replicated_ids
+            else:
+                replicated = frozenset(
+                    fid for fid, r in report.entries if r <= args.q)
+    except (ValueError, NoConsistentRegime) as exc:
         print(f"repval rvalues: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-    replicated: Optional[frozenset[str]] = None
-    if args.q is not None:
-        if method is Method.FDR_INDEPENDENT:
-            replicated = step_up_set(dataset, config, args.q).replicated_ids
-        elif method is Method.FDR_GENERAL_DEP:
-            replicated = step_up_set_general_dep(
-                dataset, config, args.q).replicated_ids
-        elif method is Method.FDR_THRESHOLD_DEP:
-            replicated = step_up_set_threshold_dep(
-                dataset, config, args.q).replicated_ids
-        else:
-            replicated = frozenset(
-                fid for fid, r in report.entries if r <= args.q)
 
     delim = {"tsv": "\t", "csv": ","}.get(args.format or "", table.delimiter)
     rvals = dict(report.entries)
@@ -263,8 +267,10 @@ def cmd_simulate(args) -> int:
     if args.c2_grid:
         try:
             grid = _parse_grid(args.c2_grid)
+            for c2v in grid:  # each point must make a valid scenario
+                replace(scenario, c2=c2v)
         except ValueError as exc:
-            print(f"repval simulate: {exc}", file=sys.stderr)
+            print(f"repval simulate: --c2-grid: {exc}", file=sys.stderr)
             return EXIT_FLAGS
         for c2v, metrics in sweep_c2(scenario, grid, args.procedure):
             lines.append(metrics_csv_row(replace(scenario, c2=c2v), metrics))

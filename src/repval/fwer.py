@@ -1,14 +1,15 @@
 """Bonferroni-based FWER r-values.
 
 The FWER r-value is the lowest family-wise error level at which a feature
-can be called replicated. It solves f(r) = r for
+can be called replicated. It is the smallest x in (0, 1) with f(x) <= x for
 
     f_j(x) = max(m * p1_j / c1(x),  R1 * p2_j / c2),
     c1(x) = (1 - c2) / (1 - l00 * (1 - c2 * x)),
 
-in [0, 1), and is 1 when no solution exists. f(x)/x is strictly decreasing,
-so the same bisection as the FDR pipeline applies; each max branch is affine
-in x, and the test suite cross-checks bisection against that closed form.
+and 1 when no such x exists. The primary branch m * p1_j / c1(x) is affine
+in x, a + b x with a = m p1_j (1 - l00) / (1 - c2) and
+b = m p1_j l00 c2 / (1 - c2), so the r-value has the closed form
+max(R1 p2_j / c2, a / (1 - b)) when b < 1, capped at 1.
 """
 
 from __future__ import annotations
@@ -16,23 +17,19 @@ from __future__ import annotations
 import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
-from .rvalue import _bisect_threshold, c1
 
 __all__ = ["bonferroni_rvalue", "bonferroni_rvalues_all"]
 
 
 def _bonf_rvalues(p1: np.ndarray, p2: np.ndarray,
                   config: AnalysisConfig) -> np.ndarray:
-    r1 = len(p1)
-    follow = r1 * p2 / config.c2  # constant in x
-    out = np.ones(r1)
-    for i in range(r1):
-        def crossed(x: float, _i=i) -> bool:
-            f = max(config.m * p1[_i] / c1(x, config.l00, config.c2),
-                    follow[_i])
-            return f <= x
-        out[i] = _bisect_threshold(crossed)
-    return out
+    follow = len(p1) * p2 / config.c2
+    scale = config.m * p1 / (1.0 - config.c2)
+    slope = scale * config.l00 * config.c2
+    with np.errstate(divide="ignore"):
+        primary = np.where(slope < 1.0,
+                           scale * (1.0 - config.l00) / (1.0 - slope), np.inf)
+    return np.minimum(np.maximum(follow, primary), 1.0)
 
 
 def bonferroni_rvalue(dataset: ValidatedDataset, config: AnalysisConfig,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -163,6 +164,9 @@ def validate_dataset(
             p1 = clamp_zero if p1 == 0.0 else p1
             p2 = clamp_zero if p2 == 0.0 else p2
         for name, p in (("p1", p1), ("p2", p2)):
+            if math.isnan(p):
+                raise DatasetError(
+                    f"feature {rec.id!r}: {name} is NaN, not a p-value", line)
             if not p > 0.0:
                 raise NonPositivePValue(
                     f"feature {rec.id!r}: {name}={p} is not positive", line)

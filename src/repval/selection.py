@@ -54,17 +54,33 @@ class Explicit:
 SelectionRule = Union[Threshold, BHLevel, TopK, Explicit]
 
 
-def bh_reject(pvalues: Sequence[float], level: float) -> np.ndarray:
+def bh_reject(pvalues: Sequence[float], level: float, *,
+              n: Optional[int] = None) -> np.ndarray:
     """Indices rejected by the BH step-up procedure at the given level:
     the k smallest p-values for the largest k with p_(k) <= k * level / n.
-    Returns a sorted index array (possibly empty)."""
+    Returns a sorted index array (possibly empty).
+
+    ``n`` (default ``len(pvalues)``) is the number of hypotheses. The
+    n - len(pvalues) not given are taken as p = 1, without being
+    materialised, and only indices into ``pvalues`` are returned; the given
+    p-values must then lie in [0, 1]. A padded 1 can pass only at the last
+    step, when n * (level / n) >= 1, and then every hypothesis is rejected.
+    Otherwise no value 1 passes, the given p-values fill the first sorted
+    positions, and BH runs on them alone with denominator n.
+    """
     p = np.asarray(pvalues, dtype=float)
-    n = len(p)
+    if n is None:
+        n = len(p)
+    if n < len(p):
+        raise ValueError(f"n={n} is below the {len(p)} p-values given")
     if n == 0:
         return np.zeros(0, dtype=int)
+    step = level / n
+    if n > len(p) and n * step >= 1.0:
+        return np.arange(len(p))
     order = np.argsort(p, kind="stable")
     sorted_p = p[order]
-    passing = np.nonzero(sorted_p <= np.arange(1, n + 1) * (level / n))[0]
+    passing = np.nonzero(sorted_p <= np.arange(1, len(p) + 1) * step)[0]
     if len(passing) == 0:
         return np.zeros(0, dtype=int)
     k = int(passing[-1]) + 1
@@ -130,7 +146,7 @@ def refine_for_replicability(
             raise MissingPrimaryVector(
                 "supply other_primary_pvalues or set pad_missing=True to "
                 "pad the unavailable primary p-values with 1.0")
-        others = np.ones(config.m - r1)
+        others = np.zeros(0)
     else:
         others = np.asarray(other_primary_pvalues, dtype=float)
         if len(others) != config.m - r1:
@@ -138,7 +154,7 @@ def refine_for_replicability(
                 f"expected {config.m - r1} non-followed p-values, "
                 f"got {len(others)}")
     level = q if bh_level is None else bh_level
-    full = np.concatenate([dataset.p1, others])
-    rejected = bh_reject(full, level)
+    rejected = bh_reject(np.concatenate([dataset.p1, others]), level,
+                         n=config.m)
     keep = [int(i) for i in rejected if i < r1]
     return dataset.subset(keep)

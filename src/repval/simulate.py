@@ -204,11 +204,10 @@ def _simulate_claims(scenario: SimulationScenario, rng: np.random.Generator,
             mask = ((p1_sel <= c1_at_a * alpha / m)
                     & (p2 <= scenario.c2 * alpha / r1))
         elif proc == "max-p-bh":
-            maxp = np.concatenate([np.maximum(p1_sel, p2),
-                                   np.ones(m - r1)])
-            rej = bh_reject(maxp, scenario.q / (1.0 - scenario.l00))
+            rej = bh_reject(np.maximum(p1_sel, p2),
+                            scenario.q / (1.0 - scenario.l00), n=m)
             mask = np.zeros(r1, dtype=bool)
-            mask[rej[rej < r1]] = True
+            mask[rej] = True
         else:
             raise ValueError(f"unknown procedure {proc!r}")
         out[proc] = RepOutcome(r1, int(mask.sum()),

@@ -59,6 +59,51 @@ def oracle_step_up(p1, p2, m, l00, c2, q, c1_at_q=None, m_eff=None):
             if a <= best * c1_at_q * q / m_eff and b <= best * c2 * q / r1}
 
 
+BISECT_LO = 1e-12
+BISECT_HI = 1.0 - 1e-12
+BISECT_ITERATIONS = 80
+
+
+def oracle_bisect(predicate):
+    """Smallest x (to within 2^-80) where a monotone predicate turns true:
+    1.0 if it never does on (0, 1), BISECT_LO if it already holds there."""
+    hi = BISECT_HI
+    if not predicate(hi):
+        return 1.0
+    lo = BISECT_LO
+    if predicate(lo):
+        return lo
+    for _ in range(BISECT_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def oracle_rvalues_bisect(p1, p2, m_eff, c2, c1_fn):
+    """r-values by bisecting, feature by feature, the lowest level at which
+    the brute-force step-up rule rejects the feature; c1_fn(x) is the
+    primary budget multiplier at level x."""
+    out = []
+    for i in range(len(p1)):
+        def rejected(x, _i=i):
+            return _i in oracle_step_up(p1, p2, None, None, c2, x,
+                                        c1_at_q=c1_fn(x), m_eff=m_eff)
+        out.append(oracle_bisect(rejected))
+    return out
+
+
+def oracle_bonferroni_bisect(p1, p2, m, l00, c2):
+    """FWER r-values by bisecting max(m p1 / c1(x), R1 p2 / c2) <= x."""
+    r1 = len(p1)
+    return [oracle_bisect(
+        lambda x, a=a, b=b: max(m * a / oracle_c1(x, l00, c2),
+                                r1 * b / c2) <= x)
+        for a, b in zip(p1, p2)]
+
+
 def oracle_bh(pvalues, level):
     """Step-up BH by scanning k downward."""
     n = len(pvalues)

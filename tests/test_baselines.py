@@ -32,6 +32,25 @@ def test_max_p_reduces_to_plain_bh_at_l00_zero():
         assert got == frozenset(ds.ids[i] for i in ref)
 
 
+def test_max_p_padding_both_regimes():
+    # q / (1 - l00) exceeds 1 for q = 0.3, l00 = 0.8: a padded 1 then
+    # passes, and so does every followed-up feature
+    rng = np.random.default_rng(13)
+    for q, l00 in ((0.05, 0.8), (0.3, 0.8), (0.2, 0.8), (0.3, 0.5)):
+        for _ in range(10):
+            records, m = make_random_dataset(rng, max_m=200)
+            ds, config = dataset_from_arrays(
+                [r.p1 for r in records], [r.p2 for r in records], m=m,
+                l00=l00)
+            padded = list(np.maximum(ds.p1, ds.p2)) + [1.0] * (m - len(ds))
+            ref = {i for i in bh_reject(padded, q / (1.0 - l00))
+                   if i < len(ds)}
+            got = max_p_bh(ds, config, q)
+            assert got == frozenset(ds.ids[i] for i in ref)
+            if q / (1.0 - l00) >= 1.0:
+                assert got == frozenset(ds.ids)
+
+
 def test_max_p_level_inflation_monotone():
     rng = np.random.default_rng(9)
     records, m = make_random_dataset(rng, r1=15)

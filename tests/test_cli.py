@@ -1,0 +1,79 @@
+"""The command-line front end: documented exit codes and byte-stable output
+on the bundled published tables."""
+
+from pathlib import Path
+
+import pytest
+
+from repval import cli
+
+from conftest import DATA_DIR
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# The published-settings calls; each golden file is the output of the
+# release before the exact r-value engine, kept byte for byte.
+PUBLISHED = {
+    "iga-fdr-l00-0.0": ("iga_nephropathy.tsv", "--m", "444882", "--l00", "0.0"),
+    "iga-fdr-l00-0.5": ("iga_nephropathy.tsv", "--m", "444882", "--l00", "0.5"),
+    "iga-fdr-l00-0.8": ("iga_nephropathy.tsv", "--m", "444882", "--l00", "0.8"),
+    "iga-general-dep": ("iga_nephropathy.tsv", "--m", "444882", "--method",
+                        "fdr-general-dep"),
+    "iga-threshold-dep": ("iga_nephropathy.tsv", "--m", "444882", "--method",
+                          "fdr-threshold-dep", "--t", "2e-4"),
+    "iga-refine": ("iga_nephropathy.tsv", "--m", "444882", "--refine-q",
+                   "0.05"),
+    "t2d-fdr": ("t2d.tsv", "--m", "68", "--l00", "0.0"),
+    "tpp-bonferroni": ("tpp.tsv", "--m", "486782", "--method",
+                       "fwer-bonferroni"),
+}
+SIM_DESIGN = ("simulate", "--m", "1000", "--f00", "0.9", "--f01", "0.025",
+              "--f10", "0.025", "--f11", "0.05", "--pi1", "0.8", "--pi2",
+              "0.8", "--seed", "1", "--reps", "2")
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED))
+def test_published_output_is_byte_identical(name, tmp_path):
+    table, *flags = PUBLISHED[name]
+    meta = ["--meta", "fisher"] if table.startswith("iga") else []
+    out = tmp_path / "out.tsv"
+    code = cli.main(["rvalues", str(DATA_DIR / table), *flags, "--q", "0.05",
+                     *meta, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.tsv").read_bytes()
+
+
+def test_q_out_of_range_exits_3_before_computing(monkeypatch, capsys):
+    def computed(*args):
+        raise AssertionError("r-values computed despite a bad --q")
+
+    monkeypatch.setattr(cli, "fdr_rvalues_all", computed)
+    for flag in ("--q", "--refine-q"):
+        code = cli.main(["rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68",
+                         flag, "1.5"])
+        assert code == cli.EXIT_FLAGS
+        assert f"{flag} must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_c2_grid_outside_unit_interval_exits_3(capsys):
+    code = cli.main([*SIM_DESIGN, "--c2-grid", "0:1:0.5"])
+    assert code == cli.EXIT_FLAGS
+    err = capsys.readouterr().err
+    assert "c2 must lie in (0, 1)" in err and "Traceback" not in err
+
+
+def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):
+    table = tmp_path / "big.tsv"
+    table.write_text("id\tp1\tp2\na\t1e-20\t1e-20\nb\t0.3\t0.5\n")
+    code = cli.main(["rvalues", str(table), "--m", "100000000", "--method",
+                     "fdr-threshold-dep", "--t", "0.5"])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no consistent regime" in err
+
+
+def test_nan_pvalue_exits_2(tmp_path, capsys):
+    table = tmp_path / "nan.tsv"
+    table.write_text("id\tp1\tp2\na\tnan\t0.1\n")
+    assert cli.main(["rvalues", str(table), "--m", "5"]) == cli.EXIT_DATA
+    assert "p1 is NaN" in capsys.readouterr().err

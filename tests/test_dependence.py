@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repval import (AnalysisConfig, FeatureRecord, MissingThreshold,
+                    NoConsistentRegime,
                     SelectionThresholdViolated, c1_tilde, fdr_rvalue,
                     fdr_rvalue_general_dep, fdr_rvalue_threshold_dep,
                     fdr_rvalues_all, fdr_rvalues_all_general_dep,
@@ -41,6 +42,12 @@ def test_harmonic_against_direct_summation():
     for n in (1, 2, 10, 500, 1024, 1025, 4000, 100000):
         assert harmonic_number(n) == pytest.approx(oracle_harmonic(n),
                                                    rel=1e-12)
+
+
+def test_m_star_matches_direct_summation_at_scan_sizes():
+    # the asymptotic expansion replaces direct summation from m = 1025 on
+    for m in (1025, 68 * 7919, 444882, 10**6):
+        assert m_star(m) == pytest.approx(m * oracle_harmonic(m), rel=1e-15)
 
 
 def test_m_star_regimes_consistent():
@@ -242,6 +249,21 @@ def test_threshold_dep_rvalue_equal_when_regime_never_bites():
                 assert cons[i] == pytest.approx(r, abs=1e-10)
                 asserted += 1
     assert asserted >= 3
+
+
+def test_threshold_dep_floor_is_1e12():
+    # c1~ has no consistent regime near x = 1e-17 at m = 1e6, t = 1e-4, so
+    # the level function is never taken below 1e-12 and the r-value
+    # reported is max(r, 1e-12)
+    with pytest.raises(NoConsistentRegime):
+        c1_tilde(1e-17, 1e-4, 10**6, 0.8, 0.5)
+    ds, config = dataset_from_arrays([1e-30, 1e-9], [1e-20, 1e-3], m=10**6,
+                                     l00=0.8, c2=0.5, t=1e-4)
+    values = fdr_rvalues_all_threshold_dep(ds, config).values
+    assert values[0] == 1e-12
+    assert fdr_rvalues_all(ds, config).values[0] < 1e-12
+    assert 1e-12 < values[1] < 1.0
+    assert "f0" in step_up_set_threshold_dep(ds, config, 1e-9).replicated_ids
 
 
 def test_threshold_dep_step_up_equivalence():

@@ -31,6 +31,13 @@ def test_zero_pvalue_rejected():
         validate_dataset(_records([(0.5, 0.0)]), config)
 
 
+def test_nan_pvalue_has_its_own_message():
+    config = AnalysisConfig(m=10)
+    with pytest.raises(DatasetError, match="p2 is NaN") as info:
+        validate_dataset(_records([(0.5, float("nan"))]), config)
+    assert "not positive" not in str(info.value)
+
+
 def test_clamp_zero_opt_in():
     config = AnalysisConfig(m=10)
     ds = validate_dataset(_records([(0.0, 0.5)]), config, clamp_zero=1e-300)

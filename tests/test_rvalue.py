@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, FeatureRecord, e_values, f_i, f_values,
-                    fdr_rvalue, fdr_rvalues_all, step_up_set,
-                    validate_dataset)
+from repval import (AnalysisConfig, FeatureRecord, bonferroni_rvalue,
+                    e_values, f_i, f_values, fdr_rvalue,
+                    fdr_rvalue_general_dep, fdr_rvalues_all, step_up_set,
+                    step_up_set_general_dep, validate_dataset)
 from repval.rvalue import c1
 
 from conftest import IGA_M, IGA_SIGNIFICANT, dataset_from_arrays, \
@@ -273,6 +274,19 @@ def test_threshold_and_rvalue_routes_agree():
         for q in qs:
             via_rvalues = {fid for fid, r in values.items() if r <= q}
             assert via_rvalues == step_up_set(ds, config, q).replicated_ids
+
+
+def test_rvalue_far_below_1e12_matches_step_up():
+    # a search floored at 1e-12 reported 1e-12 here, yet the step-up rule
+    # already rejects the feature at q = 1e-13
+    ds, config = dataset_from_arrays([1e-30], [1e-20], m=10**6)
+    q = 1e-13
+    assert "f0" in step_up_set(ds, config, q).replicated_ids
+    assert "f0" in step_up_set_general_dep(ds, config, q).replicated_ids
+    for r in (fdr_rvalue(ds, config, "f0"),
+              fdr_rvalue_general_dep(ds, config, "f0"),
+              bonferroni_rvalue(ds, config, "f0")):
+        assert r == pytest.approx(2e-20, rel=1e-12)  # p2 * R1 / c2 binds
 
 
 def test_report_shape(iga_dataset):

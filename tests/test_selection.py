@@ -37,6 +37,32 @@ def test_bh_matches_bruteforce(pvalues, level):
     assert set(bh_reject(pvalues, level)) == oracle_bh(pvalues, level)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                min_size=0, max_size=12),
+       st.integers(min_value=0, max_value=60),
+       st.sampled_from((0.01, 0.05, 0.3, 0.999, 1.0, 1.2, 5.0)))
+def test_bh_padding_matches_materialised_ones(pvalues, extra, level):
+    # at level >= 1 a padded 1 passes and everything is rejected; below 1
+    # no value 1 ever passes
+    padded = bh_reject(pvalues + [1.0] * extra, level)
+    got = bh_reject(pvalues, level, n=len(pvalues) + extra)
+    assert list(got) == [int(i) for i in padded if i < len(pvalues)]
+
+
+def test_bh_padding_at_level_one_follows_float_rounding():
+    # 49 * (1 / 49) rounds below 1, so at level 1 and n = 49 the padded
+    # ones just fail; at n = 50 they pass
+    p = [0.5, 0.9]
+    for n in (49, 50):
+        padded = bh_reject(p + [1.0] * (n - 2), 1.0)
+        assert list(bh_reject(p, 1.0, n=n)) == [i for i in padded if i < 2]
+    assert list(bh_reject(p, 1.0, n=49)) == []
+    assert list(bh_reject(p, 1.0, n=50)) == [0, 1]
+    with pytest.raises(ValueError):
+        bh_reject(p, 0.05, n=1)
+
+
 def test_threshold_rule():
     p = [0.2, 0.01, 0.05, 0.5]
     assert list(apply_selection(p, Threshold(0.05))) == [1, 2]
@@ -136,6 +162,21 @@ def test_refine_monotone_with_theoretical_level():
         refined_report = dict(fdr_rvalues_all(reduced, config).entries)
         refined = {fid for fid, r in refined_report.items() if r <= q}
         assert full <= refined
+
+
+def test_refine_padding_matches_materialised_ones():
+    rng = np.random.default_rng(19)
+    for level in (0.05, 0.5, 1.5):
+        for _ in range(10):
+            records, m = make_random_dataset(rng, max_m=200)
+            ds, config = dataset_from_arrays(
+                [r.p1 for r in records], [r.p2 for r in records], m=m)
+            got = refine_for_replicability(ds, config, 0.05, pad_missing=True,
+                                           bh_level=level)
+            ref = refine_for_replicability(
+                ds, config, 0.05, bh_level=level,
+                other_primary_pvalues=[1.0] * (m - len(ds)))
+            assert got.ids == ref.ids
 
 
 def test_refine_requires_primary_vector():
