@@ -10,22 +10,19 @@ seeded Monte Carlo harness for verifying error control and power.
 """
 
 from .baselines import max_p_bh, meta_p
-from .dependence import (HarmonicInflation, MissingThreshold,
-                         NoConsistentRegime, SelectionThresholdViolated,
-                         c1_tilde, fdr_rvalue_general_dep,
-                         fdr_rvalue_threshold_dep,
+from .dependence import (MissingThreshold, NoConsistentRegime,
+                         SelectionThresholdViolated, c1_tilde,
                          fdr_rvalues_all_general_dep,
                          fdr_rvalues_all_threshold_dep, harmonic_number,
                          m_star, step_up_set_general_dep,
                          step_up_set_threshold_dep)
-from .fwer import bonferroni_rvalue, bonferroni_rvalues_all
+from .fwer import bonferroni_rvalues_all
 from .model import (AnalysisConfig, DatasetError, DuplicateId, FeatureRecord,
                     Method, NonPositivePValue, PValueAboveOne, PValueTable,
                     R1ExceedsM, RValueReport, ValidatedDataset,
                     read_pvalue_table, validate_dataset)
 from .normal import normal_cdf, normal_quantile, normal_sf
-from .rvalue import (EValueVector, StepUpResult, c1, e_values, f_i, f_values,
-                     fdr_rvalue, fdr_rvalues_all, step_up_set)
+from .rvalue import StepUpResult, c1, fdr_rvalues_all, step_up_set
 from .selection import (BHLevel, Explicit, MissingPrimaryVector,
                         SelectionRule, Threshold, TopK, apply_selection,
                         bh_reject, refine_for_replicability)
@@ -36,21 +33,18 @@ from .simulate import (RepOutcome, SimulationMetrics, SimulationScenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "BHLevel", "DatasetError", "DuplicateId",
-    "EValueVector", "Explicit", "FeatureRecord", "HarmonicInflation",
-    "Method", "MissingPrimaryVector", "MissingThreshold",
+    "AnalysisConfig", "BHLevel", "DatasetError", "DuplicateId", "Explicit",
+    "FeatureRecord", "Method", "MissingPrimaryVector", "MissingThreshold",
     "NoConsistentRegime", "NonPositivePValue", "PValueAboveOne",
     "PValueTable", "R1ExceedsM", "RValueReport", "RepOutcome",
     "SelectionRule", "SelectionThresholdViolated", "SimulationMetrics",
     "SimulationScenario", "StepUpResult", "Threshold", "TopK",
-    "ValidatedDataset", "apply_selection", "bh_reject", "bonferroni_rvalue",
+    "ValidatedDataset", "apply_selection", "bh_reject",
     "bonferroni_rvalues_all", "c1", "c1_tilde", "compare_baseline",
-    "e_values", "estimate", "f_i", "f_values", "fdr_rvalue",
-    "fdr_rvalue_general_dep", "fdr_rvalue_threshold_dep", "fdr_rvalues_all",
-    "fdr_rvalues_all_general_dep", "fdr_rvalues_all_threshold_dep",
-    "harmonic_number", "m_star", "max_p_bh", "meta_p", "normal_cdf",
-    "normal_quantile", "normal_sf", "parse_scenario_file",
-    "read_pvalue_table", "refine_for_replicability", "simulate_rep",
-    "step_up_set", "step_up_set_general_dep", "step_up_set_threshold_dep",
-    "sweep_c2", "validate_dataset",
+    "estimate", "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
+    "fdr_rvalues_all_threshold_dep", "harmonic_number", "m_star",
+    "max_p_bh", "meta_p", "normal_cdf", "normal_quantile", "normal_sf",
+    "parse_scenario_file", "read_pvalue_table", "refine_for_replicability",
+    "simulate_rep", "step_up_set", "step_up_set_general_dep",
+    "step_up_set_threshold_dep", "sweep_c2", "validate_dataset",
 ]

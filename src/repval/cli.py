@@ -6,7 +6,8 @@ Two subcommands:
   r-values by any method, and echo the table back with an ``r_value``
   column appended (plus optional meta-analysis and replicated columns).
 * ``simulate`` -- run the Monte Carlo harness from a scenario file or
-  inline flags and emit a metrics CSV.
+  inline flags, one per :data:`repval.simulate.SCENARIO_FIELDS` entry
+  (``block_size`` is ``--block-size``), and emit a metrics CSV.
 
 Exit codes: 0 success, 2 invalid input data or scenario, 3 bad flags.
 Output is byte-stable across runs: r-values print as fixed %.4f, input
@@ -16,7 +17,7 @@ columns are echoed verbatim, and simulation metrics use fixed formats.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -30,12 +31,18 @@ from .model import (AnalysisConfig, DatasetError, Method, read_pvalue_table,
                     validate_dataset)
 from .rvalue import fdr_rvalues_all, step_up_set
 from .selection import refine_for_replicability
-from .simulate import (METRICS_CSV_HEADER, estimate, metrics_csv_row,
-                       parse_scenario_file, scenario_from_mapping, sweep_c2)
+from .simulate import (METRICS_CSV_HEADER, SCENARIO_FIELDS, estimate,
+                       metrics_csv_row, parse_scenario_file,
+                       scenario_from_mapping, sweep_c2)
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_FLAGS = 3
+
+_SCENARIO_HELP = {
+    "seed": "RNG seed (required here or in the scenario file)",
+    "rho": "equicorrelation within primary-study blocks",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,31 +92,14 @@ def build_parser() -> _Parser:
     rv.add_argument("--out", default=None, help="output file (default stdout)")
     rv.add_argument("--format", default=None, choices=["tsv", "csv"],
                     help="output delimiter (default: mirror the input)")
-    rv.add_argument("--threads", type=int, default=None,
-                    help="parallelism hint; results never depend on it "
-                         "(env REPVAL_THREADS when absent)")
 
     sim = sub.add_parser("simulate", help="estimate error rates and power "
                          "by Monte Carlo")
     sim.add_argument("--scenario", default=None,
                      help="key = value scenario file; inline flags override")
-    sim.add_argument("--pi1", type=float, default=None)
-    sim.add_argument("--pi2", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (required here or in the scenario file)")
-    sim.add_argument("--m", type=int, default=None)
-    sim.add_argument("--f00", type=float, default=None)
-    sim.add_argument("--f01", type=float, default=None)
-    sim.add_argument("--f10", type=float, default=None)
-    sim.add_argument("--f11", type=float, default=None)
-    sim.add_argument("--l00", type=float, default=None)
-    sim.add_argument("--c2", type=float, default=None)
-    sim.add_argument("--q", type=float, default=None)
-    sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--rho", type=float, default=None,
-                     help="equicorrelation within primary-study blocks")
-    sim.add_argument("--block-size", type=int, default=None)
-    sim.add_argument("--scenario-id", default=None)
+    for name, kind in SCENARIO_FIELDS.items():
+        sim.add_argument("--" + name.replace("_", "-"), type=kind,
+                         default=None, help=_SCENARIO_HELP.get(name))
     sim.add_argument("--c2-grid", default=None, metavar="LO:HI:STEP",
                      help="sweep c2 over an inclusive grid, one CSV row per "
                           "point")
@@ -117,16 +107,7 @@ def build_parser() -> _Parser:
                      choices=["step-up", "bonferroni"],
                      help="claim rule whose error rates are estimated")
     sim.add_argument("--out", default=None, help="output file (default stdout)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="parallelism hint; results never depend on it")
     return parser
-
-
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get("REPVAL_THREADS", "")
-        value = int(env) if env.isdigit() else 1
-    return max(1, value)
 
 
 def _write_output(lines: list[str], out_path: Optional[str]) -> None:
@@ -139,8 +120,18 @@ def _write_output(lines: list[str], out_path: Optional[str]) -> None:
 
 
 def cmd_rvalues(args) -> int:
-    _resolve_threads(args.threads)
+    # method -> (r-values, step-up set at q, or None to claim r <= q).
+    # Built per call so that it uses the module's current bindings.
+    procedures = {
+        Method.FDR_INDEPENDENT: (fdr_rvalues_all, step_up_set),
+        Method.FDR_GENERAL_DEP: (fdr_rvalues_all_general_dep,
+                                 step_up_set_general_dep),
+        Method.FDR_THRESHOLD_DEP: (fdr_rvalues_all_threshold_dep,
+                                   step_up_set_threshold_dep),
+        Method.FWER_BONFERRONI: (bonferroni_rvalues_all, None),
+    }
     method = Method(args.method)
+    rvalues_fn, step_up_fn = procedures[method]
     if method is Method.FDR_THRESHOLD_DEP and args.t is None:
         print("repval rvalues: error: --t is required for "
               "--method fdr-threshold-dep", file=sys.stderr)
@@ -150,6 +141,9 @@ def cmd_rvalues(args) -> int:
         for flag, q in (("--q", args.q), ("--refine-q", args.refine_q)):
             if q is not None and not 0.0 < q < 1.0:
                 raise ValueError(f"{flag} must lie in (0, 1), got {q!r}")
+        eps = args.clamp_zero
+        if eps is not None and not 0.0 < eps <= 1.0:
+            raise ValueError(f"--clamp-zero must lie in (0, 1], got {eps!r}")
     except ValueError as exc:
         print(f"repval rvalues: error: {exc}", file=sys.stderr)
         return EXIT_FLAGS
@@ -178,29 +172,15 @@ def cmd_rvalues(args) -> int:
               "padding can only shrink this set)", file=sys.stderr)
 
     try:
-        if method is Method.FDR_INDEPENDENT:
-            report = fdr_rvalues_all(dataset, config)
-        elif method is Method.FDR_GENERAL_DEP:
-            report = fdr_rvalues_all_general_dep(dataset, config)
-        elif method is Method.FDR_THRESHOLD_DEP:
-            report = fdr_rvalues_all_threshold_dep(dataset, config)
+        report = rvalues_fn(dataset, config)
+        replicated: Optional[frozenset[str]]
+        if args.q is None:
+            replicated = None
+        elif step_up_fn is None:
+            replicated = frozenset(
+                fid for fid, r in report.entries if r <= args.q)
         else:
-            report = bonferroni_rvalues_all(dataset, config)
-
-        replicated: Optional[frozenset[str]] = None
-        if args.q is not None:
-            if method is Method.FDR_INDEPENDENT:
-                replicated = step_up_set(dataset, config,
-                                         args.q).replicated_ids
-            elif method is Method.FDR_GENERAL_DEP:
-                replicated = step_up_set_general_dep(
-                    dataset, config, args.q).replicated_ids
-            elif method is Method.FDR_THRESHOLD_DEP:
-                replicated = step_up_set_threshold_dep(
-                    dataset, config, args.q).replicated_ids
-            else:
-                replicated = frozenset(
-                    fid for fid, r in report.entries if r <= args.q)
+            replicated = step_up_fn(dataset, config, args.q).replicated_ids
     except (ValueError, NoConsistentRegime) as exc:
         print(f"repval rvalues: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -234,7 +214,7 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise ValueError(f"bad grid {spec!r}, expected LO:HI:STEP") from None
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
     n = int(round((hi - lo) / step)) + 1
     values = [lo + i * step for i in range(n)]
@@ -242,15 +222,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    _resolve_threads(args.threads)
-    inline = {}
-    for key in ("pi1", "pi2", "seed", "m", "f00", "f01", "f10", "f11",
-                "l00", "c2", "q", "reps", "rho", "scenario_id"):
-        value = getattr(args, key)
-        if value is not None:
-            inline[key] = value
-    if args.block_size is not None:
-        inline["block_size"] = args.block_size
+    inline = {name: getattr(args, name) for name in SCENARIO_FIELDS
+              if getattr(args, name) is not None}
 
     try:
         if args.scenario:

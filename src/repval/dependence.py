@@ -26,8 +26,6 @@ step-up equivalents checked by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
@@ -35,10 +33,9 @@ from .rvalue import (StepUpResult, _exact_rvalues, _fdr_rvalues, _level, c1,
                      step_up_set)
 
 __all__ = [
-    "harmonic_number", "m_star", "HarmonicInflation", "c1_tilde",
-    "NoConsistentRegime", "SelectionThresholdViolated", "MissingThreshold",
-    "fdr_rvalue_general_dep", "fdr_rvalues_all_general_dep",
-    "step_up_set_general_dep", "fdr_rvalue_threshold_dep",
+    "harmonic_number", "m_star", "c1_tilde", "NoConsistentRegime",
+    "SelectionThresholdViolated", "MissingThreshold",
+    "fdr_rvalues_all_general_dep", "step_up_set_general_dep",
     "fdr_rvalues_all_threshold_dep", "step_up_set_threshold_dep",
 ]
 
@@ -85,16 +82,6 @@ def m_star(m: int) -> float:
     if m < 1:
         raise ValueError("m must be positive")
     return m * harmonic_number(m)
-
-
-@dataclass(frozen=True)
-class HarmonicInflation:
-    m: int
-    m_star: float
-
-    @classmethod
-    def from_m(cls, m: int) -> "HarmonicInflation":
-        return cls(m, m_star(m))
 
 
 class NoConsistentRegime(RuntimeError):
@@ -168,22 +155,11 @@ def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
 
 # --- general dependence (harmonic inflation) -------------------------------
 
-def _general_dep_rvalues(dataset: ValidatedDataset,
-                         config: AnalysisConfig) -> np.ndarray:
-    return _fdr_rvalues(dataset.p1, dataset.p2, m_eff=m_star(config.m),
-                        l00=config.l00, c2=config.c2)
-
-
-def fdr_rvalue_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
-                           feature_id: str) -> float:
-    """r-value valid under arbitrary primary-study dependence."""
-    idx = dataset.index_of(feature_id)
-    return float(_general_dep_rvalues(dataset, config)[idx])
-
-
 def fdr_rvalues_all_general_dep(dataset: ValidatedDataset,
                                 config: AnalysisConfig) -> RValueReport:
-    values = _general_dep_rvalues(dataset, config)
+    """r-values valid under arbitrary primary-study dependence."""
+    values = _fdr_rvalues(dataset.p1, dataset.p2, m_eff=m_star(config.m),
+                          l00=config.l00, c2=config.c2)
     entries = tuple(zip(dataset.ids, (float(v) for v in values)))
     return RValueReport(Method.FDR_GENERAL_DEP, entries, config)
 
@@ -234,8 +210,11 @@ def _smallest_reaching(level, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _threshold_dep_rvalues(dataset: ValidatedDataset,
-                           config: AnalysisConfig) -> np.ndarray:
+def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
+                                  config: AnalysisConfig) -> RValueReport:
+    """r-values valid under arbitrary primary-study dependence when the
+    follow-up set was everything below a fixed primary cutoff t. Never below
+    1e-12 (see the module docstring)."""
     t = _require_threshold(dataset, config)
     m, l00, c2 = config.m, config.l00, config.c2
 
@@ -252,24 +231,9 @@ def _threshold_dep_rvalues(dataset: ValidatedDataset,
         out[need] = np.maximum(y[need], level(x[need]))
         return out
 
-    return _exact_rvalues(dataset.p1, dataset.p2, m_eff=float(m), c2=c2,
-                          entry=entry,
-                          inverse=lambda a: _smallest_reaching(level, a))
-
-
-def fdr_rvalue_threshold_dep(dataset: ValidatedDataset,
-                             config: AnalysisConfig,
-                             feature_id: str) -> float:
-    """r-value valid under arbitrary primary-study dependence when the
-    follow-up set was everything below a fixed primary cutoff t. Never below
-    1e-12 (see the module docstring)."""
-    idx = dataset.index_of(feature_id)
-    return float(_threshold_dep_rvalues(dataset, config)[idx])
-
-
-def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
-                                  config: AnalysisConfig) -> RValueReport:
-    values = _threshold_dep_rvalues(dataset, config)
+    values = _exact_rvalues(dataset.p1, dataset.p2, m_eff=float(m), c2=c2,
+                            entry=entry,
+                            inverse=lambda a: _smallest_reaching(level, a))
     entries = tuple(zip(dataset.ids, (float(v) for v in values)))
     return RValueReport(Method.FDR_THRESHOLD_DEP, entries, config)
 

@@ -18,30 +18,18 @@ import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
 
-__all__ = ["bonferroni_rvalue", "bonferroni_rvalues_all"]
-
-
-def _bonf_rvalues(p1: np.ndarray, p2: np.ndarray,
-                  config: AnalysisConfig) -> np.ndarray:
-    follow = len(p1) * p2 / config.c2
-    scale = config.m * p1 / (1.0 - config.c2)
-    slope = scale * config.l00 * config.c2
-    with np.errstate(divide="ignore"):
-        primary = np.where(slope < 1.0,
-                           scale * (1.0 - config.l00) / (1.0 - slope), np.inf)
-    return np.minimum(np.maximum(follow, primary), 1.0)
-
-
-def bonferroni_rvalue(dataset: ValidatedDataset, config: AnalysisConfig,
-                      feature_id: str) -> float:
-    """FWER r-value of one feature."""
-    idx = dataset.index_of(feature_id)
-    return float(_bonf_rvalues(dataset.p1, dataset.p2, config)[idx])
+__all__ = ["bonferroni_rvalues_all"]
 
 
 def bonferroni_rvalues_all(dataset: ValidatedDataset,
                            config: AnalysisConfig) -> RValueReport:
     """FWER r-values for every followed-up feature."""
-    values = _bonf_rvalues(dataset.p1, dataset.p2, config)
+    follow = len(dataset) * dataset.p2 / config.c2
+    scale = config.m * dataset.p1 / (1.0 - config.c2)
+    slope = scale * config.l00 * config.c2
+    with np.errstate(divide="ignore"):
+        primary = np.where(slope < 1.0,
+                           scale * (1.0 - config.l00) / (1.0 - slope), np.inf)
+    values = np.minimum(np.maximum(follow, primary), 1.0)
     entries = tuple(zip(dataset.ids, (float(v) for v in values)))
     return RValueReport(Method.FWER_BONFERRONI, entries, config)

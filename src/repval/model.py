@@ -125,12 +125,6 @@ class ValidatedDataset:
     def p2(self) -> np.ndarray:
         return np.array([r.p2 for r in self.records], dtype=float)
 
-    def index_of(self, feature_id: str) -> int:
-        try:
-            return self.ids.index(feature_id)
-        except ValueError:
-            raise KeyError(f"unknown feature id {feature_id!r}") from None
-
     def subset(self, keep: Iterable[int]) -> "ValidatedDataset":
         return ValidatedDataset(tuple(self.records[i] for i in keep))
 
@@ -139,14 +133,12 @@ def validate_dataset(
     records: Union[ValidatedDataset, Sequence[FeatureRecord]],
     config: AnalysisConfig,
     *,
-    clamp_zero: Optional[float] = None,
     source_lines: Optional[Sequence[int]] = None,
 ) -> ValidatedDataset:
     """Check invariants and freeze the dataset; idempotent.
 
-    ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
-    given epsilon, for dirty real-world exports. By default zeros are
-    rejected (they would silently break the fixed-point computation).
+    p-values of exactly 0 are rejected; ``read_pvalue_table(clamp_zero=)``
+    opts in to replacing them in dirty real-world exports.
     ``source_lines`` attaches file line numbers to error messages.
     """
     if isinstance(records, ValidatedDataset):
@@ -159,11 +151,7 @@ def validate_dataset(
     cleaned: list[FeatureRecord] = []
     for idx, rec in enumerate(records):
         line = source_lines[idx] if source_lines is not None else None
-        p1, p2 = rec.p1, rec.p2
-        if clamp_zero is not None:
-            p1 = clamp_zero if p1 == 0.0 else p1
-            p2 = clamp_zero if p2 == 0.0 else p2
-        for name, p in (("p1", p1), ("p2", p2)):
+        for name, p in (("p1", rec.p1), ("p2", rec.p2)):
             if math.isnan(p):
                 raise DatasetError(
                     f"feature {rec.id!r}: {name} is NaN, not a p-value", line)
@@ -176,8 +164,7 @@ def validate_dataset(
         if rec.id in seen:
             raise DuplicateId(f"feature id {rec.id!r} appears twice", line)
         seen.add(rec.id)
-        cleaned.append(rec if (p1 == rec.p1 and p2 == rec.p2)
-                       else FeatureRecord(rec.id, p1, p2))
+        cleaned.append(rec)
 
     if len(cleaned) > config.m:
         raise R1ExceedsM(f"{len(cleaned)} features followed up but m={config.m}")
@@ -229,7 +216,9 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
 
     ``source`` is a path or an open text stream. Scientific notation is
     accepted; numbers are stored as float64 while the original strings are
-    retained for round-tripping.
+    retained for round-tripping. ``clamp_zero`` opts in to replacing
+    p-values that are exactly 0 with the given epsilon, for dirty real-world
+    exports.
     """
     if hasattr(source, "read"):
         text = source.read()

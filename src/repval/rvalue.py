@@ -30,11 +30,6 @@ denominator is not positive. :func:`_exact_rvalues` evaluates this in blocks
 of counts, in O(R1^2) time and O(R1) memory. The dependence variants in
 :mod:`repval.dependence` reuse it with m or c1 replaced.
 
-The paper's e-value view is kept as a reference: with
-e_j(x) = max(p1_j / c1(x), R1 * p2_j / (m * c2)) and its step-up adjustment
-f_i(x) = min over {j : e_j >= e_i} of e_j * m / rank(e_j) (maximum rank for
-ties), the r-value is the fixed point f_i(r) = r in (0, 1), or 1.
-
 All functions are pure; r-values are bitwise reproducible and do not depend
 on the order of the records.
 """
@@ -48,10 +43,7 @@ import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
 
-__all__ = [
-    "c1", "EValueVector", "e_values", "f_i", "f_values",
-    "fdr_rvalue", "fdr_rvalues_all", "StepUpResult", "step_up_set",
-]
+__all__ = ["c1", "fdr_rvalues_all", "StepUpResult", "step_up_set"]
 
 # Elements per block of counts in the exact engine: 512 KiB of float64.
 # Smaller blocks stay in cache; at R1 = 1000 to 10000 they ran faster than
@@ -64,71 +56,6 @@ def c1(x: float, l00: float, c2: float) -> float:
     constant 1 - c2 when l00 = 0. The denominator is bounded below by
     1 - l00 > 0 on the valid domain, so this never degenerates."""
     return (1.0 - c2) / (1.0 - l00 * (1.0 - c2 * x))
-
-
-@dataclass(frozen=True)
-class EValueVector:
-    """Combined statistics at a given budget level x, with maximum-rank
-    tie handling. e depends on x through c1."""
-
-    e: np.ndarray
-    rank: np.ndarray
-    evaluated_at: float
-
-
-def _ranks_max_ties(e: np.ndarray) -> np.ndarray:
-    order = np.sort(e)
-    return np.searchsorted(order, e, side="right")
-
-
-def _e_array(p1: np.ndarray, p2: np.ndarray, r1: int, m_eff: float,
-             c2: float, c1x: float) -> np.ndarray:
-    return np.maximum(p1 / c1x, r1 * p2 / (m_eff * c2))
-
-
-def _adjusted_min(e: np.ndarray, m_eff: float) -> np.ndarray:
-    """For every feature i, min over {j : e_j >= e_i} of e_j*m/rank(e_j)."""
-    order = np.sort(e)
-    ranks = np.searchsorted(order, order, side="right")
-    adjusted = order * m_eff / ranks
-    suffix_min = np.minimum.accumulate(adjusted[::-1])[::-1]
-    return suffix_min[np.searchsorted(order, e, side="left")]
-
-
-def _resolve(config: AnalysisConfig, m_eff: Optional[float],
-             c1_fn: Optional[Callable[[float], float]]):
-    if m_eff is None:
-        m_eff = float(config.m)
-    if c1_fn is None:
-        def c1_fn(x: float, _l=config.l00, _c=config.c2) -> float:
-            return c1(x, _l, _c)
-    return m_eff, c1_fn
-
-
-def e_values(dataset: ValidatedDataset, config: AnalysisConfig, x: float,
-             *, m_eff: Optional[float] = None,
-             c1_fn: Optional[Callable[[float], float]] = None) -> EValueVector:
-    """Per-feature e-values and their (maximum-tie) ranks at level x."""
-    m_eff, c1_fn = _resolve(config, m_eff, c1_fn)
-    e = _e_array(dataset.p1, dataset.p2, len(dataset), m_eff, config.c2,
-                 c1_fn(x))
-    return EValueVector(e, _ranks_max_ties(e), x)
-
-
-def f_values(dataset: ValidatedDataset, config: AnalysisConfig, x: float,
-             *, m_eff: Optional[float] = None,
-             c1_fn: Optional[Callable[[float], float]] = None) -> np.ndarray:
-    """f_i(x) for every feature, in dataset order."""
-    m_eff, c1_fn = _resolve(config, m_eff, c1_fn)
-    e = _e_array(dataset.p1, dataset.p2, len(dataset), m_eff, config.c2,
-                 c1_fn(x))
-    return _adjusted_min(e, m_eff)
-
-
-def f_i(dataset: ValidatedDataset, config: AnalysisConfig, x: float,
-        feature_id: str) -> float:
-    """Step-up-adjusted value of one feature at level x."""
-    return float(f_values(dataset, config, x)[dataset.index_of(feature_id)])
 
 
 def _level(x, l00: float, c2: float):
@@ -179,14 +106,6 @@ def _fdr_rvalues(p1: np.ndarray, p2: np.ndarray, *, m_eff: float,
 
     return _exact_rvalues(p1, p2, m_eff=m_eff, c2=c2, entry=entry,
                           inverse=lambda a: _level_inverse(a, l00, c2))
-
-
-def fdr_rvalue(dataset: ValidatedDataset, config: AnalysisConfig,
-               feature_id: str) -> float:
-    """FDR r-value of one feature: the unique fixed point of f_i in (0, 1)
-    if it exists, else 1."""
-    idx = dataset.index_of(feature_id)
-    return float(fdr_rvalues_all(dataset, config).values[idx])
 
 
 def fdr_rvalues_all(dataset: ValidatedDataset,

@@ -24,8 +24,8 @@ data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, TextIO
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .selection import bh_reject
 __all__ = [
     "SimulationScenario", "SimulationMetrics", "RepOutcome",
     "simulate_rep", "estimate", "sweep_c2", "compare_baseline",
-    "parse_scenario_file", "scenario_from_mapping", "METRICS_CSV_HEADER",
-    "metrics_csv_row", "write_metrics_csv",
+    "parse_scenario_file", "scenario_from_mapping", "SCENARIO_FIELDS",
+    "METRICS_CSV_HEADER", "metrics_csv_row",
 ]
 
 _POWER_CALIBRATION_ALPHA = 0.05  # Bonferroni level defining pi1/pi2
@@ -65,6 +65,10 @@ class SimulationScenario:
     scenario_id: str = ""
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m!r}")
         total = self.f00 + self.f01 + self.f10 + self.f11
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"fractions sum to {total!r}, not 1")
@@ -91,6 +95,10 @@ class SimulationScenario:
             raise ValueError("rho must lie in [0, 1)")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        # the id is written unquoted as the first metrics CSV cell
+        if any(ch in self.scenario_id for ch in ',"\r\n'):
+            raise ValueError(f"scenario_id {self.scenario_id!r} contains a "
+                             "comma, quote or line break")
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
@@ -277,20 +285,17 @@ def compare_baseline(scenario: SimulationScenario) -> dict[str, SimulationMetric
 
 # --- scenario files and metrics CSV ----------------------------------------
 
-_SCENARIO_FIELDS = {
-    "pi1": float, "pi2": float, "seed": int, "m": int,
-    "f00": float, "f01": float, "f10": float, "f11": float,
-    "l00": float, "c2": float, "q": float, "reps": int,
-    "rho": float, "block_size": int, "scenario_id": str,
-}
+# field name -> type, in declaration order: the keys of scenario files and
+# the inline flags of ``repval simulate``
+SCENARIO_FIELDS = get_type_hints(SimulationScenario)
 
 
 def scenario_from_mapping(mapping: dict) -> SimulationScenario:
     kwargs = {}
     for key, raw in mapping.items():
-        if key not in _SCENARIO_FIELDS:
+        if key not in SCENARIO_FIELDS:
             raise ValueError(f"unknown scenario field {key!r}")
-        kwargs[key] = _SCENARIO_FIELDS[key](raw)
+        kwargs[key] = SCENARIO_FIELDS[key](raw)
     for required in ("pi1", "pi2", "seed"):
         if required not in kwargs:
             raise ValueError(f"scenario is missing required field {required!r}")
@@ -330,10 +335,3 @@ def metrics_csv_row(scenario: SimulationScenario,
         f"{metrics.avg_power:.6f}", f"{metrics.se_power:.6f}",
         f"{metrics.p_at_least_one:.6f}", f"{metrics.se_palo:.6f}",
     ])
-
-
-def write_metrics_csv(rows: Sequence[tuple[SimulationScenario, SimulationMetrics]],
-                      out: TextIO) -> None:
-    out.write(METRICS_CSV_HEADER + "\n")
-    for scenario, metrics in rows:
-        out.write(metrics_csv_row(scenario, metrics) + "\n")

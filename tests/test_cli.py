@@ -43,6 +43,17 @@ def test_published_output_is_byte_identical(name, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.tsv").read_bytes()
 
 
+def test_simulate_paper_design_is_byte_identical(tmp_path):
+    # the golden file is the output of the release that spelled out each
+    # scenario flag by hand
+    out = tmp_path / "out.csv"
+    # a later --reps overrides the one in SIM_DESIGN
+    code = cli.main([*SIM_DESIGN, "--reps", "20", "--c2-grid", "0.1:0.9:0.2",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / "simulate-paper.csv").read_bytes()
+
+
 def test_q_out_of_range_exits_3_before_computing(monkeypatch, capsys):
     def computed(*args):
         raise AssertionError("r-values computed despite a bad --q")
@@ -55,11 +66,34 @@ def test_q_out_of_range_exits_3_before_computing(monkeypatch, capsys):
         assert f"{flag} must lie in (0, 1)" in capsys.readouterr().err
 
 
+def test_clamp_zero_out_of_range_exits_3_before_reading(capsys):
+    for eps in ("-1", "0", "2", "nan"):
+        code = cli.main(["rvalues", "no-such-file.tsv", "--m", "68",
+                         "--clamp-zero", eps])
+        assert code == cli.EXIT_FLAGS
+        assert "--clamp-zero must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_c2_grid_outside_unit_interval_exits_3(capsys):
-    code = cli.main([*SIM_DESIGN, "--c2-grid", "0:1:0.5"])
-    assert code == cli.EXIT_FLAGS
+    for grid, message in (("0:1:0.5", "c2 must lie in (0, 1)"),
+                          ("0.1:inf:0.1", "bad grid")):
+        code = cli.main([*SIM_DESIGN, "--c2-grid", grid])
+        assert code == cli.EXIT_FLAGS
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be >= 0"),
+    ("--m", "-40", "m must be >= 1"),
+    ("--scenario-id", "a,b", "contains a comma"),
+], ids=["seed", "m", "scenario-id"])
+def test_bad_scenario_exits_2_with_one_line(flag, value, message, capsys):
+    code = cli.main([*SIM_DESIGN, flag, value])
+    assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert "c2 must lie in (0, 1)" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert "bad scenario: " in err and message in err
 
 
 def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):

@@ -5,13 +5,11 @@ import pytest
 
 from repval import (AnalysisConfig, FeatureRecord, MissingThreshold,
                     NoConsistentRegime,
-                    SelectionThresholdViolated, c1_tilde, fdr_rvalue,
-                    fdr_rvalue_general_dep, fdr_rvalue_threshold_dep,
+                    SelectionThresholdViolated, c1_tilde,
                     fdr_rvalues_all, fdr_rvalues_all_general_dep,
                     fdr_rvalues_all_threshold_dep, harmonic_number, m_star,
                     step_up_set, step_up_set_general_dep,
                     step_up_set_threshold_dep, validate_dataset)
-from repval.dependence import HarmonicInflation
 from repval.rvalue import c1
 
 from conftest import dataset_from_arrays, make_random_dataset
@@ -35,7 +33,6 @@ def _threshold_instance(rng, t=None):
 def test_m_star_small_values():
     assert m_star(1) == 1.0
     assert m_star(3) == pytest.approx(5.5, rel=1e-15)
-    assert HarmonicInflation.from_m(3).m_star == m_star(3)
 
 
 def test_harmonic_against_direct_summation():
@@ -140,8 +137,8 @@ def test_c1_tilde_domain_checks():
 
 def test_general_dep_single_feature_equals_plain():
     ds, config = dataset_from_arrays([0.01], [0.02], m=1, l00=0.3, c2=0.5)
-    assert fdr_rvalue_general_dep(ds, config, "f0") == fdr_rvalue(
-        ds, config, "f0")
+    assert fdr_rvalues_all_general_dep(ds, config).r_value("f0") == (
+        fdr_rvalues_all(ds, config).r_value("f0"))
 
 
 def test_general_dep_is_more_conservative():
@@ -192,7 +189,7 @@ def test_general_dep_step_up_matches_oracle():
 def test_threshold_dep_requires_t():
     ds, config = dataset_from_arrays([0.01], [0.02], m=5)
     with pytest.raises(MissingThreshold):
-        fdr_rvalue_threshold_dep(ds, config, "f0")
+        fdr_rvalues_all_threshold_dep(ds, config)
 
 
 def test_threshold_dep_rejects_violations():
@@ -200,7 +197,7 @@ def test_threshold_dep_rejects_violations():
     config = AnalysisConfig(m=5, t=0.1)
     ds = validate_dataset(records, config)
     with pytest.raises(SelectionThresholdViolated):
-        fdr_rvalue_threshold_dep(ds, config, "a")
+        fdr_rvalues_all_threshold_dep(ds, config)
 
 
 def test_threshold_dep_is_more_conservative():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, bonferroni_rvalue, bonferroni_rvalues_all,
-                    validate_dataset)
+from repval import AnalysisConfig, bonferroni_rvalues_all, validate_dataset
 from repval.model import Method
 from repval.rvalue import c1
 
@@ -13,8 +12,8 @@ from _oracles import oracle_bonferroni, signif
 
 def test_single_feature_closed_form():
     ds, config = dataset_from_arrays([0.025], [0.025], m=1, l00=0.0, c2=0.5)
-    assert bonferroni_rvalue(ds, config, "f0") == pytest.approx(0.05,
-                                                                abs=1e-12)
+    assert bonferroni_rvalues_all(ds, config).r_value("f0") == pytest.approx(
+        0.05, abs=1e-12)
 
 
 def test_tpp_rows(tpp_table):

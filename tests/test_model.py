@@ -39,8 +39,9 @@ def test_nan_pvalue_has_its_own_message():
 
 
 def test_clamp_zero_opt_in():
-    config = AnalysisConfig(m=10)
-    ds = validate_dataset(_records([(0.0, 0.5)]), config, clamp_zero=1e-300)
+    text = "id\tp1\tp2\na\t0\t0.5\n"
+    table = read_pvalue_table(io.StringIO(text), clamp_zero=1e-300)
+    ds = validate_dataset(table.records, AnalysisConfig(m=10))
     assert ds.records[0].p1 == 1e-300
     assert ds.records[0].p2 == 0.5
 

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, FeatureRecord, bonferroni_rvalue,
-                    e_values, f_i, f_values, fdr_rvalue,
-                    fdr_rvalue_general_dep, fdr_rvalues_all, step_up_set,
-                    step_up_set_general_dep, validate_dataset)
+from repval import (AnalysisConfig, FeatureRecord, bonferroni_rvalues_all,
+                    fdr_rvalues_all, fdr_rvalues_all_general_dep,
+                    step_up_set, step_up_set_general_dep, validate_dataset)
 from repval.rvalue import c1
 
 from conftest import IGA_M, IGA_SIGNIFICANT, dataset_from_arrays, \
     make_random_dataset
-from _oracles import (oracle_adjusted_capped, oracle_f, oracle_step_up)
+from _oracles import (oracle_adjusted_capped, oracle_e_values, oracle_f,
+                      oracle_max_ranks, oracle_step_up)
+
+
+def _f(ds, config, x, i):
+    """The paper's step-up-adjusted value f_i(x), by the reference."""
+    return oracle_f(list(ds.p1), list(ds.p2), config.m, config.l00,
+                    config.c2, x, i)
 
 
 # --- c1 ---------------------------------------------------------------------
@@ -39,64 +45,43 @@ def test_c1_shape_in_x():
     assert all(v == 0.5 for v in flat)
 
 
-# --- e-values ---------------------------------------------------------------
+# --- e-values and f_i (the reference the fixed-point checks rest on) -------
 
 def test_single_symmetric_feature():
-    ds, config = dataset_from_arrays([0.05], [0.05], m=1, l00=0.0, c2=0.5)
-    ev = e_values(ds, config, 0.3)
-    assert ev.e[0] == pytest.approx(0.1, rel=1e-15)
-    assert ev.rank[0] == 1
+    e = oracle_e_values([0.05], [0.05], 1, 0.0, 0.5, 0.3)
+    assert e[0] == pytest.approx(0.1, rel=1e-15)
+    assert oracle_max_ranks(e) == [1]
 
 
 def test_iga_evalue_hand_check(iga_dataset):
     ds, _ = iga_dataset
-    config = AnalysisConfig(m=IGA_M, l00=0.0, c2=0.5)
-    ev = e_values(ds, config, 0.05)
-    idx = ds.index_of("chr6:32779226")  # p1=3.28e-8, p2=3.57e-6
+    e = oracle_e_values(list(ds.p1), list(ds.p2), IGA_M, 0.0, 0.5, 0.05)
+    idx = ds.ids.index("chr6:32779226")  # p1=3.28e-8, p2=3.57e-6
     expected = max(3.28e-8 / 0.5, 61 * 3.57e-6 / (IGA_M * 0.5))
-    assert ev.e[idx] == pytest.approx(expected, rel=1e-15)
-    assert ev.e[idx] == pytest.approx(6.56e-8, rel=1e-12)
+    assert e[idx] == pytest.approx(expected, rel=1e-15)
+    assert e[idx] == pytest.approx(6.56e-8, rel=1e-12)
 
 
 def test_tied_features_share_maximum_rank():
-    ds, config = dataset_from_arrays([0.01, 0.01], [0.2, 0.2], m=10,
-                                     l00=0.0, c2=0.5)
-    ev = e_values(ds, config, 0.1)
-    assert ev.e[0] == ev.e[1]
-    assert list(ev.rank) == [2, 2]
+    e = oracle_e_values([0.01, 0.01], [0.2, 0.2], 10, 0.0, 0.5, 0.1)
+    assert e[0] == e[1]
+    assert oracle_max_ranks(e) == [2, 2]
 
-
-# --- f_i --------------------------------------------------------------------
 
 def test_f_single_feature_constant():
     ds, config = dataset_from_arrays([0.05], [0.05], m=1, l00=0.0, c2=0.5)
     for x in (0.01, 0.3, 0.9):
-        assert f_i(ds, config, x, "f0") == pytest.approx(0.1, rel=1e-15)
+        assert _f(ds, config, x, 0) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_f_iga_minimiser_is_second_ranked_feature(iga_dataset):
     ds, _ = iga_dataset
     config = AnalysisConfig(m=IGA_M, l00=0.0, c2=0.5)
-    got = f_i(ds, config, 0.02, "chr6:32779226")
-    expected = oracle_f(list(ds.p1), list(ds.p2), IGA_M, 0.0, 0.5, 0.02,
-                        ds.index_of("chr6:32779226"))
+    got = _f(ds, config, 0.02, ds.ids.index("chr6:32779226"))
+    # f is constant in x at l00 = 0, so it is the r-value itself
+    expected = fdr_rvalues_all(ds, config).r_value("chr6:32779226")
     assert got == pytest.approx(expected, rel=1e-12)
     assert round(got, 4) == 0.0224
-
-
-def test_f_matches_oracle_on_random_data():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        records, m = make_random_dataset(rng)
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9)))
-        x = float(rng.uniform(0.01, 0.99))
-        got = f_values(ds, config, x)
-        for i in range(len(ds)):
-            ref = oracle_f(list(ds.p1), list(ds.p2), m, config.l00,
-                           config.c2, x, i)
-            assert got[i] == pytest.approx(ref, rel=1e-12)
 
 
 def test_f_over_x_strictly_decreasing():
@@ -107,7 +92,8 @@ def test_f_over_x_strictly_decreasing():
         ds, config = dataset_from_arrays(
             [r.p1 for r in records], [r.p2 for r in records], m=m,
             l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9)))
-        ratios = np.array([f_values(ds, config, float(x)) / x for x in xs])
+        ratios = np.array([[_f(ds, config, float(x), i) / x
+                            for i in range(len(ds))] for x in xs])
         assert (np.diff(ratios, axis=0) < 0).all()
 
 
@@ -115,28 +101,30 @@ def test_f_over_x_strictly_decreasing():
 
 def test_rvalue_single_feature_fixed_point():
     ds, config = dataset_from_arrays([0.05], [0.05], m=1, l00=0.0, c2=0.5)
-    assert fdr_rvalue(ds, config, "f0") == pytest.approx(0.1, abs=1e-12)
+    assert fdr_rvalues_all(ds, config).r_value("f0") == pytest.approx(
+        0.1, abs=1e-12)
 
 
 def test_rvalue_iga_headline_row(iga_dataset):
     ds, _ = iga_dataset
     for l00, expected in ((0.0, 0.0243), (0.5, 0.0150), (0.8, 0.0074)):
         config = AnalysisConfig(m=IGA_M, l00=l00, c2=0.5)
-        got = fdr_rvalue(ds, config, "chr6:32685358")
+        got = fdr_rvalues_all(ds, config).r_value("chr6:32685358")
         assert round(got, 4) == expected
 
 
 def test_rvalue_t2d_first_row(t2d_table):
     config = AnalysisConfig(m=68, l00=0.0, c2=0.5)
     ds = validate_dataset(t2d_table.records, config)
-    assert round(fdr_rvalue(ds, config, "chr7:27953796"), 4) == 0.0055
+    report = fdr_rvalues_all(ds, config)
+    assert round(report.r_value("chr7:27953796"), 4) == 0.0055
 
 
 def test_batch_matches_per_feature(iga_dataset):
     ds, config = iga_dataset
     report = fdr_rvalues_all(ds, config)
-    for fid, r in report.entries[:10]:
-        assert fdr_rvalue(ds, config, fid) == r
+    for fid in ds.ids:
+        assert report.r_value(fid) == report.values[ds.ids.index(fid)]
 
 
 def test_iga_significant_counts(iga_table):
@@ -178,7 +166,8 @@ def test_fixed_point_residual(iga_dataset):
         report = fdr_rvalues_all(data, config)
         for fid, r in report.entries:
             if r < 1.0:
-                assert abs(f_i(data, config, r, fid) - r) <= 1e-9
+                i = data.ids.index(fid)
+                assert abs(_f(data, config, r, i) - r) <= 1e-9
 
 
 def test_l00_zero_reduces_to_adjusted_evalues():
@@ -283,9 +272,9 @@ def test_rvalue_far_below_1e12_matches_step_up():
     q = 1e-13
     assert "f0" in step_up_set(ds, config, q).replicated_ids
     assert "f0" in step_up_set_general_dep(ds, config, q).replicated_ids
-    for r in (fdr_rvalue(ds, config, "f0"),
-              fdr_rvalue_general_dep(ds, config, "f0"),
-              bonferroni_rvalue(ds, config, "f0")):
+    for rvalues_fn in (fdr_rvalues_all, fdr_rvalues_all_general_dep,
+                       bonferroni_rvalues_all):
+        r = rvalues_fn(ds, config).r_value("f0")
         assert r == pytest.approx(2e-20, rel=1e-12)  # p2 * R1 / c2 binds
 
 
