@@ -7,9 +7,11 @@ Two subcommands:
   column appended (plus optional meta-analysis and replicated columns).
 * ``simulate`` -- run the Monte Carlo harness from a scenario file or
   inline flags, one per :data:`repval.simulate.SCENARIO_FIELDS` entry
-  (``block_size`` is ``--block-size``), and emit a metrics CSV.
+  (``block_size`` is ``--block-size``), and emit a metrics CSV with one
+  row per c2 point, each written as soon as its point finishes.
 
-Exit codes: 0 success, 2 invalid input data or scenario, 3 bad flags.
+Exit codes: 0 success, 1 output pipe closed by the reader, 2 invalid input
+data or scenario, 3 bad flags.
 Output is byte-stable across runs: r-values print as fixed %.4f, input
 columns are echoed verbatim, and simulation metrics use fixed formats.
 """
@@ -17,10 +19,13 @@ columns are echoed verbatim, and simulation metrics use fixed formats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, TextIO
 
 from .baselines import meta_p
 from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
@@ -31,9 +36,8 @@ from .model import (AnalysisConfig, DatasetError, Method, read_pvalue_table,
                     validate_dataset)
 from .rvalue import fdr_rvalues_all, step_up_set
 from .selection import refine_for_replicability
-from .simulate import (METRICS_CSV_HEADER, SCENARIO_FIELDS, estimate,
-                       metrics_csv_row, parse_scenario_file,
-                       scenario_from_mapping, sweep_c2)
+from .simulate import (METRICS_CSV_HEADER, SCENARIO_FIELDS, metrics_csv_row,
+                       parse_scenario_file, scenario_from_mapping, sweep_c2)
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -110,13 +114,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_output(lines: list[str], out_path: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _output(out_path: Optional[str]) -> Iterator[TextIO]:
+    """The output file, or stdout (left open) when no path is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def cmd_rvalues(args) -> int:
@@ -205,20 +210,40 @@ def cmd_rvalues(args) -> int:
         if replicated is not None:
             cells.append("yes" if rec.id in replicated else "no")
         lines.append(delim.join(cells))
-    _write_output(lines, args.out)
+    with _output(args.out) as out:
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> list[float]:
+class _Grid(Sequence):
+    """The points lo + i * step for i in range(n), made on demand."""
+
+    def __init__(self, lo: float, step: float, n: int):
+        self.lo, self.step, self._index = lo, step, range(n)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i: int) -> float:
+        return self.lo + self._index[i] * self.step
+
+
+def _parse_grid(spec: str) -> _Grid:
+    """LO, LO + STEP, ... up to HI (within 1e-12), without listing them."""
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise ValueError(f"bad grid {spec!r}, expected LO:HI:STEP") from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
-    n = int(round((hi - lo) / step)) + 1
-    values = [lo + i * step for i in range(n)]
-    return [v for v in values if v <= hi + 1e-12]
+    try:
+        n = int(round((hi - lo) / step)) + 1
+    except OverflowError:
+        raise ValueError(f"bad grid {spec!r}, STEP is too small") from None
+    # the points increase with i, so only a tail can lie above HI
+    while lo + (n - 1) * step > hi + 1e-12:
+        n -= 1
+    return _Grid(lo, step, n)
 
 
 def cmd_simulate(args) -> int:
@@ -236,21 +261,21 @@ def cmd_simulate(args) -> int:
         print(f"repval simulate: bad scenario: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    lines = [METRICS_CSV_HEADER]
+    grid: Sequence[float] = (scenario.c2,)
     if args.c2_grid:
         try:
             grid = _parse_grid(args.c2_grid)
-            for c2v in grid:  # each point must make a valid scenario
+            for c2v in (grid[0], grid[-1]):  # monotone: the ends bound it
                 replace(scenario, c2=c2v)
         except ValueError as exc:
             print(f"repval simulate: --c2-grid: {exc}", file=sys.stderr)
             return EXIT_FLAGS
+    with _output(args.out) as out:
+        out.write(METRICS_CSV_HEADER + "\n")
         for c2v, metrics in sweep_c2(scenario, grid, args.procedure):
-            lines.append(metrics_csv_row(replace(scenario, c2=c2v), metrics))
-    else:
-        metrics = estimate(scenario, args.procedure)
-        lines.append(metrics_csv_row(scenario, metrics))
-    _write_output(lines, args.out)
+            out.write(metrics_csv_row(replace(scenario, c2=c2v), metrics)
+                      + "\n")
+            out.flush()
     return EXIT_OK
 
 
@@ -263,7 +288,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); simulate rows stream, so
+        # this can happen mid-run. Point stdout at devnull so the flush at
+        # exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

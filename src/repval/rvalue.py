@@ -145,12 +145,11 @@ def _step_up_mask(p1: np.ndarray, p2: np.ndarray, *, m_eff: float, c2: float,
         return np.zeros(0, dtype=bool)
     need = _minimal_counts(p1, p2, m_eff=m_eff, r1=r1, c2=c2,
                            c1_at_q=c1_at_q, q=q)
-    sorted_need = np.sort(need)
-    r2 = 0
-    for r in range(r1, 0, -1):
-        if np.searchsorted(sorted_need, r, side="right") == r:
-            r2 = r
-            break
+    # count(r) = #{need <= r} is nondecreasing and at most R1, so the
+    # largest r with count(r) >= r has count(r) = r: that r is R2
+    counts = np.arange(1, r1 + 1)
+    passing = np.searchsorted(np.sort(need), counts, side="right") >= counts
+    r2 = int(counts[passing][-1]) if passing.any() else 0
     return need <= r2
 
 

@@ -78,9 +78,12 @@ def bh_reject(pvalues: Sequence[float], level: float, *,
     step = level / n
     if n > len(p) and n * step >= 1.0:
         return np.arange(len(p))
-    order = np.argsort(p, kind="stable")
-    sorted_p = p[order]
-    passing = np.nonzero(sorted_p <= np.arange(1, len(p) + 1) * step)[0]
+    # Only p <= len(p) * step can pass at any count. Those p-values fill the
+    # first sorted positions, in the same stable order, so only they are
+    # sorted.
+    candidates = np.nonzero(p <= len(p) * step)[0]
+    order = candidates[np.argsort(p[candidates], kind="stable")]
+    passing = np.nonzero(p[order] <= np.arange(1, len(order) + 1) * step)[0]
     if len(passing) == 0:
         return np.zeros(0, dtype=int)
     k = int(passing[-1]) + 1

@@ -1,11 +1,15 @@
 """The command-line front end: documented exit codes and byte-stable output
 on the bundled published tables."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repval import cli
+from repval import cli, simulate
 
 from conftest import DATA_DIR
 
@@ -54,6 +58,84 @@ def test_simulate_paper_design_is_byte_identical(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "simulate-paper.csv").read_bytes()
 
 
+def test_simulate_bonferroni_is_byte_identical(tmp_path):
+    # the golden file is the output of the release that ran one
+    # repetition at a time
+    out = tmp_path / "out.csv"
+    code = cli.main([*SIM_DESIGN, "--procedure", "bonferroni", "--rho", "0.3",
+                     "--block-size", "2", "--reps", "20", "--seed", "1",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    golden = GOLDEN_DIR / "simulate-bonferroni.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_c2_grid_is_lazy():
+    # in a child capped at 512 MB of address space, so that a materialised
+    # grid (~8e11 floats) fails with MemoryError instead of filling the host
+    check = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+        from repval import cli
+        grid = cli._parse_grid("0.1:0.9:1e-12")
+        assert len(grid) == 800_000_000_001
+        assert grid[0] == 0.1
+        assert grid[-1] == 0.1 + 800_000_000_000 * 1e-12
+    """)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+                   check=True)
+
+
+def test_c2_grid_matches_listed_points():
+    for spec in ("0.1:0.9:0.2", "0.1:0.95:0.2", "0.3:0.3:0.1",
+                 "0.05:0.95:0.15"):
+        lo, hi, step = map(float, spec.split(":"))
+        n = round((hi - lo) / step) + 1
+        listed = [lo + i * step for i in range(n)
+                  if lo + i * step <= hi + 1e-12]
+        assert list(cli._parse_grid(spec)) == listed
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_grid_rows_are_written_as_they_finish(to_file, tmp_path,
+                                              monkeypatch, capsys):
+    real = simulate.estimate
+    calls = []
+
+    def estimate(scenario, procedure="step-up"):
+        calls.append(scenario.c2)
+        if len(calls) == 3:
+            raise RuntimeError("third point failed")
+        return real(scenario, procedure)
+
+    monkeypatch.setattr(simulate, "estimate", estimate)
+    out = tmp_path / "out.csv"
+    argv = [*SIM_DESIGN, "--c2-grid", "0.1:0.9:0.2"]
+    with pytest.raises(RuntimeError):
+        cli.main(argv + (["--out", str(out)] if to_file else []))
+    text = out.read_text() if to_file else capsys.readouterr().out
+    golden = (GOLDEN_DIR / "simulate-paper.csv").read_text().splitlines()
+    lines = text.splitlines()
+    assert len(lines) == 3 and lines[0] == golden[0]
+    assert [line.split(",")[1] for line in lines[1:]] == ["0.1", "0.3"]
+
+
+def test_reader_closing_the_pipe_stops_without_traceback():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repval.cli", *SIM_DESIGN, "--reps", "1",
+         "--c2-grid", "0.01:0.99:0.01"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline().startswith(b"scenario_id,")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert err == ""
+
+
 def test_q_out_of_range_exits_3_before_computing(monkeypatch, capsys):
     def computed(*args):
         raise AssertionError("r-values computed despite a bad --q")
@@ -76,7 +158,8 @@ def test_clamp_zero_out_of_range_exits_3_before_reading(capsys):
 
 def test_c2_grid_outside_unit_interval_exits_3(capsys):
     for grid, message in (("0:1:0.5", "c2 must lie in (0, 1)"),
-                          ("0.1:inf:0.1", "bad grid")):
+                          ("0.1:inf:0.1", "bad grid"),
+                          ("0.1:0.9:5e-324", "STEP is too small")):
         code = cli.main([*SIM_DESIGN, "--c2-grid", grid])
         assert code == cli.EXIT_FLAGS
         err = capsys.readouterr().err

@@ -115,3 +115,31 @@ def test_block_split_never_changes_results(monkeypatch):
     for block in (7 * r1, 1):
         monkeypatch.setattr(rvalue, "_BLOCK", block)
         assert np.array_equal(fdr_rvalues_all(ds, config).values, values)
+
+
+def _step_up_count_by_scan(need):
+    """R2 by scanning r downward for #{need <= r} == r, one count at a
+    time: the form the vectorised count in ``_step_up_mask`` replaced."""
+    sorted_need = np.sort(need)
+    for r in range(len(need), 0, -1):
+        if np.searchsorted(sorted_need, r, side="right") == r:
+            return r
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
+                min_size=1, max_size=12),
+       st.sampled_from((0.01, 0.05, 0.3)))
+def test_step_up_count_matches_downward_scan(units, q):
+    # p-values on whole multiples of the threshold units give many tied
+    # and boundary minimal counts
+    m, c2 = 1000, 0.5
+    c1_at_q = rvalue.c1(q, 0.8, c2)
+    r1 = len(units)
+    p1 = np.array([a for a, _ in units]) * (c1_at_q * q / m)
+    p2 = np.minimum(np.array([b for _, b in units]) * (c2 * q / r1), 1.0)
+    kw = dict(m_eff=float(m), c2=c2, c1_at_q=c1_at_q, q=q)
+    need = rvalue._minimal_counts(p1, p2, r1=r1, **kw)
+    assert np.array_equal(rvalue._step_up_mask(p1, p2, **kw),
+                          need <= _step_up_count_by_scan(need))

@@ -94,3 +94,13 @@ def test_cdf_sf_complement(x):
 def test_quantile_monotone(p, q):
     lo, hi = sorted((p, q))
     assert normal_quantile(lo) <= normal_quantile(hi)
+
+
+@pytest.mark.parametrize("fn", [normal_sf, normal_cdf])
+def test_two_dimensional_input_matches_rows(fn):
+    rows = np.random.default_rng(3).standard_normal((4, 257)) * 4.0
+    rows[1, :5] = (0.0, -0.0, 3.5, -3.5, 40.0)
+    out = fn(rows)
+    assert out.shape == rows.shape
+    for row, got in zip(rows, out):
+        assert np.array_equal(got, fn(row))

@@ -50,6 +50,40 @@ def test_bh_padding_matches_materialised_ones(pvalues, extra, level):
     assert list(got) == [int(i) for i in padded if i < len(pvalues)]
 
 
+def _bh_sorting_all(p, level, n):
+    """BH that sorts every p-value, with the same float expressions."""
+    step = level / n
+    order = np.argsort(p, kind="stable")
+    passing = np.nonzero(p[order] <= np.arange(1, len(p) + 1) * step)[0]
+    if len(passing) == 0:
+        return np.zeros(0, dtype=int)
+    return np.sort(order[:passing[-1] + 1])
+
+
+@st.composite
+def _step_edge_inputs(draw):
+    """p-values on, and one ulp either side of, the BH step thresholds,
+    with ties, mixed with arbitrary ones."""
+    size = draw(st.integers(min_value=1, max_value=20))
+    n = size + draw(st.integers(min_value=0, max_value=10))
+    level = draw(st.sampled_from((0.05, 0.1, 0.3, 0.999)))
+    step = level / n
+    edge = st.integers(min_value=1, max_value=size).map(lambda k: k * step)
+    nudged = edge.flatmap(lambda v: st.sampled_from(
+        (v, float(np.nextafter(v, 0.0)), float(np.nextafter(v, 1.0)))))
+    p = draw(st.lists(st.one_of(nudged, st.floats(0.0, 1.0)),
+                      min_size=size, max_size=size))
+    return np.array(p), level, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_edge_inputs())
+def test_bh_sorts_only_candidates_without_changing_the_result(inputs):
+    p, level, n = inputs
+    assert np.array_equal(bh_reject(p, level, n=n),
+                          _bh_sorting_all(p, level, n))
+
+
 def test_bh_padding_at_level_one_follows_float_rounding():
     # 49 * (1 / 49) rounds below 1, so at level 1 and n = 49 the padded
     # ones just fail; at n = 50 they pass

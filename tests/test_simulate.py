@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,31 @@ import pytest
 
 from repval import (SimulationScenario, compare_baseline, estimate,
                     normal_quantile, normal_sf, parse_scenario_file,
-                    simulate_rep, sweep_c2)
-from repval.simulate import (METRICS_CSV_HEADER, metrics_csv_row,
-                             scenario_from_mapping)
+                    simulate, simulate_rep, sweep_c2)
+from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
+                             metrics_csv_row, scenario_from_mapping)
+
+# The paper's simulation design (l00 = 0.8, c2 = 0.5 and q = 0.05 are the
+# defaults).
+PAPER = dict(pi1=0.8, pi2=0.8, m=1000, f00=0.9, f01=0.025, f10=0.025,
+             f11=0.05)
+
+# compare_baseline at the paper design, reps = 30, seed 3, as computed by
+# the release that ran one repetition at a time (repr round-trips floats).
+PINNED_BASELINE = {
+    "step-up": SimulationMetrics(
+        reps=30, fdr_hat=0.010156968461143324, se_fdr=0.0028591638714652,
+        avg_power=0.9566666666666669, se_power=0.004897415066083526,
+        p_at_least_one=1.0, se_palo=0.0, fwer_hat=0.36666666666666664,
+        se_fwer=0.08948554539839962, mean_claims=48.333333333333336,
+        mean_r1=83.63333333333334),
+    "max-p-bh": SimulationMetrics(
+        reps=30, fdr_hat=0.012769180012430508, se_fdr=0.0028122198014138328,
+        avg_power=0.9593333333333335, se_power=0.005465320832372632,
+        p_at_least_one=1.0, se_palo=0.0, fwer_hat=0.4666666666666667,
+        se_fwer=0.09264111117062017, mean_claims=48.6,
+        mean_r1=83.63333333333334),
+}
 
 
 def _scenario(**kw):
@@ -97,7 +120,7 @@ def test_claims_never_exceed_selection():
 
 def test_sweep_matches_pointwise_estimate():
     sc = _scenario(reps=25)
-    rows = sweep_c2(sc, [0.3, 0.5])
+    rows = list(sweep_c2(sc, [0.3, 0.5]))
     assert len(rows) == 2
     assert rows[1][1] == estimate(replace(sc, c2=0.5))
 
@@ -187,3 +210,73 @@ def test_fwer_procedure_controls_pure_null():
 def test_unknown_procedure():
     with pytest.raises(ValueError):
         estimate(_scenario(reps=2), procedure="magic")
+
+
+def test_compare_baseline_is_pinned():
+    sc = SimulationScenario(seed=3, reps=30, **PAPER)
+    assert compare_baseline(sc) == PINNED_BASELINE
+
+
+def _rep_by_rep(sc, procedure):
+    return simulate._aggregate(
+        sc, [simulate_rep(sc, rep, procedure) for rep in range(sc.reps)])
+
+
+# reps not a multiple of the block; one rep per block (m = 1e5); pure null
+# (R1 = 0 in some reps); equicorrelated blocks that do not divide m
+BLOCK_CASES = {
+    "paper": SimulationScenario(seed=7, reps=11, **PAPER),
+    "one-rep-blocks": SimulationScenario(seed=8, reps=3,
+                                         **{**PAPER, "m": 100_000}),
+    "pure-null": _scenario(f00=1.0, f01=0.0, f10=0.0, f11=0.0, reps=30,
+                           seed=9),
+    "rho": SimulationScenario(seed=10, reps=9, rho=0.4, block_size=7,
+                              **PAPER),
+}
+
+
+@pytest.mark.parametrize("procedure", ["step-up", "bonferroni"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_estimate_equals_rep_by_rep(case, procedure):
+    sc = BLOCK_CASES[case]
+    assert estimate(sc, procedure) == _rep_by_rep(sc, procedure)
+
+
+def test_pure_null_case_has_empty_and_nonempty_selections():
+    sc = BLOCK_CASES["pure-null"]
+    r1s = [simulate_rep(sc, rep).r1 for rep in range(sc.reps)]
+    assert 0 in r1s and max(r1s) > 0
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_compare_baseline_equals_rep_by_rep(case):
+    sc = BLOCK_CASES[case]
+    assert compare_baseline(sc) == {
+        proc: _rep_by_rep(sc, proc) for proc in ("step-up", "max-p-bh")}
+
+
+@pytest.mark.parametrize("procedure", ["step-up", "bonferroni"])
+def test_sweep_equals_rep_by_rep(procedure):
+    sc = BLOCK_CASES["paper"]
+    for c2v, metrics in sweep_c2(sc, [0.2, 0.6], procedure):
+        assert metrics == _rep_by_rep(replace(sc, c2=c2v), procedure)
+
+
+def test_block_size_never_changes_results(monkeypatch):
+    sc = BLOCK_CASES["rho"]
+    expected = compare_baseline(sc)
+    for block in (1, 999, 1001, 2**20):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert compare_baseline(sc) == expected
+
+
+def test_estimate_memory_is_bounded_by_block_not_reps():
+    # an unblocked (reps x m) matrix would need ~400 MB here
+    sc = _scenario(m=100_000, reps=50, seed=11)
+    tracemalloc.start()
+    try:
+        estimate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
