@@ -3,10 +3,12 @@
 The r-value of a followed-up feature is the lowest error-rate level (FDR or
 FWER) at which it can be declared replicated across the primary and
 follow-up studies; it is read against a target level exactly like a
-p-value. The package computes r-values for tables of p-value pairs,
+p-value. The package computes r-values for tables of p-value pairs, whose
+rows are the follow-up set as already chosen by a stable selection rule. It
 provides the equivalent step-up claim rule, conservative variants for
-dependent primary-study p-values, the usual comparison baselines, and a
-seeded Monte Carlo harness for verifying error control and power.
+dependent primary-study p-values, an optional BH refinement of the
+follow-up set, the usual comparison baselines, and a seeded Monte Carlo
+harness for verifying error control and power.
 """
 
 from .baselines import max_p_bh, meta_p
@@ -21,11 +23,9 @@ from .model import (AnalysisConfig, DatasetError, DuplicateId, FeatureRecord,
                     Method, NonPositivePValue, PValueAboveOne, PValueTable,
                     R1ExceedsM, RValueReport, ValidatedDataset,
                     read_pvalue_table, validate_dataset)
-from .normal import normal_cdf, normal_quantile, normal_sf
+from .normal import normal_quantile, normal_sf
 from .rvalue import StepUpResult, c1, fdr_rvalues_all, step_up_set
-from .selection import (BHLevel, Explicit, MissingPrimaryVector,
-                        SelectionRule, Threshold, TopK, apply_selection,
-                        bh_reject, refine_for_replicability)
+from .selection import bh_reject, refine_for_replicability
 from .simulate import (RepOutcome, SimulationMetrics, SimulationScenario,
                        compare_baseline, estimate, parse_scenario_file,
                        simulate_rep, sweep_c2)
@@ -33,17 +33,15 @@ from .simulate import (RepOutcome, SimulationMetrics, SimulationScenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "BHLevel", "DatasetError", "DuplicateId", "Explicit",
-    "FeatureRecord", "Method", "MissingPrimaryVector", "MissingThreshold",
-    "NoConsistentRegime", "NonPositivePValue", "PValueAboveOne",
-    "PValueTable", "R1ExceedsM", "RValueReport", "RepOutcome",
-    "SelectionRule", "SelectionThresholdViolated", "SimulationMetrics",
-    "SimulationScenario", "StepUpResult", "Threshold", "TopK",
-    "ValidatedDataset", "apply_selection", "bh_reject",
+    "AnalysisConfig", "DatasetError", "DuplicateId", "FeatureRecord",
+    "Method", "MissingThreshold", "NoConsistentRegime", "NonPositivePValue",
+    "PValueAboveOne", "PValueTable", "R1ExceedsM", "RValueReport",
+    "RepOutcome", "SelectionThresholdViolated", "SimulationMetrics",
+    "SimulationScenario", "StepUpResult", "ValidatedDataset", "bh_reject",
     "bonferroni_rvalues_all", "c1", "c1_tilde", "compare_baseline",
     "estimate", "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
     "fdr_rvalues_all_threshold_dep", "harmonic_number", "m_star",
-    "max_p_bh", "meta_p", "normal_cdf", "normal_quantile", "normal_sf",
+    "max_p_bh", "meta_p", "normal_quantile", "normal_sf",
     "parse_scenario_file", "read_pvalue_table", "refine_for_replicability",
     "simulate_rep", "step_up_set", "step_up_set_general_dep",
     "step_up_set_threshold_dep", "sweep_c2", "validate_dataset",

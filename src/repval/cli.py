@@ -11,7 +11,8 @@ Two subcommands:
   row per c2 point, each written as soon as its point finishes.
 
 Exit codes: 0 success, 1 output pipe closed by the reader, 2 invalid input
-data or scenario, 3 bad flags.
+data or scenario, 3 bad flags, including an ``--out`` path that cannot be
+opened for writing.
 Output is byte-stable across runs: r-values print as fixed %.4f, input
 columns are echoed verbatim, and simulation metrics use fixed formats.
 """
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import math
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
-from typing import Iterator, Optional, TextIO
+from typing import ContextManager, Optional, TextIO
 
 from .baselines import meta_p
 from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
@@ -114,14 +116,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-@contextlib.contextmanager
-def _output(out_path: Optional[str]) -> Iterator[TextIO]:
-    """The output file, or stdout (left open) when no path is given."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+def _open_output(prog: str,
+                 out_path: Optional[str]) -> Optional[ContextManager[TextIO]]:
+    """The output file opened for writing, or stdout (left open) when no
+    path is given; None, after saying why on stderr, when it cannot be
+    opened."""
+    if not out_path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out_path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"repval {prog}: --out: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_rvalues(args) -> int:
@@ -167,8 +173,7 @@ def cmd_rvalues(args) -> int:
     if args.refine_q is not None:
         before = len(dataset)
         try:
-            dataset = refine_for_replicability(dataset, config, args.refine_q,
-                                               pad_missing=True)
+            dataset = refine_for_replicability(dataset, config, args.refine_q)
         except ValueError as exc:
             print(f"repval rvalues: {exc}", file=sys.stderr)
             return EXIT_DATA
@@ -199,19 +204,24 @@ def cmd_rvalues(args) -> int:
         header.append(f"meta_p_{args.meta}")
     if replicated is not None:
         header.append("replicated")
-    lines = [delim.join(header)]
-    for row, rec in zip(table.rows, table.records):
-        if rec.id not in kept_ids:
-            continue
-        cells = [row.get(col, "") or "" for col in table.fieldnames]
-        cells.append(f"{rvals[rec.id]:.4f}")
-        if args.meta != "none":
-            cells.append(f"{meta_p(rec.p1, rec.p2, args.meta):.6g}")
-        if replicated is not None:
-            cells.append("yes" if rec.id in replicated else "no")
-        lines.append(delim.join(cells))
-    with _output(args.out) as out:
-        out.write("\n".join(lines) + "\n")
+    output = _open_output("rvalues", args.out)
+    if output is None:
+        return EXIT_FLAGS
+    with output as out:
+        # quotes a cell only when it holds the delimiter, a quote or a
+        # line break
+        writer = csv.writer(out, delimiter=delim, lineterminator="\n")
+        writer.writerow(header)
+        for row, rec in zip(table.rows, table.records):
+            if rec.id not in kept_ids:
+                continue
+            cells = [row.get(col, "") or "" for col in table.fieldnames]
+            cells.append(f"{rvals[rec.id]:.4f}")
+            if args.meta != "none":
+                cells.append(f"{meta_p(rec.p1, rec.p2, args.meta):.6g}")
+            if replicated is not None:
+                cells.append("yes" if rec.id in replicated else "no")
+            writer.writerow(cells)
     return EXIT_OK
 
 
@@ -270,7 +280,10 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             print(f"repval simulate: --c2-grid: {exc}", file=sys.stderr)
             return EXIT_FLAGS
-    with _output(args.out) as out:
+    output = _open_output("simulate", args.out)
+    if output is None:
+        return EXIT_FLAGS
+    with output as out:
         out.write(METRICS_CSV_HEADER + "\n")
         for c2v, metrics in sweep_c2(scenario, grid, args.procedure):
             out.write(metrics_csv_row(replace(scenario, c2=c2v), metrics)

@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
-from .rvalue import (StepUpResult, _exact_rvalues, _fdr_rvalues, _level, c1,
-                     step_up_set)
+from .rvalue import (StepUpResult, _exact_rvalues, _fdr_rvalues, _level,
+                     _step_up, c1)
 
 __all__ = [
     "harmonic_number", "m_star", "c1_tilde", "NoConsistentRegime",
@@ -166,7 +166,8 @@ def fdr_rvalues_all_general_dep(dataset: ValidatedDataset,
 
 def step_up_set_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
                             q: float) -> StepUpResult:
-    return step_up_set(dataset, config, q, m_eff=m_star(config.m))
+    return _step_up(dataset, config, q, m_eff=m_star(config.m),
+                    c1_at=lambda x: c1(x, config.l00, config.c2))
 
 
 # --- threshold-dependent selection ------------------------------------------
@@ -241,5 +242,6 @@ def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
 def step_up_set_threshold_dep(dataset: ValidatedDataset,
                               config: AnalysisConfig, q: float) -> StepUpResult:
     t = _require_threshold(dataset, config)
-    return step_up_set(dataset, config, q,
-                       c1_at_q=c1_tilde(q, t, config.m, config.l00, config.c2))
+    return _step_up(dataset, config, q, m_eff=float(config.m),
+                    c1_at=lambda x: c1_tilde(x, t, config.m, config.l00,
+                                             config.c2))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -130,23 +130,17 @@ class ValidatedDataset:
 
 
 def validate_dataset(
-    records: Union[ValidatedDataset, Sequence[FeatureRecord]],
+    records: Sequence[FeatureRecord],
     config: AnalysisConfig,
     *,
     source_lines: Optional[Sequence[int]] = None,
 ) -> ValidatedDataset:
-    """Check invariants and freeze the dataset; idempotent.
+    """Check invariants and freeze the dataset.
 
     p-values of exactly 0 are rejected; ``read_pvalue_table(clamp_zero=)``
     opts in to replacing them in dirty real-world exports.
     ``source_lines`` attaches file line numbers to error messages.
     """
-    if isinstance(records, ValidatedDataset):
-        if len(records) > config.m:
-            raise R1ExceedsM(
-                f"{len(records)} features followed up but m={config.m}")
-        return records
-
     seen: set[str] = set()
     cleaned: list[FeatureRecord] = []
     for idx, rec in enumerate(records):
@@ -214,18 +208,23 @@ def _sniff_delimiter(header_line: str) -> str:
 def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTable:
     """Parse a UTF-8 TSV/CSV with header ``id, p1, p2`` (extra columns kept).
 
-    ``source`` is a path or an open text stream. Scientific notation is
-    accepted; numbers are stored as float64 while the original strings are
-    retained for round-tripping. ``clamp_zero`` opts in to replacing
-    p-values that are exactly 0 with the given epsilon, for dirty real-world
-    exports.
+    ``source`` is a path or an open text stream. One leading byte-order
+    mark is skipped. Scientific notation is accepted; numbers are stored as
+    float64 while the original strings are retained for round-tripping.
+    ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
+    given epsilon, for dirty real-world exports.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    stream = io.StringIO(text)
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DatasetError(f"not UTF-8 text: byte 0x{byte:02x} cannot be "
+                           "decoded") from None
+    stream = io.StringIO(text.removeprefix("\ufeff"))
     first = stream.readline()
     if not first.strip():
         raise DatasetError("empty input table", 1)

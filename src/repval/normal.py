@@ -1,4 +1,4 @@
-"""Standard-normal CDF, survival and quantile functions.
+"""Standard-normal survival and quantile functions.
 
 Self-contained double precision so the simulation harness does not pull in
 an external numerics stack: a Hart-style rational approximation for the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["normal_cdf", "normal_sf", "normal_quantile"]
+__all__ = ["normal_sf", "normal_quantile"]
 
 _SQRT_TWO_PI = 2.5066282746310002
 _LOG_TWO_PI = 1.8378770664093453
@@ -65,14 +65,6 @@ def normal_sf(x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def normal_cdf(x):
-    """Lower-tail probability P(Z <= x)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    upper = _upper_tail(np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0 - upper, upper)
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 # Wichura-style quantile coefficients (central and intermediate regions; the
 # far tail is handled by Newton polish against the survival function).
 _A = (3.3871328727963666080e0, 1.3314166789178437745e2,
@@ -120,7 +112,8 @@ def _tail_quantile(pm: np.ndarray) -> np.ndarray:
 
 
 def normal_quantile(p):
-    """Inverse of ``normal_cdf``. Returns -inf/+inf at p = 0/1, NaN outside."""
+    """x with P(Z <= x) = p, so normal_sf(-x) = p. Returns -inf/+inf at
+    p = 0/1, NaN outside [0, 1]."""
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     out = np.full_like(arr, np.nan)
     q = arr - 0.5

@@ -37,7 +37,7 @@ on the order of the records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -153,18 +153,21 @@ def _step_up_mask(p1: np.ndarray, p2: np.ndarray, *, m_eff: float, c2: float,
     return need <= r2
 
 
-def step_up_set(dataset: ValidatedDataset, config: AnalysisConfig, q: float,
-                *, m_eff: Optional[float] = None,
-                c1_at_q: Optional[float] = None) -> StepUpResult:
-    """Direct step-up procedure at level q; equivalent to thresholding the
-    r-values at q."""
+def _step_up(dataset: ValidatedDataset, config: AnalysisConfig, q: float, *,
+             m_eff: float, c1_at: Callable[[float], float]) -> StepUpResult:
+    """Step-up set at level q with the primary multiplicity m_eff and the
+    budget multiplier c1_at(q); the dependence variants replace one each."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    if m_eff is None:
-        m_eff = float(config.m)
-    if c1_at_q is None:
-        c1_at_q = c1(q, config.l00, config.c2)
     mask = _step_up_mask(dataset.p1, dataset.p2, m_eff=m_eff, c2=config.c2,
-                         c1_at_q=c1_at_q, q=q)
+                         c1_at_q=c1_at(q), q=q)
     ids = frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
     return StepUpResult(q, int(mask.sum()), ids)
+
+
+def step_up_set(dataset: ValidatedDataset, config: AnalysisConfig,
+                q: float) -> StepUpResult:
+    """Direct step-up procedure at level q; equivalent to thresholding the
+    r-values at q."""
+    return _step_up(dataset, config, q, m_eff=float(config.m),
+                    c1_at=lambda x: c1(x, config.l00, config.c2))

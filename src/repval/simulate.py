@@ -20,18 +20,19 @@ Every repetition draws from its own counter-derived stream
 repetitions are scheduled, and paired procedure comparisons see identical
 data.
 
-What a scenario fixes (block masks, the mu1 shifts, c1(q), and mu2 for each
-R1 seen) is computed once per scenario. Repetitions then run in blocks of at
-most 2^12 primary values: the block's primary p-values come from one
-``normal_sf`` call on a (reps x m) matrix, and its follow-up p-values from
-one call on the concatenated draws. ``normal_sf`` works element by element
-and each repetition keeps its own stream and draw order, so every result is
-the same as running the repetitions one at a time; memory is O(block + m),
-not O(reps * m).
+What a scenario fixes (block masks, the mu1 shifts, c1(q)) is computed
+once per scenario, and mu2 once per (pi2, R1) pair, whatever the c2 point.
+Repetitions then run in blocks of at most 2^12 primary values: the block's
+primary p-values come from one ``normal_sf`` call on a (reps x m) matrix,
+and its follow-up p-values from one call on the concatenated draws.
+``normal_sf`` works element by element and each repetition keeps its own
+stream and draw order, so every result is the same as running the
+repetitions one at a time; memory is O(block + m), not O(reps * m).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, get_type_hints
@@ -167,10 +168,19 @@ def _primary_noise(scenario: SimulationScenario,
     return math.sqrt(scenario.rho) * shared + math.sqrt(1.0 - scenario.rho) * own
 
 
+@functools.lru_cache(maxsize=2**12)
+def _mu2(pi2: float, r1: int) -> float:
+    """Follow-up shift giving a Bonferroni test at 0.05/R1 power pi2. It
+    does not depend on c2, l00 or q, so a sweep computes it once per R1.
+    Both quantiles come from one elementwise call."""
+    z_r1, z_pi2 = normal_quantile(
+        [1.0 - _POWER_CALIBRATION_ALPHA / r1, 1.0 - pi2])
+    return float(z_r1 - z_pi2)
+
+
 class _Design:
     """What a scenario fixes for all of its repetitions: the block masks,
-    the primary mean shifts, the claim thresholds, and the follow-up shift
-    mu2 of each selection count R1 seen so far."""
+    the primary mean shifts and the claim thresholds."""
 
     def __init__(self, scenario: SimulationScenario):
         n00, n01, n10, _ = scenario.counts
@@ -190,16 +200,6 @@ class _Design:
         self.bh_level = self.c1_at_q * q
         # Bonferroni runs at alpha = q, so c1(alpha) is c1(q)
         self.bonferroni_p1 = self.c1_at_q * q / m
-        self._z_pi2 = normal_quantile(1.0 - scenario.pi2)
-        self._mu2: dict[int, float] = {}
-
-    def mu2(self, r1: int) -> float:
-        """Follow-up shift giving a Bonferroni test at 0.05/R1 power pi2."""
-        if r1 not in self._mu2:
-            self._mu2[r1] = (
-                normal_quantile(1.0 - _POWER_CALIBRATION_ALPHA / r1)
-                - self._z_pi2)
-        return self._mu2[r1]
 
 
 def _step_up_claims(design: _Design, p1: np.ndarray,
@@ -259,8 +259,8 @@ def _outcomes(scenario: SimulationScenario, reps: range,
             draws = rng.standard_normal(len(sel))
             sel_signal2 = design.signal2[sel]
             if sel_signal2.any():
-                draws = draws + np.where(sel_signal2, design.mu2(len(sel)),
-                                         0.0)
+                draws = draws + np.where(
+                    sel_signal2, _mu2(scenario.pi2, len(sel)), 0.0)
             x2.append(draws)
         p2_all = normal_sf(np.concatenate(x2))
 

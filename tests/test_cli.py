@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repval import cli, simulate
+from repval import cli, read_pvalue_table, simulate
 
 from conftest import DATA_DIR
 
@@ -194,3 +194,41 @@ def test_nan_pvalue_exits_2(tmp_path, capsys):
     table.write_text("id\tp1\tp2\na\tnan\t0.1\n")
     assert cli.main(["rvalues", str(table), "--m", "5"]) == cli.EXIT_DATA
     assert "p1 is NaN" in capsys.readouterr().err
+
+
+def test_rvalues_output_round_trips_quoted_cells(tmp_path):
+    # a cell holding the output delimiter is quoted, so reading the output
+    # back gives the input cells: a quoted CSV field, and a TSV id with a
+    # comma written as CSV
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('id,p1,p2,gene\na,1e-6,1e-4,"HLA-A, HLA-B"\n'
+                      'b,0.3,0.5,TNF\n')
+    comma = tmp_path / "comma.tsv"
+    comma.write_text("id\tp1\tp2\nrs1,chr6\t1e-6\t1e-4\n")
+    for table, extra in ((quoted, []), (comma, ["--format", "csv"])):
+        out = tmp_path / "out.csv"
+        code = cli.main(["rvalues", str(table), "--m", "100", "--out",
+                         str(out), *extra])
+        assert code == cli.EXIT_OK
+        given, echoed = read_pvalue_table(table), read_pvalue_table(out)
+        assert echoed.fieldnames == given.fieldnames + ["r_value"]
+        assert [{k: row[k] for k in given.fieldnames} for row in echoed.rows] \
+            == given.rows
+
+
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys):
+    table = tmp_path / "latin1.tsv"
+    table.write_bytes(b"id\tp1\tp2\ncaf\xe9\t0.1\t0.2\n")
+    assert cli.main(["rvalues", str(table), "--m", "5"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not UTF-8 text: byte 0xe9" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68"], list(SIM_DESIGN),
+], ids=["rvalues", "simulate"])
+def test_unopenable_out_exits_3_with_one_line(argv, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.txt"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_FLAGS
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out: " in err and "Errno" in err

@@ -64,7 +64,7 @@ def test_pvalue_above_one_and_duplicates():
 def test_validation_is_idempotent():
     config = AnalysisConfig(m=10)
     ds = validate_dataset(_records([(0.1, 0.2), (0.3, 0.4)]), config)
-    assert validate_dataset(ds, config) is ds
+    assert validate_dataset(ds.records, config) == ds
 
 
 def test_validated_dataset_is_immutable():
@@ -125,6 +125,16 @@ def test_read_requires_columns():
 def test_header_spaces_tolerated():
     table = read_pvalue_table(io.StringIO("id, p1, p2\na, 0.1, 0.2\n"))
     assert table.records[0] == FeatureRecord("a", 0.1, 0.2)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "\ufeffid\tp1\tp2\na\t0.1\t0.2\n"
+    path = tmp_path / "bom.tsv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        table = read_pvalue_table(source)
+        assert table.fieldnames == ["id", "p1", "p2"]
+        assert table.records == [FeatureRecord("a", 0.1, 0.2)]
 
 
 def test_validate_uses_source_lines():

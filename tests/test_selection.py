@@ -3,9 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repval import (AnalysisConfig, BHLevel, Explicit, MissingPrimaryVector,
-                    Threshold, TopK, apply_selection, bh_reject,
-                    fdr_rvalues_all, refine_for_replicability,
+from repval import (bh_reject, fdr_rvalues_all, refine_for_replicability,
                     validate_dataset)
 from repval.rvalue import c1
 
@@ -97,61 +95,39 @@ def test_bh_padding_at_level_one_follows_float_rounding():
         bh_reject(p, 0.05, n=1)
 
 
-def test_threshold_rule():
-    p = [0.2, 0.01, 0.05, 0.5]
-    assert list(apply_selection(p, Threshold(0.05))) == [1, 2]
-
-
-def test_topk_identity_and_ties():
-    p = [0.3, 0.1, 0.3, 0.2]
-    assert list(apply_selection(p, TopK(len(p)))) == [0, 1, 2, 3]
-    # tie between indices 0 and 2 broken by input order
-    assert list(apply_selection(p, TopK(3))) == [0, 1, 3]
-    assert list(apply_selection(p, TopK(0))) == []
-
-
 def test_bh_level_agrees_with_realised_cutoff():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        p = list(10.0 ** rng.uniform(-6, 0, int(rng.integers(1, 30))))
+        p = np.array(10.0 ** rng.uniform(-6, 0, int(rng.integers(1, 30))))
         alpha = float(rng.uniform(0.01, 0.4))
-        selected = apply_selection(p, BHLevel(alpha))
+        selected = bh_reject(p, alpha)
         if len(selected) == 0:
             continue
-        cutoff = max(p[i] for i in selected)
-        assert list(apply_selection(p, Threshold(cutoff))) == list(selected)
-
-
-def test_explicit_rule():
-    p = [0.5, 0.2, 0.9]
-    assert list(apply_selection(p, Explicit(frozenset({2, 0, 7})))) == [0, 2]
+        cutoff = p[selected].max()
+        assert list(np.nonzero(p <= cutoff)[0]) == list(selected)
 
 
 def test_stability_by_perturbation():
-    # changing one selected feature's p-value, keeping it selected, must
-    # leave the selected set unchanged
+    # BH at a fixed level is a stable rule: changing one selected feature's
+    # p-value, keeping it below the realised cutoff, leaves the selected
+    # set unchanged
     rng = np.random.default_rng(11)
     for _ in range(20):
-        p = list(rng.uniform(0, 1, 12))
-        for rule in (Threshold(0.5), TopK(4)):
-            base = list(apply_selection(p, rule))
-            if not base:
-                continue
-            j = base[rng.integers(len(base))]
-            for _ in range(5):
-                perturbed = p.copy()
-                if isinstance(rule, Threshold):
-                    perturbed[j] = float(rng.uniform(0, 0.5))
-                else:
-                    others = sorted(p[i] for i in range(len(p)) if i != j)
-                    kth = others[rule.k - 1]
-                    perturbed[j] = float(rng.uniform(0, kth * 0.999))
-                assert list(apply_selection(perturbed, rule)) == base
+        p = rng.uniform(0, 0.2, 12)
+        base = list(bh_reject(p, 0.3))
+        if not base:
+            continue
+        cutoff = p[base].max()
+        j = base[rng.integers(len(base))]
+        for _ in range(5):
+            perturbed = p.copy()
+            perturbed[j] = rng.uniform(0, cutoff)
+            assert list(bh_reject(perturbed, 0.3)) == base
 
 
 def test_refine_iga_keeps_fourteen(iga_dataset):
     ds, config = iga_dataset
-    reduced = refine_for_replicability(ds, config, 0.05, pad_missing=True)
+    reduced = refine_for_replicability(ds, config, 0.05)
     assert len(reduced) == 14
     report = fdr_rvalues_all(reduced, config)
     values = dict(report.entries)
@@ -165,7 +141,7 @@ def test_refine_iga_keeps_fourteen(iga_dataset):
 def test_refine_never_loses_claims(iga_dataset):
     ds, config = iga_dataset
     full = {fid for fid, r in fdr_rvalues_all(ds, config).entries if r <= 0.05}
-    reduced = refine_for_replicability(ds, config, 0.05, pad_missing=True)
+    reduced = refine_for_replicability(ds, config, 0.05)
     refined = {fid for fid, r in fdr_rvalues_all(reduced, config).entries
                if r <= 0.05}
     assert full <= refined
@@ -174,13 +150,14 @@ def test_refine_never_loses_claims(iga_dataset):
 def test_refine_shrinks_rvalues(iga_dataset):
     ds, config = iga_dataset
     full = dict(fdr_rvalues_all(ds, config).entries)
-    reduced = refine_for_replicability(ds, config, 0.05, pad_missing=True)
+    reduced = refine_for_replicability(ds, config, 0.05)
     for fid, r in fdr_rvalues_all(reduced, config).entries:
         assert r <= full[fid] + 1e-12
 
 
 def test_refine_monotone_with_theoretical_level():
-    # the c1(q) q screen provably keeps every feature able to reach q
+    # a BH screen at level c1(q) q, padded like refinement, provably keeps
+    # every feature able to reach q
     rng = np.random.default_rng(17)
     q = 0.05
     for _ in range(20):
@@ -191,8 +168,7 @@ def test_refine_monotone_with_theoretical_level():
         full = {fid for fid, r in fdr_rvalues_all(ds, config).entries
                 if r <= q}
         level = c1(q, config.l00, config.c2) * q
-        reduced = refine_for_replicability(ds, config, q, pad_missing=True,
-                                           bh_level=level)
+        reduced = ds.subset(bh_reject(ds.p1, level, n=m))
         refined_report = dict(fdr_rvalues_all(reduced, config).entries)
         refined = {fid for fid, r in refined_report.items() if r <= q}
         assert full <= refined
@@ -200,43 +176,33 @@ def test_refine_monotone_with_theoretical_level():
 
 def test_refine_padding_matches_materialised_ones():
     rng = np.random.default_rng(19)
-    for level in (0.05, 0.5, 1.5):
+    for q in (0.05, 0.5, 0.95):
         for _ in range(10):
             records, m = make_random_dataset(rng, max_m=200)
             ds, config = dataset_from_arrays(
                 [r.p1 for r in records], [r.p2 for r in records], m=m)
-            got = refine_for_replicability(ds, config, 0.05, pad_missing=True,
-                                           bh_level=level)
-            ref = refine_for_replicability(
-                ds, config, 0.05, bh_level=level,
-                other_primary_pvalues=[1.0] * (m - len(ds)))
-            assert got.ids == ref.ids
+            got = refine_for_replicability(ds, config, q)
+            padded = bh_reject(np.concatenate(
+                [ds.p1, np.ones(m - len(ds))]), q)
+            assert got.ids == tuple(ds.ids[i] for i in padded)
 
 
-def test_refine_requires_primary_vector():
-    ds, config = dataset_from_arrays([0.01], [0.02], m=10)
-    with pytest.raises(MissingPrimaryVector):
-        refine_for_replicability(ds, config, 0.05)
-
-
-def test_refine_with_explicit_other_pvalues():
+def test_refine_hand_example():
+    # m = 4, two p-values not followed up taken as 1: BH at 0.05 rejects
+    # 1e-6 <= 0.0125 but not 0.04 > 0.025
     ds, config = dataset_from_arrays([1e-6, 0.04], [0.01, 0.02], m=4)
-    reduced = refine_for_replicability(
-        ds, config, 0.05, other_primary_pvalues=[0.9, 0.8])
+    reduced = refine_for_replicability(ds, config, 0.05)
     assert [r.id for r in reduced.records] == ["f0"]
-    with pytest.raises(ValueError):
-        refine_for_replicability(ds, config, 0.05,
-                                 other_primary_pvalues=[0.9])
 
 
 def test_refine_can_empty_the_set():
     ds, config = dataset_from_arrays([0.4, 0.6], [0.01, 0.02], m=1000,
                                      l00=0.0)
-    reduced = refine_for_replicability(ds, config, 0.05, pad_missing=True)
+    reduced = refine_for_replicability(ds, config, 0.05)
     assert len(reduced) == 0
 
 
 def test_refined_dataset_still_validates(iga_dataset):
     ds, config = iga_dataset
-    reduced = refine_for_replicability(ds, config, 0.05, pad_missing=True)
-    assert validate_dataset(reduced, config) is reduced
+    reduced = refine_for_replicability(ds, config, 0.05)
+    assert validate_dataset(reduced.records, config) == reduced
