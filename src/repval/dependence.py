@@ -1,27 +1,25 @@
 """Conservative r-value variants valid under arbitrary dependence among the
 primary-study p-values.
 
-Both reuse the exact engine of :mod:`repval.rvalue`, which computes
-r_i = G^-1(min over r of max(A_i(r), T(r))) from the level function G:
+Both are procedures of :mod:`repval.rvalue`, a primary multiplicity m_eff
+and a level function G read by the one claim predicate there, so their
+r-values (the smallest doubles x with G(x) >= b_i) and their step-up sets
+agree bit for bit, as in the independent case:
 
-* general dependence: m is replaced by m* = m * H_m (H_m the m-th harmonic
-  number) in the primary threshold, u_j = p1_j * m*. The m in the
-  follow-up threshold never enters, so the net effect is the harmonic
-  inflation of the primary-study multiplicity only. G and its closed-form
-  inverse are unchanged.
+* general dependence: m_eff = m* = m * H_m (H_m the m-th harmonic number),
+  the harmonic inflation of the primary-study multiplicity only, and the
+  plain G(x) = x * c1(x).
 
 * threshold-dependent selection: when every followed-up feature passed a
-  fixed primary-study cutoff t, c1(x) is replaced by the smaller
-      c1~(x) = max{a : a * (1 + sum_{i=1}^{ceil(t*m/(a*x)) - 1} 1/i) = c1(x)}
-  G(x) = x * c1~(x) still strictly increases (it jumps up where the regime
-  changes and is right-continuous), but has no closed-form inverse, so
-  G^-1(a) = min{x : G(x) >= a} is found by bisection over doubles, for all
-  features at once. c1~ has no consistent regime below about x = 1e-16 at
-  m = 1e6, t = 1e-4, so G is never evaluated below 1e-12: arguments are
-  floored there, and the reported r-value is max(r_i, 1e-12).
+  fixed primary-study cutoff t, m_eff = m and G(x) = x * c1~(x), with
+      c1~(x) = max{a : a * (1 + sum_{i=1}^{ceil(t*m/(a*x)) - 1} 1/i) = c1(x)}.
+  Once the regime k is known, G(x) = x * c1(x) / (1 + H_k), and k depends
+  on x only through C = t*m / (x * c1(x)); k falls as x rises, so G stays
+  nondecreasing on doubles. c1~ has no consistent regime below about
+  x = 1e-16 at m = 1e6, t = 1e-4, so G's argument is floored at 1e-12: the
+  reported r-value is max(r_i, 1e-12), and nothing is claimed below 1e-12.
 
-Both produce r-values no smaller than the baseline, and both have exact
-step-up equivalents checked by the test suite.
+Both produce r-values no smaller than the baseline.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
-from .rvalue import (StepUpResult, _exact_rvalues, _fdr_rvalues, _level,
-                     _step_up, c1)
+from .rvalue import (StepUpResult, _exact_rvalues, _fdr_procedure, _level,
+                     _Procedure, _report, _step_up, c1)
 
 __all__ = [
     "harmonic_number", "m_star", "c1_tilde", "NoConsistentRegime",
@@ -107,31 +105,31 @@ def _to_regime(k: np.ndarray, t: float, m: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def _c1_tilde_array(x: np.ndarray, t: float, m: int, l00: float,
-                    c2: float) -> np.ndarray:
-    """c1~ elementwise for x in (0, 1); see :func:`c1_tilde`."""
-    base = c1(x, l00, c2)
-    big_c = t * m / (base * x)
+def _regime_factor(g: np.ndarray, t: float, m: int) -> np.ndarray:
+    """1 + H_k elementwise, k the consistent regime of c1~ at the plain
+    level g = x * c1(x); see :func:`c1_tilde`. 1 in the empty-sum regime."""
+    big_c = t * m / g
+    out = np.ones(len(g))
     idx = np.flatnonzero(big_c > 1.0)
     c = big_c[idx]
     # walk k <- g(k); the first step sets k to the start
-    g = _to_regime(np.maximum(1.0, np.ceil(c) - 1.0), t, m)
-    k = np.zeros_like(g)
+    walk = _to_regime(np.maximum(1.0, np.ceil(c) - 1.0), t, m)
+    k = np.zeros_like(walk)
     h = np.zeros(len(c))
     moving = np.arange(len(c))
     while moving.size:
-        k[moving] = g[moving]
+        k[moving] = walk[moving]
         h[moving] = _harmonic_array(k[moving])
-        g[moving] = _to_regime(
+        walk[moving] = _to_regime(
             np.ceil(c[moving] * (1.0 + h[moving]) - 1.0), t, m)
-        moving = moving[g[moving] > k[moving]]
-    if (g != k).any():
-        bad = int(np.argmax(g != k))
+        moving = moving[walk[moving] > k[moving]]
+    if (walk != k).any():
+        bad = int(np.argmax(walk != k))
         raise NoConsistentRegime(
-            f"regime walk skipped zero at k={k[bad]} for x={x[idx[bad]]}, "
-            f"t={t}, m={m}")
-    base[idx] /= 1.0 + h
-    return base
+            f"regime walk skipped zero at k={k[bad]} for x*c1(x)="
+            f"{g[idx[bad]]}, t={t}, m={m}")
+    out[idx] += h
+    return out
 
 
 def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
@@ -150,7 +148,8 @@ def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
         raise ValueError(f"x must lie in (0, 1), got {x!r}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t!r}")
-    return float(_c1_tilde_array(np.array([x]), t, m, l00, c2)[0])
+    base = c1(x, l00, c2)
+    return float(base / _regime_factor(np.array([base * x]), t, m)[0])
 
 
 # --- general dependence (harmonic inflation) -------------------------------
@@ -158,22 +157,20 @@ def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
 def fdr_rvalues_all_general_dep(dataset: ValidatedDataset,
                                 config: AnalysisConfig) -> RValueReport:
     """r-values valid under arbitrary primary-study dependence."""
-    values = _fdr_rvalues(dataset.p1, dataset.p2, m_eff=m_star(config.m),
-                          l00=config.l00, c2=config.c2)
-    entries = tuple(zip(dataset.ids, (float(v) for v in values)))
-    return RValueReport(Method.FDR_GENERAL_DEP, entries, config)
+    proc = _fdr_procedure(config, m_star(config.m))
+    return _report(dataset, config, Method.FDR_GENERAL_DEP,
+                   _exact_rvalues(proc, dataset.p1, dataset.p2))
 
 
 def step_up_set_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
                             q: float) -> StepUpResult:
-    return _step_up(dataset, config, q, m_eff=m_star(config.m),
-                    c1_at=lambda x: c1(x, config.l00, config.c2))
+    return _step_up(dataset, q, _fdr_procedure(config, m_star(config.m)))
 
 
 # --- threshold-dependent selection ------------------------------------------
 
-def _require_threshold(dataset: ValidatedDataset,
-                       config: AnalysisConfig) -> float:
+def _threshold_procedure(dataset: ValidatedDataset,
+                         config: AnalysisConfig) -> _Procedure:
     if config.t is None:
         raise MissingThreshold(
             "threshold-dependent variant needs config.t (the selection "
@@ -183,32 +180,16 @@ def _require_threshold(dataset: ValidatedDataset,
         raise SelectionThresholdViolated(
             f"feature {dataset.ids[worst]!r} has p1={dataset.p1[worst]} "
             f"above the selection threshold t={config.t}")
-    return config.t
+    t, m, l00, c2 = config.t, config.m, config.l00, config.c2
 
+    def level(x, y=0.0):
+        g = _level(np.maximum(x, _FLOOR), l00, c2)
+        # G(x) <= x * c1(x), so the regime matters only where that exceeds y
+        need = g > y
+        g[need] /= _regime_factor(g[need], t, m)
+        return np.maximum(y, g)
 
-def _smallest_reaching(level, a: np.ndarray) -> np.ndarray:
-    """Elementwise the smallest double x in [_FLOOR, 1) with level(x) >= a,
-    and 1 where there is none. Bisection over the bit patterns of positive
-    doubles, which order like their values, so it ends on adjacent doubles
-    after at most 62 halvings."""
-    out = np.ones(len(a))
-    idx = np.flatnonzero(a < np.inf)
-    if not idx.size:
-        return out
-    target = a[idx]
-    lo = np.full(len(idx), np.float64(_FLOOR).view(np.int64))
-    hi = np.full(len(idx), np.float64(1.0).view(np.int64))
-    at_floor = level(np.array([_FLOOR]))[0] >= target
-    hi[at_floor] = lo[at_floor]
-    todo = np.flatnonzero(hi - lo > 1)
-    while todo.size:
-        mid = lo[todo] + (hi[todo] - lo[todo]) // 2
-        reached = level(mid.view(np.float64)) >= target[todo]
-        hi[todo[reached]] = mid[reached]
-        lo[todo[~reached]] = mid[~reached]
-        todo = todo[hi[todo] - lo[todo] > 1]
-    out[idx] = hi.view(np.float64)
-    return out
+    return _Procedure(float(m), c2, level, _FLOOR)
 
 
 def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
@@ -216,32 +197,11 @@ def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
     """r-values valid under arbitrary primary-study dependence when the
     follow-up set was everything below a fixed primary cutoff t. Never below
     1e-12 (see the module docstring)."""
-    t = _require_threshold(dataset, config)
-    m, l00, c2 = config.m, config.l00, config.c2
-
-    def level(x):
-        return x * _c1_tilde_array(x, t, m, l00, c2)
-
-    def entry(x, y):
-        x = np.maximum(x, _FLOOR)
-        below = x < 1.0
-        bound = np.where(below, _level(x, l00, c2), np.inf)
-        out = np.maximum(y, bound)
-        # c1~ <= c1, so G(x) can bind only where x * c1(x) exceeds y
-        need = below & (bound > y)
-        out[need] = np.maximum(y[need], level(x[need]))
-        return out
-
-    values = _exact_rvalues(dataset.p1, dataset.p2, m_eff=float(m), c2=c2,
-                            entry=entry,
-                            inverse=lambda a: _smallest_reaching(level, a))
-    entries = tuple(zip(dataset.ids, (float(v) for v in values)))
-    return RValueReport(Method.FDR_THRESHOLD_DEP, entries, config)
+    proc = _threshold_procedure(dataset, config)
+    return _report(dataset, config, Method.FDR_THRESHOLD_DEP,
+                   _exact_rvalues(proc, dataset.p1, dataset.p2))
 
 
 def step_up_set_threshold_dep(dataset: ValidatedDataset,
                               config: AnalysisConfig, q: float) -> StepUpResult:
-    t = _require_threshold(dataset, config)
-    return _step_up(dataset, config, q, m_eff=float(config.m),
-                    c1_at=lambda x: c1_tilde(x, t, config.m, config.l00,
-                                             config.c2))
+    return _step_up(dataset, q, _threshold_procedure(dataset, config))

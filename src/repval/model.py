@@ -209,8 +209,9 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     """Parse a UTF-8 TSV/CSV with header ``id, p1, p2`` (extra columns kept).
 
     ``source`` is a path or an open text stream. One leading byte-order
-    mark is skipped. Scientific notation is accepted; numbers are stored as
-    float64 while the original strings are retained for round-tripping.
+    mark is skipped; a row with more cells than the header is an error.
+    Scientific notation is accepted; numbers are stored as float64 while
+    the original strings are retained for round-tripping.
     ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
     given epsilon, for dirty real-world exports.
     """
@@ -241,7 +242,11 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     rows: list[dict[str, str]] = []
     records: list[FeatureRecord] = []
     source_lines: list[int] = []
-    for lineno, raw in enumerate(reader, start=2):
+    for raw in reader:
+        lineno = reader.line_num  # the record's last line, blank lines counted
+        if None in raw:  # DictReader keeps cells beyond the header there
+            raise DatasetError(f"row has {len(raw[None])} cell(s) more than "
+                               "the header", lineno)
         row = {(k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
                for k, v in raw.items()}
         fid = row.get("id") or ""

@@ -11,33 +11,30 @@ at the largest count r for which at least r features pass both. Here
 c1(x) = (1 - c2) / (1 - l00 * (1 - c2 * x)) spends the error budget saved
 by the null-in-both fraction bound l00.
 
-The r-value is the smallest q at which the rule rejects the feature, and it
-is computed in closed form. The level function G(x) = x * c1(x) strictly
-increases on [0, 1); take G(x) = inf for x >= 1. With u_j = p1_j * m and
-v_j = p2_j * R1 / c2, feature j passes both thresholds at count r exactly
-when A_j(r) <= G(q), where
+Every claim in the package is one predicate. A procedure is its primary
+multiplicity m_eff (m here) and its level function G (x * c1(x) here, inf
+for x >= 1). With u_j = p1_j * m_eff and v_j = p2_j * R1 / c2, feature j
+passes at count r and level q iff its entry level
+A_j(r) = max(u_j / r, G(v_j / r)) is at most G(q). G is nondecreasing on
+doubles, so the second half is v_j / r <= q*, q* the largest double with
+G(q*) <= G(q). The step-up set at q holds the features whose need count,
+the smallest r at which they pass, is at most R2, the largest r with at
+least r need counts <= r. With T(r) the r-th smallest A(r), feature i is in
+it iff b_i = min over r of max(A_i(r), T(r)) <= G(q), so its r-value is the
+smallest double x with G(x) >= b_i (1 when no x below 1 reaches it), and
+r_i <= q holds exactly when feature i is in the step-up set at q.
 
-    A_j(r) = max(u_j / r, G(v_j / r)).
-
-Let T(r) be the r-th smallest of A_1(r), ..., A_R1(r). Feature i is rejected
-at q exactly when some count r has T(r) <= G(q) (at least r features pass)
-and A_i(r) <= G(q). As G^-1 is monotone,
-
-    r_i = G^-1( min over r = 1..R1 of max(A_i(r), T(r)) ),  capped at 1,
-
-with G^-1(a) = a (1 - l00) / ((1 - c2) - a l00 c2), or inf when the
-denominator is not positive. :func:`_exact_rvalues` evaluates this in blocks
-of counts, in O(R1^2) time and O(R1) memory. The dependence variants in
-:mod:`repval.dependence` reuse it with m or c1 replaced.
-
-All functions are pure; r-values are bitwise reproducible and do not depend
-on the order of the records.
+:func:`_exact_rvalues` finds every b_i in blocks of counts, in O(R1^2) time
+and O(R1) memory, and inverts G by bisection over doubles. All functions
+are pure; r-values are bitwise reproducible and do not depend on the order
+of the records.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,69 +49,147 @@ _BLOCK = 2**16
 
 
 def c1(x: float, l00: float, c2: float) -> float:
-    """Primary-study budget multiplier; increasing in x when l00 > 0 and
+    """Primary-study budget multiplier; decreasing in x when l00 > 0 and
     constant 1 - c2 when l00 = 0. The denominator is bounded below by
     1 - l00 > 0 on the valid domain, so this never degenerates."""
     return (1.0 - c2) / (1.0 - l00 * (1.0 - c2 * x))
 
 
-def _level(x, l00: float, c2: float):
-    """Level function G(x) = x * c1(x): the primary-study threshold scale at
-    FDR level x. Strictly increasing on [0, 1); works elementwise on arrays."""
-    return x * c1(x, l00, c2)
+def _level(x, l00: float, c2: float) -> np.ndarray:
+    """G(x) = x * c1(x) elementwise, inf for x >= 1. Evaluated as
+    (1 - c2) / ((1 - l00) / x + l00 * c2), in which every rounded step is
+    monotone, so G is nondecreasing on doubles; x * c1(x) is not, as c1
+    falls while x rises. Every term is scaled by 2^-64, which rounds alike
+    and keeps (1 - l00) / x finite for subnormal x."""
+    s = 2.0**-64
+    with np.errstate(divide="ignore"):
+        g = (1.0 - c2) * s / ((1.0 - l00) * s / x + l00 * c2 * s)
+    np.putmask(g, x >= 1.0, np.inf)  # in place: cheaper than np.where
+    return g
 
 
-def _level_inverse(a: np.ndarray, l00: float, c2: float) -> np.ndarray:
-    """G^-1(a) = a (1 - l00) / ((1 - c2) - a l00 c2) elementwise; inf where
-    the denominator is not positive (no level reaches a)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = (1.0 - c2) - a * l00 * c2
-        x = a * (1.0 - l00) / denom
-    return np.where(denom > 0.0, x, np.inf)
+@dataclass(frozen=True)
+class _Procedure:
+    """A procedure as the claim predicate sees it: ``level(x, y)`` is
+    max(y, G(x)) elementwise (G for y = 0), and no claim is made below
+    ``floor``, under which G is constant."""
+
+    m_eff: float
+    c2: float
+    level: Callable
+    floor: float = 0.0
 
 
-def _exact_rvalues(p1: np.ndarray, p2: np.ndarray, *, m_eff: float,
-                   c2: float, entry: Callable, inverse: Callable) -> np.ndarray:
+def _fdr_procedure(config: AnalysisConfig, m_eff: float) -> _Procedure:
+    l00, c2 = config.l00, config.c2
+    return _Procedure(m_eff, c2,
+                      lambda x, y=0.0: np.maximum(y, _level(x, l00, c2)))
+
+
+def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray):
+    """u = p1 * m_eff and v = p2 * R1 / c2: feature j's entry level at
+    count r is level(v_j / r, u_j / r)."""
+    return p1 * proc.m_eff, p2 * len(p2) / proc.c2
+
+
+def _smallest_reaching(level, a: np.ndarray, floor: float,
+                       ceiling: float = 1.0) -> np.ndarray:
+    """Elementwise the smallest double x in [floor, ceiling) with
+    level(x) >= a, and ceiling where there is none. Bisection over the bit
+    patterns of nonnegative doubles, which order like their values, so it
+    ends on adjacent doubles after at most 64 halvings. Taking the upper
+    middle leaves an element that has converged where it is."""
+    lo = np.full(len(a), np.float64(floor).view(np.int64) - 1)
+    hi = np.full(len(a), np.float64(ceiling).view(np.int64))
+    while (hi - lo > 1).any():
+        mid = (lo + hi + 1) // 2
+        reached = level(mid.view(np.float64)) >= a
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+    return hi.view(np.float64)
+
+
+def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
+                   p2: np.ndarray) -> np.ndarray:
     """r-values of all features by the min-max formula of the module
-    docstring, capped at 1.
-
-    ``entry(x, y)`` returns max(y, G(x)) elementwise, with G(x) = inf for
-    x >= 1; ``inverse(a)`` returns G^-1(a), at least 1 when no level below 1
-    reaches a. Counts are taken in blocks of at most _BLOCK elements, so
-    memory stays O(R1) while time is O(R1^2).
-    """
+    docstring. Counts are taken in blocks of at most _BLOCK elements, so
+    memory stays O(R1) while time is O(R1^2)."""
     r1 = len(p1)
-    u = p1 * m_eff
-    v = p2 * r1 / c2
+    u, v = _scaled(proc, p1, p2)
     best = np.full(r1, np.inf)
     rows = max(1, _BLOCK // max(r1, 1))
     for first in range(1, r1 + 1, rows):
         counts = np.arange(first, min(first + rows, r1 + 1),
                            dtype=float)[:, None]
-        a = entry(v / counts, u / counts)
+        a = proc.level(v / counts, u / counts)
         # T(r): the r-th smallest entry level at count r
         t = np.array([np.partition(row, k)[k]
                       for k, row in enumerate(a, start=first - 1)])
         np.minimum(best, np.maximum(a, t[:, None]).min(axis=0), out=best)
-    return np.minimum(inverse(best), 1.0)
+    return _smallest_reaching(proc.level, best, proc.floor)
 
 
-def _fdr_rvalues(p1: np.ndarray, p2: np.ndarray, *, m_eff: float,
-                 l00: float, c2: float) -> np.ndarray:
-    def entry(x, y):
-        return np.maximum(y, np.where(x < 1.0, _level(x, l00, c2), np.inf))
-
-    return _exact_rvalues(p1, p2, m_eff=m_eff, c2=c2, entry=entry,
-                          inverse=lambda a: _level_inverse(a, l00, c2))
+def _report(dataset: ValidatedDataset, config: AnalysisConfig, method: Method,
+            values: np.ndarray) -> RValueReport:
+    return RValueReport(method, tuple(zip(dataset.ids, map(float, values))),
+                        config)
 
 
 def fdr_rvalues_all(dataset: ValidatedDataset,
                     config: AnalysisConfig) -> RValueReport:
     """FDR r-values for every followed-up feature (independence variant)."""
-    values = _fdr_rvalues(dataset.p1, dataset.p2, m_eff=float(config.m),
-                          l00=config.l00, c2=config.c2)
-    entries = tuple(zip(dataset.ids, (float(v) for v in values)))
-    return RValueReport(Method.FDR_INDEPENDENT, entries, config)
+    proc = _fdr_procedure(config, float(config.m))
+    return _report(dataset, config, Method.FDR_INDEPENDENT,
+                   _exact_rvalues(proc, dataset.p1, dataset.p2))
+
+
+def _claim_levels(proc: _Procedure,
+                  q: float) -> Optional[tuple[float, float]]:
+    """(G(q), q*), q* the largest double where G(q*) <= G(q); None below the
+    floor, where every r-value is larger than q. q* is bracketed by doubling
+    a step in ulps above q, then bisected."""
+    if q < proc.floor:
+        return None
+    g = proc.level(np.array([q]))[0]
+    bits, step = np.float64(q).view(np.int64), 1
+    while proc.level(np.array([bits + step]).view(np.float64))[0] <= g:
+        bits, step = bits + step, 2 * step
+    start, stop = np.array([bits, bits + step]).view(np.float64)
+    first = _smallest_reaching(proc.level, np.array([np.nextafter(g, np.inf)]),
+                               start, stop)[0]
+    return float(g), float(np.nextafter(first, 0.0))
+
+
+def _need_counts(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
+                 levels: tuple[float, float]) -> np.ndarray:
+    """Per feature, the smallest count r with u_j / r <= G(q) and
+    v_j / r <= q* as rounded, ``levels`` being (G(q), q*); more than R1 when
+    there is none. Dividing by the next doubles up gives counts never above
+    that and, for normal levels, at most one below, so the loop ends after
+    one check or two."""
+    g, q_star = levels
+    u, v = _scaled(proc, p1, p2)
+
+    def passes(r):
+        return (u / r <= g) & (v / r <= q_star)
+
+    with np.errstate(over="ignore"):
+        need = np.maximum(np.ceil(u / math.nextafter(g, math.inf)),
+                          np.ceil(v / math.nextafter(q_star, math.inf)))
+    np.maximum(need, 1.0, out=need)
+    while (short := (need <= len(u)) & ~passes(need)).any():
+        need += short
+    return need
+
+
+def _step_up_mask(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
+                  levels: Optional[tuple[float, float]]) -> np.ndarray:
+    if levels is None:
+        return np.zeros(len(p1), dtype=bool)
+    need = _need_counts(proc, p1, p2, levels)
+    # at least r features need at most r exactly when the r-th smallest
+    # need is at most r; R2 is the largest such r
+    enough = np.flatnonzero(np.sort(need) <= np.arange(1, len(p1) + 1))
+    return need <= (enough[-1] + 1 if enough.size else 0)
 
 
 @dataclass(frozen=True)
@@ -127,40 +202,12 @@ class StepUpResult:
     replicated_ids: frozenset[str]
 
 
-def _minimal_counts(p1: np.ndarray, p2: np.ndarray, *, m_eff: float,
-                    r1: int, c2: float, c1_at_q: float, q: float) -> np.ndarray:
-    """Per feature, the smallest rejection count r at which it passes both
-    thresholds p1 <= r*c1(q)*q/m and p2 <= r*c2*q/R1."""
-    unit1 = c1_at_q * q / m_eff
-    unit2 = c2 * q / r1
-    need1 = np.ceil(p1 / unit1)
-    need2 = np.ceil(p2 / unit2)
-    return np.maximum(need1, need2)
-
-
-def _step_up_mask(p1: np.ndarray, p2: np.ndarray, *, m_eff: float, c2: float,
-                  c1_at_q: float, q: float) -> np.ndarray:
-    r1 = len(p1)
-    if r1 == 0:
-        return np.zeros(0, dtype=bool)
-    need = _minimal_counts(p1, p2, m_eff=m_eff, r1=r1, c2=c2,
-                           c1_at_q=c1_at_q, q=q)
-    # count(r) = #{need <= r} is nondecreasing and at most R1, so the
-    # largest r with count(r) >= r has count(r) = r: that r is R2
-    counts = np.arange(1, r1 + 1)
-    passing = np.searchsorted(np.sort(need), counts, side="right") >= counts
-    r2 = int(counts[passing][-1]) if passing.any() else 0
-    return need <= r2
-
-
-def _step_up(dataset: ValidatedDataset, config: AnalysisConfig, q: float, *,
-             m_eff: float, c1_at: Callable[[float], float]) -> StepUpResult:
-    """Step-up set at level q with the primary multiplicity m_eff and the
-    budget multiplier c1_at(q); the dependence variants replace one each."""
+def _step_up(dataset: ValidatedDataset, q: float,
+             proc: _Procedure) -> StepUpResult:
+    """Step-up set at level q of the procedure ``proc``."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    mask = _step_up_mask(dataset.p1, dataset.p2, m_eff=m_eff, c2=config.c2,
-                         c1_at_q=c1_at(q), q=q)
+    mask = _step_up_mask(proc, dataset.p1, dataset.p2, _claim_levels(proc, q))
     ids = frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
     return StepUpResult(q, int(mask.sum()), ids)
 
@@ -169,5 +216,4 @@ def step_up_set(dataset: ValidatedDataset, config: AnalysisConfig,
                 q: float) -> StepUpResult:
     """Direct step-up procedure at level q; equivalent to thresholding the
     r-values at q."""
-    return _step_up(dataset, config, q, m_eff=float(config.m),
-                    c1_at=lambda x: c1(x, config.l00, config.c2))
+    return _step_up(dataset, q, _fdr_procedure(config, float(config.m)))

@@ -41,7 +41,8 @@ import numpy as np
 
 from .model import AnalysisConfig
 from .normal import normal_quantile, normal_sf
-from .rvalue import _step_up_mask, c1
+from .rvalue import (_claim_levels, _fdr_procedure, _need_counts,
+                     _step_up_mask, c1)
 from .selection import bh_reject
 
 __all__ = [
@@ -196,23 +197,11 @@ class _Design:
             mu1 = (normal_quantile(1.0 - _POWER_CALIBRATION_ALPHA / m)
                    - normal_quantile(1.0 - scenario.pi1))
             self.shift1 = np.where(np.arange(m) >= n00 + n01, mu1, 0.0)
-        self.c1_at_q = c1(q, scenario.l00, scenario.c2)
-        self.bh_level = self.c1_at_q * q
-        # Bonferroni runs at alpha = q, so c1(alpha) is c1(q)
-        self.bonferroni_p1 = self.c1_at_q * q / m
-
-
-def _step_up_claims(design: _Design, p1: np.ndarray,
-                    p2: np.ndarray) -> np.ndarray:
-    sc = design.scenario
-    return _step_up_mask(p1, p2, m_eff=float(sc.m), c2=sc.c2,
-                         c1_at_q=design.c1_at_q, q=sc.q)
-
-
-def _bonferroni_claims(design: _Design, p1: np.ndarray,
-                       p2: np.ndarray) -> np.ndarray:
-    sc = design.scenario
-    return (p1 <= design.bonferroni_p1) & (p2 <= sc.c2 * sc.q / len(p1))
+        self.bh_level = c1(q, scenario.l00, scenario.c2) * q
+        # both claim rules read G(q) and q* at level q (Bonferroni runs at
+        # alpha = q)
+        self.procedure = _fdr_procedure(scenario.analysis_config, float(m))
+        self.levels = _claim_levels(self.procedure, q)
 
 
 def _max_p_bh_claims(design: _Design, p1: np.ndarray,
@@ -223,8 +212,14 @@ def _max_p_bh_claims(design: _Design, p1: np.ndarray,
     return mask
 
 
-_CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
-           "max-p-bh": _max_p_bh_claims}
+# procedure -> claim mask; Bonferroni is the count-1 case of the step-up
+# predicate
+_CLAIMS = {
+    "step-up": lambda design, p1, p2: _step_up_mask(
+        design.procedure, p1, p2, design.levels),
+    "bonferroni": lambda design, p1, p2: _need_counts(
+        design.procedure, p1, p2, design.levels) <= 1.0,
+    "max-p-bh": _max_p_bh_claims}
 
 # Primary values per block of repetitions: 32 KiB of float64. At m = 1000,
 # against one repetition per block, the paper-design sweep ran ~1.7x faster

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import rvalue
-from repval import (bonferroni_rvalues_all, c1_tilde, fdr_rvalues_all,
+from repval import dependence, rvalue, simulate
+from repval import (AnalysisConfig, SimulationScenario,
+                    bonferroni_rvalues_all, c1_tilde, fdr_rvalues_all,
                     fdr_rvalues_all_general_dep,
                     fdr_rvalues_all_threshold_dep, m_star, step_up_set,
                     step_up_set_general_dep, step_up_set_threshold_dep)
@@ -41,6 +42,18 @@ def _bisected(method, ds, config):
                                  lambda x: oracle_c1(x, l00, c2))
 
 
+def _claimed(method, ds, config, q):
+    """Ids claimed at level q: the step-up set, or for Bonferroni the
+    simulation's claim rule on a design with the same m, l00, c2 and q."""
+    if method != "fwer-bonferroni":
+        return STEP_UP[method](ds, config, q).replicated_ids
+    design = simulate._Design(SimulationScenario(
+        pi1=0.5, pi2=0.5, seed=0, m=config.m, f00=1.0, f01=0.0, f10=0.0,
+        f11=0.0, l00=config.l00, c2=config.c2, q=q))
+    mask = simulate._CLAIMS["bonferroni"](design, ds.p1, ds.p2)
+    return {fid for fid, hit in zip(ds.ids, mask) if hit}
+
+
 @st.composite
 def instances(draw):
     method = draw(st.sampled_from(METHODS))
@@ -72,16 +85,35 @@ def test_engine_matches_bisection_and_step_up(instance):
     if len(ds) >= 2 and ds.p1[1] == ds.p1[0] and ds.p2[1] == ds.p2[0]:
         assert got[1] == got[0]
     for q in QS:
-        if method == "fwer-bonferroni":
-            c1_q = oracle_c1(q, config.l00, config.c2)
-            claimed = {fid for fid, a, b in zip(ds.ids, ds.p1, ds.p2)
-                       if max(config.m * a / c1_q,
-                              len(ds) * b / config.c2) <= q}
-        else:
-            claimed = STEP_UP[method](ds, config, q).replicated_ids
+        claimed = _claimed(method, ds, config, q)
         for fid, r in zip(ds.ids, got):
-            if abs(r - q) > 1e-9 * q:  # knife-edge ties are out of scope
-                assert (r <= q) == (fid in claimed)
+            assert (r <= q) == (fid in claimed)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_claimed_exactly_from_the_rvalue_on(method):
+    # the knife edge: every sampled feature is claimed at q = r_i and not
+    # one double below, with p-values down to 1e-300 (threshold-dep: R1 =
+    # 1000 and r-values above its 1e-12 floor)
+    rng = np.random.default_rng(7)
+    threshold = method == "fdr-threshold-dep"
+    r1 = 1000 if threshold else 4000
+    low = 12 if threshold else 300
+    deep = rng.random(r1) < 0.3
+    p1 = 10.0 ** np.where(deep, rng.uniform(-low, -4, r1),
+                          rng.uniform(-12, -4, r1))
+    p2 = 10.0 ** np.where(rng.random(r1) < 0.3, rng.uniform(-low, 0, r1),
+                          rng.uniform(-12, 0, r1))
+    ds, config = dataset_from_arrays(p1, p2, m=10**7, l00=0.8, c2=0.5,
+                                     t=1e-4 if threshold else None)
+    values = ENGINE[method](ds, config).values
+    inside = np.flatnonzero((values < 1.0) & (values > 1e-12 * threshold))
+    sample = rng.choice(inside, 200, replace=False)
+    for i in sample:
+        r = float(values[i])
+        assert ds.ids[i] in _claimed(method, ds, config, r)
+        assert ds.ids[i] not in _claimed(method, ds, config,
+                                         float(np.nextafter(r, 0.0)))
 
 
 def test_bonferroni_engine_is_the_closed_form():
@@ -130,16 +162,33 @@ def _step_up_count_by_scan(need):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
                 min_size=1, max_size=12),
-       st.sampled_from((0.01, 0.05, 0.3)))
-def test_step_up_count_matches_downward_scan(units, q):
-    # p-values on whole multiples of the threshold units give many tied
-    # and boundary minimal counts
+       st.sampled_from((1e-310, 0.01, 0.05, 0.3)),
+       st.sampled_from(("fdr", "fdr-threshold-dep")))
+def test_step_up_count_matches_downward_scan(units, q, method):
+    # p-values on whole multiples of the threshold units G(q) / m and
+    # c2 q / R1 give many tied and boundary need counts; each must be the
+    # smallest r with A_j(r) = level(v_j / r, u_j / r) <= G(q), by scan
     m, c2 = 1000, 0.5
-    c1_at_q = rvalue.c1(q, 0.8, c2)
     r1 = len(units)
-    p1 = np.array([a for a, _ in units]) * (c1_at_q * q / m)
+    config = AnalysisConfig(m=m, l00=0.8, c2=c2, t=0.05)
+    if method == "fdr":
+        proc = rvalue._fdr_procedure(config, float(m))
+    else:
+        ds, _ = dataset_from_arrays([0.05], [0.5], m=m)
+        proc = dependence._threshold_procedure(ds, config)
+    levels = rvalue._claim_levels(proc, q)
+    if levels is None:  # below the threshold-dep floor nothing is claimed
+        assert method == "fdr-threshold-dep" and q < 1e-12
+        return
+    g = levels[0]
+    p1 = np.array([a for a, _ in units]) * (g / m)
     p2 = np.minimum(np.array([b for _, b in units]) * (c2 * q / r1), 1.0)
-    kw = dict(m_eff=float(m), c2=c2, c1_at_q=c1_at_q, q=q)
-    need = rvalue._minimal_counts(p1, p2, r1=r1, **kw)
-    assert np.array_equal(rvalue._step_up_mask(p1, p2, **kw),
+    need = rvalue._need_counts(proc, p1, p2, levels)
+    u, v = rvalue._scaled(proc, p1, p2)
+    counts = np.arange(1.0, r1 + 1.0)[:, None]
+    entry = proc.level(v / counts, u / counts)
+    scanned = [next((r for r in range(1, r1 + 1) if entry[r - 1, j] <= g),
+                    r1 + 1) for j in range(r1)]
+    assert np.array_equal(np.minimum(need, r1 + 1), scanned)
+    assert np.array_equal(rvalue._step_up_mask(proc, p1, p2, levels),
                           need <= _step_up_count_by_scan(need))

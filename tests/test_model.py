@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repval import (AnalysisConfig, DatasetError, DuplicateId, FeatureRecord,
                     NonPositivePValue, PValueAboveOne, R1ExceedsM,
                     read_pvalue_table, validate_dataset)
+from repval.cli import main
 
 from conftest import IGA_M
 
@@ -113,6 +114,24 @@ def test_read_reports_line_numbers():
         read_pvalue_table(stream)
     assert exc.value.line == 3
     assert "line 3" in str(exc.value)
+    # blank lines and quoted line breaks count as lines
+    stream = io.StringIO('id,p1,p2\n\n"a\nb",0.1,0.2\n\nc,x,0.2\n')
+    with pytest.raises(DatasetError) as exc:
+        read_pvalue_table(stream)
+    assert exc.value.line == 6
+
+
+def test_read_rejects_rows_longer_than_the_header(tmp_path, capsys):
+    with pytest.raises(DatasetError) as exc:
+        read_pvalue_table(
+            io.StringIO("id,p1,p2\na,0.1,0.2\nb,0.1,0.2,extra\n"))
+    assert exc.value.line == 3
+    assert "1 cell(s) more than the header" in str(exc.value)
+    path = tmp_path / "long.csv"
+    path.write_text("id,p1,p2\n\na,0.1,0.2,extra\n")
+    assert main(["rvalues", str(path), "--m", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "line 3: row has 1 cell(s) more" in err
 
 
 def test_read_requires_columns():
