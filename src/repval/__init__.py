@@ -12,19 +12,16 @@ harness for verifying error control and power.
 """
 
 from .baselines import max_p_bh, meta_p
-from .dependence import (MissingThreshold, NoConsistentRegime,
-                         SelectionThresholdViolated, c1_tilde,
+from .dependence import (NoConsistentRegime, c1_tilde,
                          fdr_rvalues_all_general_dep,
-                         fdr_rvalues_all_threshold_dep, harmonic_number,
-                         m_star, step_up_set_general_dep,
-                         step_up_set_threshold_dep)
+                         fdr_rvalues_all_threshold_dep, m_star,
+                         step_up_set_general_dep, step_up_set_threshold_dep)
 from .fwer import bonferroni_rvalues_all
-from .model import (AnalysisConfig, DatasetError, DuplicateId, FeatureRecord,
-                    Method, NonPositivePValue, PValueAboveOne, PValueTable,
-                    R1ExceedsM, RValueReport, ValidatedDataset,
+from .model import (AnalysisConfig, DatasetError, FeatureRecord, Method,
+                    PValueTable, RValueReport, ValidatedDataset,
                     read_pvalue_table, validate_dataset)
 from .normal import normal_quantile, normal_sf
-from .rvalue import StepUpResult, c1, fdr_rvalues_all, step_up_set
+from .rvalue import c1, fdr_rvalues_all, step_up_set
 from .selection import bh_reject, refine_for_replicability
 from .simulate import (RepOutcome, SimulationMetrics, SimulationScenario,
                        compare_baseline, estimate, parse_scenario_file,
@@ -33,15 +30,13 @@ from .simulate import (RepOutcome, SimulationMetrics, SimulationScenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "DatasetError", "DuplicateId", "FeatureRecord",
-    "Method", "MissingThreshold", "NoConsistentRegime", "NonPositivePValue",
-    "PValueAboveOne", "PValueTable", "R1ExceedsM", "RValueReport",
-    "RepOutcome", "SelectionThresholdViolated", "SimulationMetrics",
-    "SimulationScenario", "StepUpResult", "ValidatedDataset", "bh_reject",
-    "bonferroni_rvalues_all", "c1", "c1_tilde", "compare_baseline",
-    "estimate", "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
-    "fdr_rvalues_all_threshold_dep", "harmonic_number", "m_star",
-    "max_p_bh", "meta_p", "normal_quantile", "normal_sf",
+    "AnalysisConfig", "DatasetError", "FeatureRecord", "Method",
+    "NoConsistentRegime", "PValueTable", "RValueReport", "RepOutcome",
+    "SimulationMetrics", "SimulationScenario", "ValidatedDataset",
+    "bh_reject", "bonferroni_rvalues_all", "c1", "c1_tilde",
+    "compare_baseline", "estimate", "fdr_rvalues_all",
+    "fdr_rvalues_all_general_dep", "fdr_rvalues_all_threshold_dep",
+    "m_star", "max_p_bh", "meta_p", "normal_quantile", "normal_sf",
     "parse_scenario_file", "read_pvalue_table", "refine_for_replicability",
     "simulate_rep", "step_up_set", "step_up_set_general_dep",
     "step_up_set_threshold_dep", "sweep_c2", "validate_dataset",

@@ -131,7 +131,7 @@ def _open_output(prog: str,
 
 
 def cmd_rvalues(args) -> int:
-    # method -> (r-values, step-up set at q, or None to claim r <= q).
+    # method -> (r-values, ids claimed at q, or None to claim r <= q).
     # Built per call so that it uses the module's current bindings.
     procedures = {
         Method.FDR_INDEPENDENT: (fdr_rvalues_all, step_up_set),
@@ -190,7 +190,7 @@ def cmd_rvalues(args) -> int:
             replicated = frozenset(
                 fid for fid, r in report.entries if r <= args.q)
         else:
-            replicated = step_up_fn(dataset, config, args.q).replicated_ids
+            replicated = step_up_fn(dataset, config, args.q)
     except (ValueError, NoConsistentRegime) as exc:
         print(f"repval rvalues: {exc}", file=sys.stderr)
         return EXIT_DATA

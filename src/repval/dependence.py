@@ -19,20 +19,22 @@ agree bit for bit, as in the independent case:
   x = 1e-16 at m = 1e6, t = 1e-4, so G's argument is floored at 1e-12: the
   reported r-value is max(r_i, 1e-12), and nothing is claimed below 1e-12.
 
-Both produce r-values no smaller than the baseline.
+Both produce r-values no smaller than the baseline. The threshold variant
+raises ValueError without config.t, DatasetError when a primary p-value is
+above t, and NoConsistentRegime on a numerical defect of the regime walk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
-from .rvalue import (StepUpResult, _exact_rvalues, _fdr_procedure, _level,
-                     _Procedure, _report, _step_up, c1)
+from .model import (AnalysisConfig, DatasetError, Method, RValueReport,
+                    ValidatedDataset)
+from .rvalue import (_exact_rvalues, _fdr_procedure, _level, _Procedure,
+                     _report, _step_up, c1)
 
 __all__ = [
-    "harmonic_number", "m_star", "c1_tilde", "NoConsistentRegime",
-    "SelectionThresholdViolated", "MissingThreshold",
+    "m_star", "c1_tilde", "NoConsistentRegime",
     "fdr_rvalues_all_general_dep", "step_up_set_general_dep",
     "fdr_rvalues_all_threshold_dep", "step_up_set_threshold_dep",
 ]
@@ -57,21 +59,13 @@ def _harmonic_tail(n):
             - 1.0 / (12.0 * n * n) + 1.0 / (120.0 * n**4))
 
 
-def harmonic_number(n: int) -> float:
-    """H_n = sum_{i=1}^{n} 1/i. Exact table lookup for small n, asymptotic
-    expansion above."""
-    if n < 0:
-        raise ValueError("harmonic_number needs n >= 0")
-    if n <= _EXACT_TABLE_SIZE:
-        return float(_PREFIX[n])
-    return float(_harmonic_tail(float(n)))
-
-
-def _harmonic_array(k: np.ndarray) -> np.ndarray:
-    """H_k elementwise for an int64 array of counts k >= 1."""
+def _harmonic(k: np.ndarray) -> np.ndarray:
+    """H_k = sum_{i=1}^{k} 1/i elementwise for an array of integral counts
+    k >= 1 (int64, or float for counts past int64): exact table lookup up to
+    1024, asymptotic expansion above."""
     out = _harmonic_tail(k.astype(float))
     small = k <= _EXACT_TABLE_SIZE
-    out[small] = _PREFIX[k[small]]
+    out[small] = _PREFIX[k[small].astype(np.int64, copy=False)]
     return out
 
 
@@ -79,7 +73,7 @@ def m_star(m: int) -> float:
     """Harmonic-inflated multiplicity m * H_m."""
     if m < 1:
         raise ValueError("m must be positive")
-    return m * harmonic_number(m)
+    return m * float(_harmonic(np.array([float(m)]))[0])
 
 
 class NoConsistentRegime(RuntimeError):
@@ -87,14 +81,6 @@ class NoConsistentRegime(RuntimeError):
     defining equation always has a solution (the integer excess walks down
     in unit steps), so hitting this indicates a numerical corner worth a
     look rather than something to paper over."""
-
-
-class MissingThreshold(ValueError):
-    """Threshold-dependent variant requested without config.t."""
-
-
-class SelectionThresholdViolated(ValueError):
-    """Some primary p-value exceeds the declared selection threshold t."""
 
 
 def _to_regime(k: np.ndarray, t: float, m: int) -> np.ndarray:
@@ -119,7 +105,7 @@ def _regime_factor(g: np.ndarray, t: float, m: int) -> np.ndarray:
     moving = np.arange(len(c))
     while moving.size:
         k[moving] = walk[moving]
-        h[moving] = _harmonic_array(k[moving])
+        h[moving] = _harmonic(k[moving])
         walk[moving] = _to_regime(
             np.ceil(c[moving] * (1.0 + h[moving]) - 1.0), t, m)
         moving = moving[walk[moving] > k[moving]]
@@ -163,7 +149,8 @@ def fdr_rvalues_all_general_dep(dataset: ValidatedDataset,
 
 
 def step_up_set_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
-                            q: float) -> StepUpResult:
+                            q: float) -> frozenset[str]:
+    """Ids claimed at level q under arbitrary primary-study dependence."""
     return _step_up(dataset, q, _fdr_procedure(config, m_star(config.m)))
 
 
@@ -172,12 +159,12 @@ def step_up_set_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
 def _threshold_procedure(dataset: ValidatedDataset,
                          config: AnalysisConfig) -> _Procedure:
     if config.t is None:
-        raise MissingThreshold(
+        raise ValueError(
             "threshold-dependent variant needs config.t (the selection "
             "cutoff on primary p-values)")
     if len(dataset) and float(dataset.p1.max()) > config.t:
         worst = int(dataset.p1.argmax())
-        raise SelectionThresholdViolated(
+        raise DatasetError(
             f"feature {dataset.ids[worst]!r} has p1={dataset.p1[worst]} "
             f"above the selection threshold t={config.t}")
     t, m, l00, c2 = config.t, config.m, config.l00, config.c2
@@ -203,5 +190,8 @@ def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
 
 
 def step_up_set_threshold_dep(dataset: ValidatedDataset,
-                              config: AnalysisConfig, q: float) -> StepUpResult:
+                              config: AnalysisConfig,
+                              q: float) -> frozenset[str]:
+    """Ids claimed at level q under threshold-dependent selection; nothing
+    is claimed below 1e-12."""
     return _step_up(dataset, q, _threshold_procedure(dataset, config))

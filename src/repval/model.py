@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -24,14 +25,16 @@ import numpy as np
 __all__ = [
     "FeatureRecord", "AnalysisConfig", "Method", "ValidatedDataset",
     "RValueReport", "validate_dataset", "read_pvalue_table", "PValueTable",
-    "DatasetError", "NonPositivePValue", "PValueAboveOne", "DuplicateId",
-    "R1ExceedsM",
+    "DatasetError",
 ]
 
 
 class DatasetError(ValueError):
-    """Invalid input data. ``line`` is the 1-based line in the source file
-    when the record came from a file, else the 0-based record index."""
+    """Invalid input data: an unreadable table, a p-value outside (0, 1], a
+    repeated feature id, more features followed up than m, or a primary
+    p-value above the declared selection threshold. ``line`` is the 1-based
+    line in the source file, or None when the records did not come with
+    line numbers or no one line is at fault."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message)
@@ -40,22 +43,6 @@ class DatasetError(ValueError):
     def __str__(self) -> str:
         base = super().__str__()
         return f"line {self.line}: {base}" if self.line is not None else base
-
-
-class NonPositivePValue(DatasetError):
-    """p <= 0 signals a corrupt export; zeros are never clamped silently."""
-
-
-class PValueAboveOne(DatasetError):
-    pass
-
-
-class DuplicateId(DatasetError):
-    pass
-
-
-class R1ExceedsM(DatasetError):
-    """More features followed up than were examined in the primary study."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +124,11 @@ def validate_dataset(
 ) -> ValidatedDataset:
     """Check invariants and freeze the dataset.
 
-    p-values of exactly 0 are rejected; ``read_pvalue_table(clamp_zero=)``
-    opts in to replacing them in dirty real-world exports.
+    Raises :class:`DatasetError` for a NaN, a p-value not above 0 or above
+    1, a repeated id, or more records than ``config.m``. p-values of
+    exactly 0 signal a corrupt export and are rejected, never clamped
+    silently; ``read_pvalue_table(clamp_zero=)`` opts in to replacing them
+    in dirty real-world exports.
     ``source_lines`` attaches file line numbers to error messages.
     """
     seen: set[str] = set()
@@ -150,18 +140,19 @@ def validate_dataset(
                 raise DatasetError(
                     f"feature {rec.id!r}: {name} is NaN, not a p-value", line)
             if not p > 0.0:
-                raise NonPositivePValue(
+                raise DatasetError(
                     f"feature {rec.id!r}: {name}={p} is not positive", line)
             if p > 1.0:
-                raise PValueAboveOne(
+                raise DatasetError(
                     f"feature {rec.id!r}: {name}={p} exceeds 1", line)
         if rec.id in seen:
-            raise DuplicateId(f"feature id {rec.id!r} appears twice", line)
+            raise DatasetError(f"feature id {rec.id!r} appears twice", line)
         seen.add(rec.id)
         cleaned.append(rec)
 
     if len(cleaned) > config.m:
-        raise R1ExceedsM(f"{len(cleaned)} features followed up but m={config.m}")
+        raise DatasetError(
+            f"{len(cleaned)} features followed up but m={config.m}")
     return ValidatedDataset(tuple(cleaned))
 
 
@@ -209,7 +200,8 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     """Parse a UTF-8 TSV/CSV with header ``id, p1, p2`` (extra columns kept).
 
     ``source`` is a path or an open text stream. One leading byte-order
-    mark is skipped; a row with more cells than the header is an error.
+    mark is skipped; a header that names a column twice, and a row with
+    more cells than the header, are errors (:class:`DatasetError`).
     Scientific notation is accepted; numbers are stored as float64 while
     the original strings are retained for round-tripping.
     ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
@@ -233,6 +225,11 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     stream.seek(0)
     reader = csv.DictReader(stream, delimiter=delim, skipinitialspace=True)
     fieldnames = [fn.strip() for fn in (reader.fieldnames or [])]
+    counts = Counter(fieldnames)
+    repeated = ", ".join(repr(c) for c in counts if counts[c] > 1)
+    if repeated:  # DictReader would keep only the last cell of each
+        raise DatasetError(f"repeated column(s) {repeated}; header was "
+                           f"{fieldnames}", 1)
     missing = [c for c in _REQUIRED_COLUMNS if c not in fieldnames]
     if missing:
         raise DatasetError(

@@ -2,8 +2,9 @@
 
 The r-value of a followed-up feature is the lowest FDR level at which that
 feature can be declared replicated. Declaring the features with r-value <= q
-is the direct step-up rule at level q (:func:`step_up_set`): among the R1
-followed-up features, reject those passing both
+is the direct step-up rule at level q (:func:`step_up_set`, a frozenset of
+the claimed ids): among the R1 followed-up features, reject those passing
+both
 
     p1_j <= r * c1(q) * q / m    and    p2_j <= r * c2 * q / R1
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
 
-__all__ = ["c1", "fdr_rvalues_all", "StepUpResult", "step_up_set"]
+__all__ = ["c1", "fdr_rvalues_all", "step_up_set"]
 
 # Elements per block of counts in the exact engine: 512 KiB of float64.
 # Smaller blocks stay in cache; at R1 = 1000 to 10000 they ran faster than
@@ -192,28 +193,17 @@ def _step_up_mask(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
     return need <= (enough[-1] + 1 if enough.size else 0)
 
 
-@dataclass(frozen=True)
-class StepUpResult:
-    """Largest self-consistent rejection count at target level q, and the
-    features passing both thresholds at that count."""
-
-    q: float
-    r2_count: int
-    replicated_ids: frozenset[str]
-
-
 def _step_up(dataset: ValidatedDataset, q: float,
-             proc: _Procedure) -> StepUpResult:
-    """Step-up set at level q of the procedure ``proc``."""
+             proc: _Procedure) -> frozenset[str]:
+    """Ids of the step-up set at level q of the procedure ``proc``."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
     mask = _step_up_mask(proc, dataset.p1, dataset.p2, _claim_levels(proc, q))
-    ids = frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
-    return StepUpResult(q, int(mask.sum()), ids)
+    return frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
 
 
 def step_up_set(dataset: ValidatedDataset, config: AnalysisConfig,
-                q: float) -> StepUpResult:
-    """Direct step-up procedure at level q; equivalent to thresholding the
-    r-values at q."""
+                q: float) -> frozenset[str]:
+    """Ids of the features the direct step-up procedure claims at level q;
+    the same set as the features with r-value <= q. Its size is R2."""
     return _step_up(dataset, q, _fdr_procedure(config, float(config.m)))

@@ -163,8 +163,9 @@ def _primary_noise(scenario: SimulationScenario,
     m = scenario.m
     if scenario.rho == 0.0 or scenario.block_size == 1:
         return rng.standard_normal(m)
-    nblocks = math.ceil(m / scenario.block_size)
-    shared = np.repeat(rng.standard_normal(nblocks), scenario.block_size)[:m]
+    # a block longer than m is one block of m; no more cells are made
+    block = min(scenario.block_size, m)
+    shared = rng.standard_normal(-(-m // block))[np.arange(m) // block]
     own = rng.standard_normal(m)
     return math.sqrt(scenario.rho) * shared + math.sqrt(1.0 - scenario.rho) * own
 

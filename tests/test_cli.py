@@ -70,6 +70,30 @@ def test_simulate_bonferroni_is_byte_identical(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_block_size_beyond_m_makes_one_block():
+    # in a child capped at 512 MB of address space: a block of 1e12 cells
+    # per repetition (7.3 TiB) must not be allocated, nor 1e30 overflow
+    check = textwrap.dedent("""
+        import contextlib, io, resource
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+        from repval import cli
+        outputs = set()
+        for size in ("1000", "1500", "1000000000000", "1" + "0" * 30):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["simulate", "--pi1", ".8", "--pi2", ".8",
+                                 "--seed", "1", "--reps", "2", "--rho",
+                                 "0.5", "--block-size", size])
+            assert code == 0, size
+            outputs.add(out.getvalue())
+        assert len(outputs) == 1, outputs
+    """)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+                   check=True)
+
+
 def test_c2_grid_is_lazy():
     # in a child capped at 512 MB of address space, so that a materialised
     # grid (~8e11 floats) fails with MemoryError instead of filling the host
@@ -187,6 +211,33 @@ def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no consistent regime" in err
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("id,p1,p2\na,0.1,0.2\nb,0,0.2\n", [],
+     "{table}: line 3: feature 'b': p1=0.0 is not positive"),
+    ("id,p1,p2\na,0.1,0.2\nb,0.1,1.5\n", [],
+     "{table}: line 3: feature 'b': p2=1.5 exceeds 1"),
+    ("id,p1,p2\na,0.1,0.2\n\na,0.1,0.3\n", [],
+     "{table}: line 4: feature id 'a' appears twice"),
+    ("id,p1,p2\na,0.1,0.2\nb,0.1,0.3\nc,0.1,0.3\n", ["--m", "2"],
+     "{table}: 3 features followed up but m=2"),
+    ("id,p1,p2\na,0.4,0.1\nb,0.01,0.2\n",
+     ["--method", "fdr-threshold-dep", "--t", "0.1"],
+     "feature 'a' has p1=0.4 above the selection threshold t=0.1"),
+    ("id,p1,p2,p1\na,0.01,0.2,0.9\n", [],
+     "{table}: line 1: repeated column(s) 'p1'; header was "
+     "['id', 'p1', 'p2', 'p1']"),
+], ids=["zero", "above-one", "duplicate-id", "r1-above-m", "above-t",
+        "column-twice"])
+def test_invalid_data_exits_2_with_a_pinned_line(text, flags, message,
+                                                 tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text(text)
+    code = cli.main(["rvalues", str(table), "--m", "10", *flags])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr() == (
+        "", f"repval rvalues: {message.format(table=table)}\n")
 
 
 def test_nan_pvalue_exits_2(tmp_path, capsys):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, FeatureRecord, MissingThreshold,
-                    NoConsistentRegime,
-                    SelectionThresholdViolated, c1_tilde,
-                    fdr_rvalues_all, fdr_rvalues_all_general_dep,
-                    fdr_rvalues_all_threshold_dep, harmonic_number, m_star,
-                    step_up_set, step_up_set_general_dep,
-                    step_up_set_threshold_dep, validate_dataset)
+from repval import (AnalysisConfig, DatasetError, FeatureRecord,
+                    NoConsistentRegime, c1_tilde, fdr_rvalues_all,
+                    fdr_rvalues_all_general_dep,
+                    fdr_rvalues_all_threshold_dep, m_star, step_up_set,
+                    step_up_set_general_dep, step_up_set_threshold_dep,
+                    validate_dataset)
+from repval.dependence import _harmonic
 from repval.rvalue import c1
 
 from conftest import dataset_from_arrays, make_random_dataset
@@ -36,9 +36,11 @@ def test_m_star_small_values():
 
 
 def test_harmonic_against_direct_summation():
-    for n in (1, 2, 10, 500, 1024, 1025, 4000, 100000):
-        assert harmonic_number(n) == pytest.approx(oracle_harmonic(n),
-                                                   rel=1e-12)
+    ns = (1, 2, 10, 500, 1024, 1025, 4000, 100000)
+    # int64 counts, as the regime walk passes them, and integral floats
+    for k in (np.array(ns), np.array(ns, dtype=float)):
+        for n, h in zip(ns, _harmonic(k)):
+            assert h == pytest.approx(oracle_harmonic(n), rel=1e-12)
 
 
 def test_m_star_matches_direct_summation_at_scan_sizes():
@@ -56,9 +58,7 @@ def test_m_star_regimes_consistent():
     assert m_star(10) >= 10
 
 
-def test_harmonic_rejects_negative():
-    with pytest.raises(ValueError):
-        harmonic_number(-1)
+def test_m_star_rejects_nonpositive():
     with pytest.raises(ValueError):
         m_star(0)
 
@@ -103,7 +103,8 @@ def test_c1_tilde_satisfies_defining_equation():
         a = c1_tilde(x, t, m, l00, c2)
         k = math.ceil(t * m / (a * x) - 1.0)
         k = max(k, 0)
-        assert a * (1.0 + harmonic_number(k)) == pytest.approx(
+        h = _harmonic(np.array([k]))[0] if k else 0.0
+        assert a * (1.0 + h) == pytest.approx(
             c1(x, l00, c2), rel=1e-10)
 
 
@@ -164,8 +165,7 @@ def test_general_dep_step_up_equivalence():
         values = dict(fdr_rvalues_all_general_dep(ds, config).entries)
         for q in qs:
             via_r = {fid for fid, r in values.items() if r <= q}
-            assert via_r == step_up_set_general_dep(
-                ds, config, q).replicated_ids
+            assert via_r == step_up_set_general_dep(ds, config, q)
 
 
 def test_general_dep_step_up_matches_oracle():
@@ -181,14 +181,14 @@ def test_general_dep_step_up_matches_oracle():
         got = step_up_set_general_dep(ds, config, q)
         ref = oracle_step_up(list(ds.p1), list(ds.p2), m, l00, c2, q,
                              m_eff=m_star(m))
-        assert got.replicated_ids == frozenset(f"f{j}" for j in ref)
+        assert got == frozenset(f"f{j}" for j in ref)
 
 
 # --- threshold-dependent variant --------------------------------------------
 
 def test_threshold_dep_requires_t():
     ds, config = dataset_from_arrays([0.01], [0.02], m=5)
-    with pytest.raises(MissingThreshold):
+    with pytest.raises(ValueError, match="needs config.t"):
         fdr_rvalues_all_threshold_dep(ds, config)
 
 
@@ -196,7 +196,8 @@ def test_threshold_dep_rejects_violations():
     records = [FeatureRecord("a", 0.4, 0.1)]
     config = AnalysisConfig(m=5, t=0.1)
     ds = validate_dataset(records, config)
-    with pytest.raises(SelectionThresholdViolated):
+    with pytest.raises(DatasetError, match="p1=0.4 above the selection "
+                       "threshold t=0.1"):
         fdr_rvalues_all_threshold_dep(ds, config)
 
 
@@ -222,8 +223,8 @@ def test_threshold_dep_tiny_t_leaves_procedure_unchanged():
         p1 = p1 * (t / p1.max()) * 0.99  # legal cutoff: every p1 below t
         ds, config = dataset_from_arrays(p1, [r.p2 for r in records], m=m,
                                          l00=l00, c2=c2, t=t)
-        assert (step_up_set_threshold_dep(ds, config, q).replicated_ids
-                == step_up_set(ds, config, q).replicated_ids)
+        assert (step_up_set_threshold_dep(ds, config, q)
+                == step_up_set(ds, config, q))
         plain = fdr_rvalues_all(ds, config).values
         cons = fdr_rvalues_all_threshold_dep(ds, config).values
         assert ({i for i in range(len(ds)) if cons[i] <= q}
@@ -260,7 +261,7 @@ def test_threshold_dep_floor_is_1e12():
     assert values[0] == 1e-12
     assert fdr_rvalues_all(ds, config).values[0] < 1e-12
     assert 1e-12 < values[1] < 1.0
-    assert "f0" in step_up_set_threshold_dep(ds, config, 1e-9).replicated_ids
+    assert "f0" in step_up_set_threshold_dep(ds, config, 1e-9)
 
 
 def test_threshold_dep_step_up_equivalence():
@@ -271,8 +272,7 @@ def test_threshold_dep_step_up_equivalence():
         values = dict(fdr_rvalues_all_threshold_dep(ds, config).entries)
         for q in qs:
             via_r = {fid for fid, r in values.items() if r <= q}
-            assert via_r == step_up_set_threshold_dep(
-                ds, config, q).replicated_ids
+            assert via_r == step_up_set_threshold_dep(ds, config, q)
 
 
 def test_item3_beats_item2_only_below_bound():
@@ -286,11 +286,11 @@ def test_item3_beats_item2_only_below_bound():
         tight = trial % 2 == 0
         t = float(10.0 ** rng.uniform(-5, -2)) if tight else None
         ds, config = _threshold_instance(rng, t=t)
-        n3 = step_up_set_threshold_dep(ds, config, q).r2_count
-        n2 = step_up_set_general_dep(ds, config, q).r2_count
+        n3 = len(step_up_set_threshold_dep(ds, config, q))
+        n2 = len(step_up_set_general_dep(ds, config, q))
         if n3 > n2:
             observed_beats += 1
             bound = (c1(q, config.l00, config.c2) * q
-                     / (1.0 + harmonic_number(config.m - 1)))
+                     / (1.0 + oracle_harmonic(config.m - 1)))
             assert config.t < bound
     assert observed_beats >= 1  # the comparison is exercised, not vacuous

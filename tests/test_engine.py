@@ -46,7 +46,7 @@ def _claimed(method, ds, config, q):
     """Ids claimed at level q: the step-up set, or for Bonferroni the
     simulation's claim rule on a design with the same m, l00, c2 and q."""
     if method != "fwer-bonferroni":
-        return STEP_UP[method](ds, config, q).replicated_ids
+        return STEP_UP[method](ds, config, q)
     design = simulate._Design(SimulationScenario(
         pi1=0.5, pi2=0.5, seed=0, m=config.m, f00=1.0, f01=0.0, f10=0.0,
         f11=0.0, l00=config.l00, c2=config.c2, q=q))
@@ -143,7 +143,7 @@ def test_block_split_never_changes_results(monkeypatch):
     values = fdr_rvalues_all(ds, config).values
     for q in (0.01, 0.05):
         via_r = {fid for fid, r in zip(ds.ids, values) if r <= q}
-        assert via_r == step_up_set(ds, config, q).replicated_ids
+        assert via_r == step_up_set(ds, config, q)
     for block in (7 * r1, 1):
         monkeypatch.setattr(rvalue, "_BLOCK", block)
         assert np.array_equal(fdr_rvalues_all(ds, config).values, values)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import (AnalysisConfig, DatasetError, DuplicateId, FeatureRecord,
-                    NonPositivePValue, PValueAboveOne, R1ExceedsM,
+from repval import (AnalysisConfig, DatasetError, FeatureRecord,
                     read_pvalue_table, validate_dataset)
 from repval.cli import main
 
@@ -26,9 +25,9 @@ def test_iga_dataset_validates(iga_table):
 
 def test_zero_pvalue_rejected():
     config = AnalysisConfig(m=10)
-    with pytest.raises(NonPositivePValue):
+    with pytest.raises(DatasetError, match="p1=0.0 is not positive"):
         validate_dataset(_records([(0.0, 0.5)]), config)
-    with pytest.raises(NonPositivePValue):
+    with pytest.raises(DatasetError, match="p2=0.0 is not positive"):
         validate_dataset(_records([(0.5, 0.0)]), config)
 
 
@@ -49,16 +48,17 @@ def test_clamp_zero_opt_in():
 
 def test_r1_exceeds_m():
     config = AnalysisConfig(m=3)
-    with pytest.raises(R1ExceedsM):
+    with pytest.raises(DatasetError,
+                       match="^5 features followed up but m=3$"):
         validate_dataset(_records([(0.1, 0.1)] * 5), config)
 
 
 def test_pvalue_above_one_and_duplicates():
     config = AnalysisConfig(m=10)
-    with pytest.raises(PValueAboveOne):
+    with pytest.raises(DatasetError, match="p1=1.2 exceeds 1"):
         validate_dataset(_records([(1.2, 0.1)]), config)
     recs = [FeatureRecord("same", 0.1, 0.1), FeatureRecord("same", 0.2, 0.2)]
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DatasetError, match="id 'same' appears twice"):
         validate_dataset(recs, config)
 
 
@@ -141,6 +141,21 @@ def test_read_requires_columns():
         read_pvalue_table(io.StringIO(""))
 
 
+def test_read_rejects_a_column_named_twice():
+    # DictReader would keep only the last cell of a repeated name, so p1
+    # would be read from the fourth column and the first would be lost
+    for header, named in (("id,p1,p2,p1", "'p1'"),
+                          ("id,p1,p2,note,note", "'note'"),
+                          ("id,p1,p2, note,p1,note", "'p1', 'note'"),
+                          ("id,p1,p2,,", "''")):
+        row = "a,0.01,0.2" + ",x" * (header.count(",") - 2)
+        with pytest.raises(DatasetError) as exc:
+            read_pvalue_table(io.StringIO(f"{header}\n{row}\n"))
+        assert exc.value.line == 1
+        assert f"line 1: repeated column(s) {named}; header was" in str(
+            exc.value)
+
+
 def test_header_spaces_tolerated():
     table = read_pvalue_table(io.StringIO("id, p1, p2\na, 0.1, 0.2\n"))
     assert table.records[0] == FeatureRecord("a", 0.1, 0.2)
@@ -160,7 +175,7 @@ def test_validate_uses_source_lines():
     stream = io.StringIO("id\tp1\tp2\na\t0.1\t0.2\nb\t0.0\t0.2\n")
     table = read_pvalue_table(stream)
     config = AnalysisConfig(m=5)
-    with pytest.raises(NonPositivePValue) as exc:
+    with pytest.raises(DatasetError, match="not positive") as exc:
         validate_dataset(table.records, config,
                          source_lines=table.source_lines)
     assert exc.value.line == 3

@@ -148,8 +148,7 @@ def test_empty_dataset_empty_report():
     ds, config = dataset_from_arrays([], [], m=5)
     report = fdr_rvalues_all(ds, config)
     assert report.entries == ()
-    result = step_up_set(ds, config, 0.05)
-    assert result.r2_count == 0 and result.replicated_ids == frozenset()
+    assert step_up_set(ds, config, 0.05) == frozenset()
 
 
 def test_fixed_point_residual(iga_dataset):
@@ -216,23 +215,17 @@ def test_record_order_never_matters():
 def test_step_up_hand_example():
     ds, config = dataset_from_arrays(
         [1e-5, 2e-4, 6e-4], [1e-3, 5e-3, 0.9], m=100, l00=0.0, c2=0.5)
-    result = step_up_set(ds, config, 0.05)
-    assert result.r2_count == 2
-    assert result.replicated_ids == frozenset({"f0", "f1"})
+    assert step_up_set(ds, config, 0.05) == frozenset({"f0", "f1"})
 
 
 def test_step_up_all_ones_rejects_nothing():
     ds, config = dataset_from_arrays([1.0] * 4, [1.0] * 4, m=10)
-    result = step_up_set(ds, config, 0.05)
-    assert result.r2_count == 0
-    assert result.replicated_ids == frozenset()
+    assert step_up_set(ds, config, 0.05) == frozenset()
 
 
 def test_step_up_iga_matches_table(iga_dataset):
     ds, config = iga_dataset
-    result = step_up_set(ds, config, 0.05)
-    assert result.r2_count == 7
-    assert result.replicated_ids == frozenset(ds.ids[:7])
+    assert step_up_set(ds, config, 0.05) == frozenset(ds.ids[:7])
 
 
 def test_step_up_matches_oracle_on_random_data():
@@ -247,8 +240,7 @@ def test_step_up_matches_oracle_on_random_data():
             l00=l00, c2=c2)
         got = step_up_set(ds, config, q)
         ref = oracle_step_up(list(ds.p1), list(ds.p2), m, l00, c2, q)
-        assert got.replicated_ids == frozenset(f"f{j}" for j in ref)
-        assert got.r2_count == len(ref)
+        assert got == frozenset(f"f{j}" for j in ref)
 
 
 def test_threshold_and_rvalue_routes_agree():
@@ -262,7 +254,7 @@ def test_threshold_and_rvalue_routes_agree():
         values = dict(fdr_rvalues_all(ds, config).entries)
         for q in qs:
             via_rvalues = {fid for fid, r in values.items() if r <= q}
-            assert via_rvalues == step_up_set(ds, config, q).replicated_ids
+            assert via_rvalues == step_up_set(ds, config, q)
 
 
 def test_rvalue_far_below_1e12_matches_step_up():
@@ -270,8 +262,8 @@ def test_rvalue_far_below_1e12_matches_step_up():
     # already rejects the feature at q = 1e-13
     ds, config = dataset_from_arrays([1e-30], [1e-20], m=10**6)
     q = 1e-13
-    assert "f0" in step_up_set(ds, config, q).replicated_ids
-    assert "f0" in step_up_set_general_dep(ds, config, q).replicated_ids
+    assert "f0" in step_up_set(ds, config, q)
+    assert "f0" in step_up_set_general_dep(ds, config, q)
     for rvalues_fn in (fdr_rvalues_all, fdr_rvalues_all_general_dep,
                        bonferroni_rvalues_all):
         r = rvalues_fn(ds, config).r_value("f0")
