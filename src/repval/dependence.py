@@ -15,23 +15,36 @@ agree bit for bit, as in the independent case:
       c1~(x) = max{a : a * (1 + sum_{i=1}^{ceil(t*m/(a*x)) - 1} 1/i) = c1(x)}.
   Once the regime k is known, G(x) = x * c1(x) / (1 + H_k), and k depends
   on x only through C = t*m / (x * c1(x)); k falls as x rises, so G stays
-  nondecreasing on doubles. c1~ has no consistent regime below about
-  x = 1e-16 at m = 1e6, t = 1e-4, so G's argument is floored at 1e-12: the
-  reported r-value is max(r_i, 1e-12), and nothing is claimed below 1e-12.
+  nondecreasing on doubles. k grows like C * (1 + H_k) as x falls, and the
+  walk that finds it counts in doubles, exact up to 2^53 (c1~ has no
+  consistent regime below about x = 1e-16 at m = 1e6, t = 1e-4). So G's
+  argument is floored at 1e-12, or higher where t*m is so large that a
+  count would pass 2^53 there: above t*m = 117.5 at l00 = 0, c2 = 0.5
+  (587 at l00 = 0.8), and at t*m = 1e5 the floor is 8.5e-10. The reported
+  r-value is max(r_i, floor), and nothing is claimed below the floor.
+
+  The walk is dear, so the r-value engine evaluates G exactly only where
+  a bracket cannot decide. The factor 1 + H_k depends on x only through
+  g = x * c1(x) and does not increase with g, so its exact values at the
+  doubles that keep the top 6 mantissa bits of g, tabled once per call,
+  bracket G(x) to about 1 / (64 * (1 + H_k)) relative.
 
 Both produce r-values no smaller than the baseline. The threshold variant
 raises ValueError without config.t, DatasetError when a primary p-value is
-above t, and NoConsistentRegime on a numerical defect of the regime walk.
+above t, and NoConsistentRegime when t*m is too large for any x below 1 or
+on a numerical defect of the regime walk.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .model import (AnalysisConfig, DatasetError, Method, RValueReport,
                     ValidatedDataset)
-from .rvalue import (_exact_rvalues, _fdr_procedure, _level, _Procedure,
-                     _report, _step_up, c1)
+from .rvalue import (_exact_rvalues, _fdr_procedure, _inverse_level, _level,
+                     _Procedure, _report, _step_up, c1)
 
 __all__ = [
     "m_star", "c1_tilde", "NoConsistentRegime",
@@ -43,9 +56,17 @@ _EULER_GAMMA = 0.5772156649015329
 _EXACT_TABLE_SIZE = 1024
 # c1~ regimes are int64; none is searched beyond this count
 _REGIME_LIMIT = 2**62
-# Smallest argument of the threshold-dependent level function: c1~ has no
-# consistent regime below about 1e-16 at m = 1e6, t = 1e-4.
+# Regime counts are integral doubles, exact up to this count
+_EXACT_COUNT = 2.0**53
+# Smallest argument of the threshold-dependent level function at any t*m:
+# c1~ has no consistent regime below about 1e-16 at m = 1e6, t = 1e-4.
 _FLOOR = 1e-12
+# The regime factor is tabled on the doubles that keep the top 6 mantissa
+# bits: a plain level g lies in cell g.view(int64) >> _CELL_SHIFT
+_CELL_SHIFT = 46
+# Relative widening of the tabled factors, so that the brackets hold even
+# where the computed H_k is not monotone in its last bits
+_WIDEN = 2.0**-40
 
 # prefix[k] = H_k, exact for the small values the regime search probes often
 _PREFIX = np.concatenate(
@@ -61,7 +82,7 @@ def _harmonic_tail(n):
 
 def _harmonic(k: np.ndarray) -> np.ndarray:
     """H_k = sum_{i=1}^{k} 1/i elementwise for an array of integral counts
-    k >= 1 (int64, or float for counts past int64): exact table lookup up to
+    k >= 0 (int64, or float for counts past int64): exact table lookup up to
     1024, asymptotic expansion above."""
     out = _harmonic_tail(k.astype(float))
     small = k <= _EXACT_TABLE_SIZE
@@ -156,6 +177,43 @@ def step_up_set_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
 
 # --- threshold-dependent selection ------------------------------------------
 
+def _threshold_floor(t: float, m: int, l00: float, c2: float) -> float:
+    """Smallest argument of the threshold level: 1e-12, or higher where t*m
+    is so large that a regime count of the walk would pass 2^53 there. The
+    walk rises to the smallest fixed point, which is below 2^53 when
+    C = t*m/g <= 2^53 / (1 + H_(2^53)); a 2^-20 margin covers the rounding
+    of C and g. NoConsistentRegime when no x below 1 is that large."""
+    c_max = (_EXACT_COUNT * (1.0 - 2.0**-20)
+             / (1.0 + _harmonic(np.array([_EXACT_COUNT]))[0]))
+    x = _inverse_level(np.array([t * m / c_max]), l00, c2)[0]
+    if not 0.0 < x < 1.0:
+        raise NoConsistentRegime(
+            f"no consistent regime below 2^53 for any x below 1 at t={t}, "
+            f"m={m}")
+    return max(_FLOOR, float(x))
+
+
+@lru_cache(maxsize=8)
+def _factor_table(t: float, m: int, g_floor: float):
+    """(first cell, lower, upper): per cell of plain levels from g_floor up
+    to t*m, bounds on 1 / (1 + H_k), the reciprocal of the regime factor.
+    The factor does not increase with g, so its exact values at a cell's
+    two edges bound it, widened by _WIDEN. A cell whose lower edge has
+    factor 1 has C <= 1 throughout, so its bounds are exactly 1; the last
+    entry serves every g above t*m."""
+    first = np.float64(g_floor).view(np.int64) >> _CELL_SHIFT
+    last = np.float64(t * m).view(np.int64) >> _CELL_SHIFT
+    edges = np.arange(first, max(last + 2, first + 1)) << _CELL_SHIFT
+    edges = edges.view(np.float64)
+    edges[0] = g_floor  # no level lies below it
+    factor = _regime_factor(edges, t, m)
+    lower = np.where(factor[:-1] == 1.0, 1.0, (1.0 - _WIDEN) / factor[:-1])
+    upper = np.minimum(1.0, (1.0 + _WIDEN) / factor[1:])
+    lower, upper = np.append(lower, 1.0), np.append(upper, 1.0)
+    lower.flags.writeable = upper.flags.writeable = False  # shared by calls
+    return int(first), lower, upper
+
+
 def _threshold_procedure(dataset: ValidatedDataset,
                          config: AnalysisConfig) -> _Procedure:
     if config.t is None:
@@ -168,22 +226,48 @@ def _threshold_procedure(dataset: ValidatedDataset,
             f"feature {dataset.ids[worst]!r} has p1={dataset.p1[worst]} "
             f"above the selection threshold t={config.t}")
     t, m, l00, c2 = config.t, config.m, config.l00, config.c2
+    tm = t * m
+    floor = _threshold_floor(t, m, l00, c2)
+    g_floor = float(_level(np.array([floor]), l00, c2)[0])
 
     def level(x, y=0.0):
-        g = _level(np.maximum(x, _FLOOR), l00, c2)
+        g = _level(np.maximum(x, floor), l00, c2)
         # G(x) <= x * c1(x), so the regime matters only where that exceeds y
         need = g > y
         g[need] /= _regime_factor(g[need], t, m)
         return np.maximum(y, g)
 
-    return _Procedure(float(m), c2, level, _FLOOR)
+    def bounds(x, y):
+        # g * lower <= g / F <= g * upper in reals, so also as rounded
+        g = _level(np.maximum(x, floor), l00, c2)
+        first, lower, upper = _factor_table(t, m, g_floor)
+        cell = (g.view(np.int64) >> _CELL_SHIFT) - first
+        lo = np.take(lower, cell, mode="clip") * g
+        hi = np.take(upper, cell, mode="clip") * g
+        return np.maximum(lo, y, out=lo), np.maximum(hi, y, out=hi)
+
+    def guess(b):
+        # Regime k holds the plain levels g from t*m*F_k/(k+1) up to
+        # t*m*F_(k-1)/k (F_k = 1 + H_k), so G = g / F_k runs there from
+        # t*m/(k+1) to t*m*F_(k-1)/(k*F_k), and regime k - 1 starts at
+        # G = t*m/k. With k = ceil(t*m/b) - 1, b is first reached at
+        # g = b * F_k in regime k, or at the start of regime k - 1,
+        # whichever is smaller.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            k = np.maximum(np.ceil(tm / b), 1.0) - 1.0
+            f_k = 1.0 + _harmonic(k)
+            f_prev = 1.0 + _harmonic(np.maximum(k - 1.0, 0.0))
+            return _inverse_level(np.minimum(b * f_k, tm * f_prev / k),
+                                  l00, c2)
+
+    return _Procedure(float(m), c2, level, guess, floor, bounds)
 
 
 def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
                                   config: AnalysisConfig) -> RValueReport:
     """r-values valid under arbitrary primary-study dependence when the
     follow-up set was everything below a fixed primary cutoff t. Never below
-    1e-12 (see the module docstring)."""
+    the floor of the level function (see the module docstring)."""
     proc = _threshold_procedure(dataset, config)
     return _report(dataset, config, Method.FDR_THRESHOLD_DEP,
                    _exact_rvalues(proc, dataset.p1, dataset.p2))
@@ -193,5 +277,5 @@ def step_up_set_threshold_dep(dataset: ValidatedDataset,
                               config: AnalysisConfig,
                               q: float) -> frozenset[str]:
     """Ids claimed at level q under threshold-dependent selection; nothing
-    is claimed below 1e-12."""
+    is claimed below the floor of the level function."""
     return _step_up(dataset, q, _threshold_procedure(dataset, config))

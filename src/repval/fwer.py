@@ -12,7 +12,7 @@ r_j <= q holds exactly when feature j is claimed at q.
 from __future__ import annotations
 
 from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
-from .rvalue import _fdr_procedure, _report, _scaled, _smallest_reaching
+from .rvalue import _fdr_procedure, _invert, _report, _scaled
 
 __all__ = ["bonferroni_rvalues_all"]
 
@@ -22,5 +22,5 @@ def bonferroni_rvalues_all(dataset: ValidatedDataset,
     """FWER r-values for every followed-up feature."""
     proc = _fdr_procedure(config, float(config.m))
     u, v = _scaled(proc, dataset.p1, dataset.p2)
-    values = _smallest_reaching(proc.level, proc.level(v, u), proc.floor)
+    values = _invert(proc, proc.level(v, u))
     return _report(dataset, config, Method.FWER_BONFERRONI, values)

@@ -26,9 +26,17 @@ smallest double x with G(x) >= b_i (1 when no x below 1 reaches it), and
 r_i <= q holds exactly when feature i is in the step-up set at q.
 
 :func:`_exact_rvalues` finds every b_i in blocks of counts, in O(R1^2) time
-and O(R1) memory, and inverts G by bisection over doubles. All functions
-are pure; r-values are bitwise reproducible and do not depend on the order
-of the records.
+and O(R1) memory. An entry level is inf exactly where v_j / r rounds to 1
+or more, so with the features sorted by v only a prefix of them has finite
+entries at count r, and counts with fewer than r finite entries, where
+T(r) and every candidate are inf, are skipped. A procedure whose level is
+dear to evaluate (threshold-dependent selection) also gives cheap brackets
+of it, and its level is evaluated exactly only where a bracket cannot
+decide T(r) or a feature's minimum. G is inverted by a search over doubles
+that starts from a closed-form guess of the inverse, gallops to a bracket
+a few ulps wide and bisects it; the smallest double reaching b_i is
+unique, so the start does not change it. All functions are pure; r-values
+are bitwise reproducible and do not depend on the order of the records.
 """
 
 from __future__ import annotations
@@ -69,22 +77,40 @@ def _level(x, l00: float, c2: float) -> np.ndarray:
     return g
 
 
+def _inverse_level(b, l00: float, c2: float) -> np.ndarray:
+    """The x with G(x) = b in closed form, x = (1 - l00) / ((1 - c2) / b -
+    l00 * c2), within a few ulps of the smallest double reaching b; 1 or
+    more where no x below 1 does, inf where the denominator is not
+    positive. Scaled like :func:`_level`, so a subnormal b gives a finite
+    guess."""
+    s = 2.0**-64
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (1.0 - l00) * s / ((1.0 - c2) * s / b - l00 * c2 * s)
+    return np.where(x < 0.0, np.inf, x)
+
+
 @dataclass(frozen=True)
 class _Procedure:
     """A procedure as the claim predicate sees it: ``level(x, y)`` is
-    max(y, G(x)) elementwise (G for y = 0), and no claim is made below
-    ``floor``, under which G is constant."""
+    max(y, G(x)) elementwise (G for y = 0), ``guess(b)`` a closed-form
+    estimate of the smallest x with G(x) >= b, and no claim is made below
+    ``floor``, under which G is constant. ``bounds(x, y)``, for a level
+    that is dear to evaluate, gives cheap elementwise brackets lo <= level
+    <= hi, equal wherever they are exact."""
 
     m_eff: float
     c2: float
     level: Callable
+    guess: Callable
     floor: float = 0.0
+    bounds: Optional[Callable] = None
 
 
 def _fdr_procedure(config: AnalysisConfig, m_eff: float) -> _Procedure:
     l00, c2 = config.l00, config.c2
     return _Procedure(m_eff, c2,
-                      lambda x, y=0.0: np.maximum(y, _level(x, l00, c2)))
+                      lambda x, y=0.0: np.maximum(y, _level(x, l00, c2)),
+                      lambda b: _inverse_level(b, l00, c2))
 
 
 def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray):
@@ -94,39 +120,166 @@ def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray):
 
 
 def _smallest_reaching(level, a: np.ndarray, floor: float,
-                       ceiling: float = 1.0) -> np.ndarray:
-    """Elementwise the smallest double x in [floor, ceiling) with
-    level(x) >= a, and ceiling where there is none. Bisection over the bit
-    patterns of nonnegative doubles, which order like their values, so it
-    ends on adjacent doubles after at most 64 halvings. Taking the upper
-    middle leaves an element that has converged where it is."""
-    lo = np.full(len(a), np.float64(floor).view(np.int64) - 1)
-    hi = np.full(len(a), np.float64(ceiling).view(np.int64))
-    while (hi - lo > 1).any():
-        mid = (lo + hi + 1) // 2
-        reached = level(mid.view(np.float64)) >= a
-        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+                       guess: np.ndarray) -> np.ndarray:
+    """Elementwise the smallest double x in [floor, 1) with level(x) >= a,
+    and 1 where there is none. The bit patterns of nonnegative doubles
+    order like their values and level is nondecreasing on them, so the
+    answer is one pattern, found by search over patterns. It starts at
+    ``guess`` (any double, clipped into the range), gallops away from it
+    in steps of 1, 2, 4, ... ulps until a probe lands on the other side,
+    then bisects the bracket: a guess within a few ulps costs a few
+    evaluations of level, a useless one about 2 * 62."""
+    below = np.float64(floor).view(np.int64) - 1  # stands for level < a
+    above = np.float64(1.0).view(np.int64)        # stands for level >= a
+    x = np.clip(np.asarray(guess, dtype=float).view(np.int64), below + 1,
+                above - 1)
+    down = level(x.view(np.float64)) >= a
+    lo, hi = np.where(down, below, x), np.where(down, x, above)
+    todo, step = np.flatnonzero(hi - lo > 1), 1
+    while todo.size:
+        d, at_lo, at_hi = down[todo], lo[todo], hi[todo]
+        probe = np.where(d, np.maximum(at_hi - step, at_lo + 1),
+                         np.minimum(at_lo + step, at_hi - 1))
+        hit = level(probe.view(np.float64)) >= a[todo]
+        hi[todo], lo[todo] = np.where(hit, probe, at_hi), np.where(hit, at_lo,
+                                                                   probe)
+        todo = todo[(hit == d) & (hi[todo] - lo[todo] > 1)]
+        step = min(2 * step, 2**62)
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        hit = level(mid.view(np.float64)) >= a[todo]
+        hi[todo], lo[todo] = (np.where(hit, mid, hi[todo]),
+                              np.where(hit, lo[todo], mid))
+        todo = todo[hi[todo] - lo[todo] > 1]
     return hi.view(np.float64)
+
+
+def _invert(proc: _Procedure, b: np.ndarray) -> np.ndarray:
+    """r-values from the levels b: the smallest doubles x with G(x) >= b."""
+    return _smallest_reaching(proc.level, b, proc.floor, proc.guess(b))
+
+
+def _live_counts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For v sorted ascending, the counts r (as floats) at which T(r) can be
+    finite, and the number of finite entry levels at each. An entry level
+    is inf exactly where v_j / r rounds to 1 or more, so at count r the
+    finite ones are a prefix of the features, and T(r), with every
+    candidate at r, is inf where that prefix is shorter than r."""
+    counts = np.arange(1.0, len(v) + 1.0)
+    finite = np.searchsorted(v, counts)  # features with v_j < r
+    while (over := (finite > 0)
+           & (v[np.maximum(finite - 1, 0)] / counts >= 1.0)).any():
+        finite -= over  # v_j / r rounded up to 1
+    live = finite >= counts
+    return counts[live], finite[live]
+
+
+def _kth_smallest(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Per row of a, the entry of 0-based rank ``ranks[row]``."""
+    part = a.copy()
+    for row, k in zip(part, ranks.tolist()):
+        row.partition(k)
+    return part[np.arange(len(part)), ranks]
+
+
+def _bracketed_kth(proc: _Procedure, x: np.ndarray, y: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray,
+                   ranks: np.ndarray) -> np.ndarray:
+    """T(r) exactly from brackets lo <= A <= hi of a block's entry levels
+    A = level(x, y). T(r) is at least t, the r-th smallest lo, and at most
+    any u with at least r of the hi at or below it: t * (1 + 2^-8) in most
+    rows, as brackets are narrower, else the r-th smallest hi. The entries
+    whose brackets meet [t, u] are made exact in lo and hi. Every other
+    entry lies strictly below or above that range, so T(r) is the
+    (r - below)-th smallest of the exact ones, ``below`` counting the
+    entries under it."""
+    t = _kth_smallest(lo, ranks)
+    u = t * (1.0 + 2.0**-8)
+    short = np.flatnonzero(
+        np.count_nonzero(hi <= u[:, None], axis=1) <= ranks)
+    u[short] = _kth_smallest(hi[short], ranks[short])
+    reach = hi >= t[:, None]
+    below = lo.shape[1] - np.count_nonzero(reach, axis=1)
+    # flat indices in row-major order, so grouped by row
+    r, c = np.divmod(np.flatnonzero(reach & (lo <= u[:, None])), lo.shape[1])
+    exact, upper = lo[r, c], hi[r, c]
+    open_ = np.flatnonzero(exact < upper)
+    exact[open_] = proc.level(x[r[open_], c[open_]], y[r[open_], c[open_]])
+    lo[r, c] = hi[r, c] = exact
+    exact = exact[np.lexsort((exact, r))]
+    return exact[np.searchsorted(r, np.arange(len(lo))) + ranks - below]
+
+
+# no deferred cells: counts, features, T(count) and lower candidates
+_NO_CELLS = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
+             np.empty(0))
+
+
+def _prune(best: np.ndarray, cells: tuple) -> tuple:
+    """The deferred cells (count, feature, T(count), lower candidate) whose
+    lower candidate is still below the feature's best."""
+    keep = cells[3] < best[cells[1]]
+    return tuple(column[keep] for column in cells)
+
+
+def _resolve(proc: _Procedure, u: np.ndarray, v: np.ndarray,
+             best: np.ndarray, cells: tuple) -> None:
+    """Fold the exact candidates of the deferred cells into ``best``."""
+    r, j, t, _ = _prune(best, cells)
+    np.minimum.at(best, j, np.maximum(proc.level(v[j] / r, u[j] / r), t))
 
 
 def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
                    p2: np.ndarray) -> np.ndarray:
     """r-values of all features by the min-max formula of the module
     docstring. Counts are taken in blocks of at most _BLOCK elements, so
-    memory stays O(R1) while time is O(R1^2)."""
+    memory stays O(R1) while time is O(R1^2).
+
+    A procedure with ``bounds`` evaluates its level exactly only where a
+    bracket decides: T(r) comes from :func:`_bracketed_kth`, ``best`` is
+    the running minimum of the upper candidates max(hi, T), and a cell
+    whose lower candidate max(lo, T) is below it is deferred. Deferred
+    cells are dropped once ``best`` falls to their lower candidate, and
+    the rest are made exact at the end, or when more than _BLOCK wait.
+    Every other cell's candidate is at least ``best``, so the minimum is
+    exact."""
     r1 = len(p1)
     u, v = _scaled(proc, p1, p2)
+    order = np.argsort(v, kind="stable")
+    u, v = u[order], v[order]
+    live, finite = _live_counts(v)
     best = np.full(r1, np.inf)
-    rows = max(1, _BLOCK // max(r1, 1))
-    for first in range(1, r1 + 1, rows):
-        counts = np.arange(first, min(first + rows, r1 + 1),
-                           dtype=float)[:, None]
-        a = proc.level(v / counts, u / counts)
-        # T(r): the r-th smallest entry level at count r
-        t = np.array([np.partition(row, k)[k]
-                      for k, row in enumerate(a, start=first - 1)])
-        np.minimum(best, np.maximum(a, t[:, None]).min(axis=0), out=best)
-    return _smallest_reaching(proc.level, best, proc.floor)
+    deferred = _NO_CELLS
+    first = 0
+    while first < len(live):
+        stop = min(first + max(1, _BLOCK // finite[first]), len(live))
+        counts, width = live[first:stop, None], finite[stop - 1]
+        ranks = counts[:, 0].astype(np.int64) - 1
+        # the entries past the last row's finite prefix are all inf
+        x, y, head = v[:width] / counts, u[:width] / counts, best[:width]
+        first = stop
+        if proc.bounds is None:
+            a = proc.level(x, y)
+            t = _kth_smallest(a, ranks)[:, None]
+            np.minimum(head, np.maximum(a, t, out=a).min(axis=0), out=head)
+            continue
+        lo, hi = proc.bounds(x, y)
+        t = _bracketed_kth(proc, x, y, lo, hi, ranks)[:, None]
+        np.minimum(head, np.maximum(hi, t, out=hi).min(axis=0), out=head)
+        low = np.maximum(lo, t, out=lo)
+        r, j = np.divmod(np.flatnonzero(low < head), width)
+        deferred = _prune(best, tuple(
+            np.concatenate(pair) for pair in
+            zip(deferred, (counts[r, 0], j, t[r, 0], low[r, j]))))
+        if len(deferred[0]) > _BLOCK:  # keeps memory O(_BLOCK)
+            _resolve(proc, u, v, best, deferred)
+            deferred = _NO_CELLS
+    if len(deferred[0]):
+        _resolve(proc, u, v, best, deferred)
+    values = np.empty(r1)
+    values[order] = _invert(proc, best)
+    return values
 
 
 def _report(dataset: ValidatedDataset, config: AnalysisConfig, method: Method,
@@ -146,17 +299,13 @@ def fdr_rvalues_all(dataset: ValidatedDataset,
 def _claim_levels(proc: _Procedure,
                   q: float) -> Optional[tuple[float, float]]:
     """(G(q), q*), q* the largest double where G(q*) <= G(q); None below the
-    floor, where every r-value is larger than q. q* is bracketed by doubling
-    a step in ulps above q, then bisected."""
+    floor, where every r-value is larger than q. q* is one double below the
+    smallest x reaching the next double above G(q), searched from q."""
     if q < proc.floor:
         return None
     g = proc.level(np.array([q]))[0]
-    bits, step = np.float64(q).view(np.int64), 1
-    while proc.level(np.array([bits + step]).view(np.float64))[0] <= g:
-        bits, step = bits + step, 2 * step
-    start, stop = np.array([bits, bits + step]).view(np.float64)
     first = _smallest_reaching(proc.level, np.array([np.nextafter(g, np.inf)]),
-                               start, stop)[0]
+                               proc.floor, np.array([q]))[0]
     return float(g), float(np.nextafter(first, 0.0))
 
 

@@ -1,10 +1,15 @@
 """Independent brute-force reference implementations used to pin expected
 values. Deliberately naive (plain loops, no shared code paths with the
-package) so a defect in the library cannot hide in its own oracle."""
+package) so a defect in the library cannot hide in its own oracle. The
+exception is the r-value engine's reference, which evaluates a procedure's
+own level function exactly on every cell: it pins the engine's shortcuts
+bit for bit, not the level function."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def oracle_c1(x, l00, c2):
@@ -196,3 +201,31 @@ def spearman(a, b):
     va = math.sqrt(sum((x - ma) ** 2 for x in ra))
     vb = math.sqrt(sum((y - mb) ** 2 for y in rb))
     return cov / (va * vb)
+
+
+def oracle_smallest_reaching(level, a, floor):
+    """Elementwise the smallest double x in [floor, 1) with level(x) >= a,
+    and 1 where there is none, by bisecting the whole range of bit patterns
+    of nonnegative doubles for every element."""
+    lo = np.full(len(a), np.float64(floor).view(np.int64) - 1)
+    hi = np.full(len(a), np.float64(1.0).view(np.int64))
+    while (hi - lo > 1).any():
+        mid = (lo + hi + 1) // 2
+        reached = level(mid.view(np.float64)) >= a
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+    return hi.view(np.float64)
+
+
+def oracle_exact_rvalues(proc, p1, p2):
+    """r-values by the min-max formula, one count at a time with the exact
+    entry level A_j(r) = proc.level(v_j / r, u_j / r) on every feature:
+    b_j = min over r of max(A_j(r), T(r)), T(r) the r-th smallest A(r),
+    inverted by full-range bisection."""
+    r1 = len(p1)
+    u, v = p1 * proc.m_eff, p2 * r1 / proc.c2
+    best = np.full(r1, np.inf)
+    for r in range(1, r1 + 1):
+        a = proc.level(v / float(r), u / float(r))
+        best = np.minimum(best, np.maximum(a, np.partition(a, r - 1)[r - 1]))
+    return oracle_smallest_reaching(proc.level, best, proc.floor)
+

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from repval import cli, read_pvalue_table, simulate
+from repval import (AnalysisConfig, cli, dependence,
+                    fdr_rvalues_all_threshold_dep, read_pvalue_table,
+                    simulate, step_up_set_threshold_dep,
+                    validate_dataset)
 
 from conftest import DATA_DIR
 
@@ -204,13 +207,38 @@ def test_bad_scenario_exits_2_with_one_line(flag, value, message, capsys):
 
 
 def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):
+    # at t*m = 5e14 a regime count passes 2^53 at every x below 1
     table = tmp_path / "big.tsv"
     table.write_text("id\tp1\tp2\na\t1e-20\t1e-20\nb\t0.3\t0.5\n")
-    code = cli.main(["rvalues", str(table), "--m", "100000000", "--method",
+    code = cli.main(["rvalues", str(table), "--m", str(10**15), "--method",
                      "fdr-threshold-dep", "--t", "0.5"])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no consistent regime" in err
+
+
+@pytest.mark.parametrize("l00", ["0", "0.8", "0.95"])
+@pytest.mark.parametrize("m", ["1000000", "100000000"])
+def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
+                                                      capsys):
+    # t*m from 1e5 to 1e7: the regime walk at x = 1e-12 would pass 2^62,
+    # so the level's floor rises with t*m and the r-values stop there
+    table = tmp_path / "big.tsv"
+    table.write_text("id\tp1\tp2\na\t1e-25\t1e-25\nb\t0.05\t0.5\n")
+    argv = ["rvalues", str(table), "--m", m, "--l00", l00, "--method",
+            "fdr-threshold-dep", "--t", "0.1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["a\t1e-25\t1e-25\t0.0000", "b\t0.05\t0.5\t1.0000"]
+    ds = read_pvalue_table(table)
+    config = AnalysisConfig(m=int(m), l00=float(l00), t=0.1)
+    ds = validate_dataset(ds.records, config)
+    floor = dependence._threshold_procedure(ds, config).floor
+    values = fdr_rvalues_all_threshold_dep(ds, config).values
+    assert 1e-12 < floor < 1e-5
+    assert values[0] == floor and values[1] == 1.0
+    assert "a" in step_up_set_threshold_dep(ds, config, floor)
+    assert not step_up_set_threshold_dep(ds, config, 0.99 * floor)
 
 
 @pytest.mark.parametrize("text, flags, message", [

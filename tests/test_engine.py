@@ -15,7 +15,8 @@ from repval import (AnalysisConfig, SimulationScenario,
 
 from conftest import dataset_from_arrays
 from _oracles import (oracle_bonferroni, oracle_bonferroni_bisect, oracle_c1,
-                      oracle_rvalues_bisect)
+                      oracle_exact_rvalues, oracle_rvalues_bisect,
+                      oracle_smallest_reaching)
 
 QS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9)
 METHODS = ("fdr", "fdr-general-dep", "fdr-threshold-dep", "fwer-bonferroni")
@@ -131,7 +132,8 @@ def test_bonferroni_engine_is_the_closed_form():
         assert np.allclose(got, ref, rtol=1e-14, atol=0)
 
 
-def test_block_split_never_changes_results(monkeypatch):
+@pytest.mark.parametrize("method", METHODS)
+def test_block_split_never_changes_results(method, monkeypatch):
     # R1 = 1500 spans several blocks of counts at the default block size;
     # blocks of 7 counts, or of one, must give the same bits
     rng = np.random.default_rng(71)
@@ -139,14 +141,127 @@ def test_block_split_never_changes_results(monkeypatch):
     p1 = 10.0 ** rng.uniform(-10, -4, r1)
     p2 = np.where(rng.random(r1) < 0.4, 10.0 ** rng.uniform(-10, -1, r1),
                   rng.uniform(1e-6, 1.0, r1))
-    ds, config = dataset_from_arrays(p1, p2, m=10**6, l00=0.8)
-    values = fdr_rvalues_all(ds, config).values
+    ds, config = dataset_from_arrays(
+        p1, p2, m=10**6, l00=0.8,
+        t=1e-4 if method == "fdr-threshold-dep" else None)
+    values = ENGINE[method](ds, config).values
     for q in (0.01, 0.05):
         via_r = {fid for fid, r in zip(ds.ids, values) if r <= q}
-        assert via_r == step_up_set(ds, config, q)
+        assert via_r == _claimed(method, ds, config, q)
     for block in (7 * r1, 1):
         monkeypatch.setattr(rvalue, "_BLOCK", block)
-        assert np.array_equal(fdr_rvalues_all(ds, config).values, values)
+        assert np.array_equal(ENGINE[method](ds, config).values, values)
+
+
+def _procedure(method, ds, config):
+    if method == "fdr-threshold-dep":
+        return dependence._threshold_procedure(ds, config)
+    m_eff = m_star(config.m) if method == "fdr-general-dep" else config.m
+    return rvalue._fdr_procedure(config, float(m_eff))
+
+
+@st.composite
+def oracle_instances(draw):
+    """Up to 200 features, p-values down to 1e-16 with primary p-values at
+    t (or 1), follow-up p-values at 1, tied rows, and entry levels at the
+    level function's floor, which for the threshold variant rises with
+    t*m."""
+    method = draw(st.sampled_from(METHODS[:3]))
+    t = (draw(st.sampled_from((1e-4, 0.01, 0.3)))
+         if method == "fdr-threshold-dep" else None)
+    r1 = draw(st.integers(1, 200))
+    m = max(r1, draw(st.sampled_from((1, 10**3, 10**6, 10**7))))
+    l00 = draw(st.sampled_from((0.0, 0.5, 0.8, 0.95)))
+    c2 = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = t or 1.0
+    floor = dependence._threshold_floor(t, m, l00, c2) if t else 1e-12
+    p1 = top * 10.0 ** -rng.uniform(0, 16, r1)
+    p2 = np.where(rng.random(r1) < 0.5, 10.0 ** -rng.uniform(0, 16, r1),
+                  1.0 - rng.random(r1))
+    kind = rng.integers(0, 6, r1)
+    count = rng.integers(1, r1 + 1, r1)
+    at_floor = kind == 3  # v_j / count at the floor, u_j / count below it
+    p1 = np.where(kind == 1, top, p1)
+    p2 = np.where(kind == 2, 1.0, p2)
+    p2 = np.where(at_floor, floor * c2 * count / r1, p2)
+    p1 = np.where(at_floor, np.minimum(top, floor * count / (2.0 * m)), p1)
+    tied = np.flatnonzero(kind == 4)
+    p1[tied], p2[tied] = p1[0], p2[0]
+    ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00, c2=c2, t=t)
+    return method, ds, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_instances(), st.sampled_from((1, 97, 2**16)))
+def test_engine_matches_exact_oracle_bitwise(instance, block):
+    # the bracketed threshold engine, the sorted live-count blocks and the
+    # guess-started inverse against the exact level on every cell
+    method, ds, config = instance
+    ref = oracle_exact_rvalues(_procedure(method, ds, config), ds.p1, ds.p2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rvalue, "_BLOCK", block)
+        assert np.array_equal(ENGINE[method](ds, config).values, ref)
+
+
+@pytest.mark.parametrize("l00", (0.0, 0.8, 0.95))
+@pytest.mark.parametrize("method", METHODS[:3])
+def test_guess_started_search_matches_full_range(method, l00):
+    ds, config = dataset_from_arrays([1e-5], [0.5], m=10**6, l00=l00,
+                                     t=1e-4)
+    proc = _procedure(method, ds, config)
+    rng = np.random.default_rng(83)
+    g_floor = proc.level(np.array([proc.floor]))[0]
+    b = np.concatenate([
+        10.0 ** rng.uniform(-20, 0.5, 400),
+        [np.inf, 5e-324, 1e-310, 2.2e-308, g_floor / 2, g_floor,
+         np.nextafter(g_floor, np.inf), 0.5, 1.0, 7.0]])
+    ref = oracle_smallest_reaching(proc.level, b, proc.floor)
+    assert ref[np.isinf(b)] == 1.0
+    assert (ref[b <= g_floor] == proc.floor).all()
+    for guess in (proc.guess(b), np.full(len(b), np.nan), np.zeros(len(b)),
+                  np.full(len(b), np.inf), np.full(len(b), -1.0), b):
+        got = rvalue._smallest_reaching(proc.level, b, proc.floor, guess)
+        assert np.array_equal(got, ref)
+
+
+def _seeded_table(r1=1000, t=1e-4):
+    """Like the benchmark's tables: p1 log-uniform over eight decades below
+    t; 35% of p2 log-uniform in [1e-10, 1e-1], the rest uniform."""
+    rng = np.random.default_rng(1)
+    p1 = t * 10.0 ** (-8.0 * rng.random(r1))
+    p2 = np.where(rng.random(r1) < 0.35, 10.0 ** rng.uniform(-10, -1, r1),
+                  1.0 - rng.random(r1))
+    return dataset_from_arrays(p1, p2, m=10**6, l00=0.8, t=t)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_inverse_takes_few_level_evaluations(method, monkeypatch):
+    # the closed-form guess lands within a few ulps; a search over the
+    # whole range took 62 evaluations
+    ds, config = _seeded_table()
+    calls = []
+    search = rvalue._smallest_reaching
+
+    def counted(level, a, floor, guess):
+        return search(lambda x: calls.append(x) or level(x), a, floor, guess)
+
+    monkeypatch.setattr(rvalue, "_smallest_reaching", counted)
+    ENGINE[method](ds, config)
+    assert 1 <= len(calls) <= 12
+
+
+def test_threshold_engine_walks_few_cells(monkeypatch):
+    # the regime walk runs only where a bracket cannot decide: on <= 1% of
+    # the R1^2 cells (every cell with x * c1(x) above u / r before)
+    ds, config = _seeded_table()
+    fdr_rvalues_all_threshold_dep(ds, config)  # tables the regime factor
+    walked = []
+    walk = dependence._regime_factor
+    monkeypatch.setattr(dependence, "_regime_factor",
+                        lambda g, t, m: walked.append(len(g)) or walk(g, t, m))
+    fdr_rvalues_all_threshold_dep(ds, config)
+    assert 0 < sum(walked) <= 0.01 * len(ds) ** 2
 
 
 def _step_up_count_by_scan(need):
