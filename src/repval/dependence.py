@@ -37,8 +37,6 @@ on a numerical defect of the regime walk.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .model import (AnalysisConfig, DatasetError, Method, RValueReport,
@@ -193,7 +191,6 @@ def _threshold_floor(t: float, m: int, l00: float, c2: float) -> float:
     return max(_FLOOR, float(x))
 
 
-@lru_cache(maxsize=8)
 def _factor_table(t: float, m: int, g_floor: float):
     """(first cell, lower, upper): per cell of plain levels from g_floor up
     to t*m, bounds on 1 / (1 + H_k), the reciprocal of the regime factor.
@@ -210,7 +207,6 @@ def _factor_table(t: float, m: int, g_floor: float):
     lower = np.where(factor[:-1] == 1.0, 1.0, (1.0 - _WIDEN) / factor[:-1])
     upper = np.minimum(1.0, (1.0 + _WIDEN) / factor[1:])
     lower, upper = np.append(lower, 1.0), np.append(upper, 1.0)
-    lower.flags.writeable = upper.flags.writeable = False  # shared by calls
     return int(first), lower, upper
 
 
@@ -229,6 +225,7 @@ def _threshold_procedure(dataset: ValidatedDataset,
     tm = t * m
     floor = _threshold_floor(t, m, l00, c2)
     g_floor = float(_level(np.array([floor]), l00, c2)[0])
+    table = None  # built by the first call of bounds
 
     def level(x, y=0.0):
         g = _level(np.maximum(x, floor), l00, c2)
@@ -239,8 +236,11 @@ def _threshold_procedure(dataset: ValidatedDataset,
 
     def bounds(x, y):
         # g * lower <= g / F <= g * upper in reals, so also as rounded
+        nonlocal table
+        if table is None:
+            table = _factor_table(t, m, g_floor)
+        first, lower, upper = table
         g = _level(np.maximum(x, floor), l00, c2)
-        first, lower, upper = _factor_table(t, m, g_floor)
         cell = (g.view(np.int64) >> _CELL_SHIFT) - first
         lo = np.take(lower, cell, mode="clip") * g
         hi = np.take(upper, cell, mode="clip") * g

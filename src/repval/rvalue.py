@@ -175,6 +175,15 @@ def _live_counts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts[live], finite[live]
 
 
+def _block_rows(finite: np.ndarray, budget: int) -> int:
+    """How many counts the next block takes: the most whose rows, as wide
+    as the last one's ``finite``, fit in ``budget`` elements; one at least.
+    ``finite`` does not decrease, so rows * width only grows."""
+    head = finite[:max(1, budget // finite[0])]
+    size = np.arange(1, len(head) + 1) * head
+    return max(1, int(np.searchsorted(size, budget, side="right")))
+
+
 def _kth_smallest(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Per row of a, the entry of 0-based rank ``ranks[row]``."""
     part = a.copy()
@@ -233,8 +242,9 @@ def _resolve(proc: _Procedure, u: np.ndarray, v: np.ndarray,
 def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
                    p2: np.ndarray) -> np.ndarray:
     """r-values of all features by the min-max formula of the module
-    docstring. Counts are taken in blocks of at most _BLOCK elements, so
-    memory stays O(R1) while time is O(R1^2).
+    docstring. Counts are taken in blocks of at most _BLOCK elements (or
+    one row, where a row is wider), so memory stays O(R1) while time is
+    O(R1^2).
 
     A procedure with ``bounds`` evaluates its level exactly only where a
     bracket decides: T(r) comes from :func:`_bracketed_kth`, ``best`` is
@@ -253,7 +263,7 @@ def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
     deferred = _NO_CELLS
     first = 0
     while first < len(live):
-        stop = min(first + max(1, _BLOCK // finite[first]), len(live))
+        stop = first + _block_rows(finite[first:], _BLOCK)
         counts, width = live[first:stop, None], finite[stop - 1]
         ranks = counts[:, 0].astype(np.int64) - 1
         # the entries past the last row's finite prefix are all inf

@@ -153,6 +153,28 @@ def test_block_split_never_changes_results(method, monkeypatch):
         assert np.array_equal(ENGINE[method](ds, config).values, values)
 
 
+@pytest.mark.parametrize("method", METHODS[:3])
+def test_blocks_stay_within_budget_on_a_skewed_table(method, monkeypatch):
+    # one very strong follow-up p-value makes the first live count's row
+    # one feature wide while every later row holds nearly all of them; a
+    # block sized by its first row would hold R1 rows of R1 entries
+    r1, block = 600, 2**12
+    p2 = np.full(r1, 1e-3)
+    p2[0] = 1e-9
+    ds, config = dataset_from_arrays(np.full(r1, 1e-6), p2, m=10**6,
+                                     l00=0.8, t=1e-4)
+    values = ENGINE[method](ds, config).values
+    sizes = []
+    kth = rvalue._kth_smallest
+    monkeypatch.setattr(rvalue, "_BLOCK", block)
+    monkeypatch.setattr(
+        rvalue, "_kth_smallest",
+        lambda a, ranks: sizes.append(a.shape) or kth(a, ranks))
+    assert np.array_equal(ENGINE[method](ds, config).values, values)
+    assert len(sizes) > 1
+    assert all(rows * width <= max(block, width) for rows, width in sizes)
+
+
 def _procedure(method, ds, config):
     if method == "fdr-threshold-dep":
         return dependence._threshold_procedure(ds, config)
@@ -252,10 +274,10 @@ def test_inverse_takes_few_level_evaluations(method, monkeypatch):
 
 
 def test_threshold_engine_walks_few_cells(monkeypatch):
-    # the regime walk runs only where a bracket cannot decide: on <= 1% of
-    # the R1^2 cells (every cell with x * c1(x) above u / r before)
+    # the regime walk runs only where a bracket cannot decide, and on the
+    # edges of the factor table: <= 1% of the R1^2 cells (every cell with
+    # x * c1(x) above u / r before)
     ds, config = _seeded_table()
-    fdr_rvalues_all_threshold_dep(ds, config)  # tables the regime factor
     walked = []
     walk = dependence._regime_factor
     monkeypatch.setattr(dependence, "_regime_factor",
