@@ -4,11 +4,12 @@ The r-value of a followed-up feature is the lowest error-rate level (FDR or
 FWER) at which it can be declared replicated across the primary and
 follow-up studies; it is read against a target level exactly like a
 p-value. The package computes r-values for tables of p-value pairs, whose
-rows are the follow-up set as already chosen by a stable selection rule. It
-provides the equivalent step-up claim rule, conservative variants for
-dependent primary-study p-values, an optional BH refinement of the
-follow-up set, the usual comparison baselines, and a seeded Monte Carlo
-harness for verifying error control and power.
+rows are the follow-up set as already chosen by a stable selection rule,
+and returns them as a float64 array in ``dataset.ids`` order. It provides
+the equivalent step-up claim rule, conservative variants for dependent
+primary-study p-values, an optional BH refinement of the follow-up set, the
+usual comparison baselines, and a seeded Monte Carlo harness for verifying
+error control and power.
 """
 
 from .baselines import max_p_bh, meta_p
@@ -17,24 +18,23 @@ from .dependence import (NoConsistentRegime, c1_tilde,
                          fdr_rvalues_all_threshold_dep, m_star,
                          step_up_set_general_dep, step_up_set_threshold_dep)
 from .fwer import bonferroni_rvalues_all
-from .model import (AnalysisConfig, DatasetError, FeatureRecord, Method,
-                    PValueTable, RValueReport, ValidatedDataset,
-                    read_pvalue_table, validate_dataset)
+from .model import (AnalysisConfig, DatasetError, FeatureRecord,
+                    PValueTable, ValidatedDataset, read_pvalue_table,
+                    validate_dataset)
 from .normal import normal_quantile, normal_sf
 from .rvalue import c1, fdr_rvalues_all, step_up_set
 from .selection import bh_reject, refine_for_replicability
-from .simulate import (RepOutcome, SimulationMetrics, SimulationScenario,
+from .simulate import (SimulationMetrics, SimulationScenario,
                        compare_baseline, estimate, parse_scenario_file,
                        simulate_rep, sweep_c2)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "DatasetError", "FeatureRecord", "Method",
-    "NoConsistentRegime", "PValueTable", "RValueReport", "RepOutcome",
-    "SimulationMetrics", "SimulationScenario", "ValidatedDataset",
-    "bh_reject", "bonferroni_rvalues_all", "c1", "c1_tilde",
-    "compare_baseline", "estimate", "fdr_rvalues_all",
+    "AnalysisConfig", "DatasetError", "FeatureRecord", "NoConsistentRegime",
+    "PValueTable", "SimulationMetrics", "SimulationScenario",
+    "ValidatedDataset", "bh_reject", "bonferroni_rvalues_all", "c1",
+    "c1_tilde", "compare_baseline", "estimate", "fdr_rvalues_all",
     "fdr_rvalues_all_general_dep", "fdr_rvalues_all_threshold_dep",
     "m_star", "max_p_bh", "meta_p", "normal_quantile", "normal_sf",
     "parse_scenario_file", "read_pvalue_table", "refine_for_replicability",

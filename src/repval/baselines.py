@@ -23,14 +23,24 @@ from .selection import bh_reject
 __all__ = ["max_p_bh", "meta_p"]
 
 
+def _max_p_bh_mask(p1: np.ndarray, p2: np.ndarray, config: AnalysisConfig,
+                   q: float) -> np.ndarray:
+    """Which features BH claims at level q / (1 - l00) on max(p1, p2), with
+    the maximum set to 1 for the m - R1 features that were not followed
+    up. The l00 inflation keeps the comparison with the r-value procedure
+    fair."""
+    mask = np.zeros(len(p1), dtype=bool)
+    mask[bh_reject(np.maximum(p1, p2), q / (1.0 - config.l00),
+                   n=config.m)] = True
+    return mask
+
+
 def max_p_bh(dataset: ValidatedDataset, config: AnalysisConfig,
              q: float) -> frozenset[str]:
-    """BH at level q / (1 - l00) on max(p1, p2), with the maximum set to 1
-    for the m - R1 features that were not followed up. The l00 inflation
-    keeps the comparison with the r-value procedure fair."""
-    rejected = bh_reject(np.maximum(dataset.p1, dataset.p2),
-                         q / (1.0 - config.l00), n=config.m)
-    return frozenset(dataset.ids[i] for i in rejected)
+    """Ids of the features BH on max(p1, p2) claims at level q / (1 - l00);
+    see :func:`_max_p_bh_mask`."""
+    mask = _max_p_bh_mask(dataset.p1, dataset.p2, config, q)
+    return frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
 
 
 def _chi2_sf_4(x: float) -> float:

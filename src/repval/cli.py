@@ -34,7 +34,7 @@ from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
                          fdr_rvalues_all_threshold_dep,
                          step_up_set_general_dep, step_up_set_threshold_dep)
 from .fwer import bonferroni_rvalues_all
-from .model import (AnalysisConfig, DatasetError, Method, read_pvalue_table,
+from .model import (AnalysisConfig, DatasetError, read_pvalue_table,
                     validate_dataset)
 from .rvalue import fdr_rvalues_all, step_up_set
 from .selection import refine_for_replicability
@@ -49,6 +49,20 @@ _SCENARIO_HELP = {
     "seed": "RNG seed (required here or in the scenario file)",
     "rho": "equicorrelation within primary-study blocks",
 }
+
+
+def _methods() -> dict:
+    """--method name -> (r-values, ids claimed at q, or None to claim
+    r <= q); the first entry is the default. Built per call so that it
+    uses the module's current bindings."""
+    return {
+        "fdr": (fdr_rvalues_all, step_up_set),
+        "fdr-general-dep": (fdr_rvalues_all_general_dep,
+                            step_up_set_general_dep),
+        "fdr-threshold-dep": (fdr_rvalues_all_threshold_dep,
+                              step_up_set_threshold_dep),
+        "fwer-bonferroni": (bonferroni_rvalues_all, None),
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,9 +90,9 @@ def build_parser() -> _Parser:
                          "(default 0.8)")
     rv.add_argument("--c2", type=float, default=0.5,
                     help="emphasis on the follow-up study (default 0.5)")
-    rv.add_argument("--method", default=Method.FDR_INDEPENDENT.value,
-                    choices=[m.value for m in Method],
-                    help="r-value procedure (default fdr)")
+    methods = list(_methods())
+    rv.add_argument("--method", default=methods[0], choices=methods,
+                    help=f"r-value procedure (default {methods[0]})")
     rv.add_argument("--t", type=float, default=None,
                     help="selection threshold on primary p-values "
                          "(required for --method fdr-threshold-dep)")
@@ -131,19 +145,8 @@ def _open_output(prog: str,
 
 
 def cmd_rvalues(args) -> int:
-    # method -> (r-values, ids claimed at q, or None to claim r <= q).
-    # Built per call so that it uses the module's current bindings.
-    procedures = {
-        Method.FDR_INDEPENDENT: (fdr_rvalues_all, step_up_set),
-        Method.FDR_GENERAL_DEP: (fdr_rvalues_all_general_dep,
-                                 step_up_set_general_dep),
-        Method.FDR_THRESHOLD_DEP: (fdr_rvalues_all_threshold_dep,
-                                   step_up_set_threshold_dep),
-        Method.FWER_BONFERRONI: (bonferroni_rvalues_all, None),
-    }
-    method = Method(args.method)
-    rvalues_fn, step_up_fn = procedures[method]
-    if method is Method.FDR_THRESHOLD_DEP and args.t is None:
+    rvalues_fn, step_up_fn = _methods()[args.method]
+    if args.method == "fdr-threshold-dep" and args.t is None:
         print("repval rvalues: error: --t is required for "
               "--method fdr-threshold-dep", file=sys.stderr)
         return EXIT_FLAGS
@@ -172,23 +175,19 @@ def cmd_rvalues(args) -> int:
 
     if args.refine_q is not None:
         before = len(dataset)
-        try:
-            dataset = refine_for_replicability(dataset, config, args.refine_q)
-        except ValueError as exc:
-            print(f"repval rvalues: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        dataset = refine_for_replicability(dataset, config, args.refine_q)
         print(f"repval rvalues: refinement kept {len(dataset)} of {before} "
               "features (non-followed primary p-values padded with 1.0; "
               "padding can only shrink this set)", file=sys.stderr)
 
     try:
-        report = rvalues_fn(dataset, config)
+        rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
         replicated: Optional[frozenset[str]]
         if args.q is None:
             replicated = None
         elif step_up_fn is None:
             replicated = frozenset(
-                fid for fid, r in report.entries if r <= args.q)
+                fid for fid, r in rvals.items() if r <= args.q)
         else:
             replicated = step_up_fn(dataset, config, args.q)
     except (ValueError, NoConsistentRegime) as exc:
@@ -196,8 +195,6 @@ def cmd_rvalues(args) -> int:
         return EXIT_DATA
 
     delim = {"tsv": "\t", "csv": ","}.get(args.format or "", table.delimiter)
-    rvals = dict(report.entries)
-    kept_ids = set(dataset.ids)
 
     header = list(table.fieldnames) + ["r_value"]
     if args.meta != "none":
@@ -213,7 +210,7 @@ def cmd_rvalues(args) -> int:
         writer = csv.writer(out, delimiter=delim, lineterminator="\n")
         writer.writerow(header)
         for row, rec in zip(table.rows, table.records):
-            if rec.id not in kept_ids:
+            if rec.id not in rvals:  # dropped by --refine-q
                 continue
             cells = [row.get(col, "") or "" for col in table.fieldnames]
             cells.append(f"{rvals[rec.id]:.4f}")

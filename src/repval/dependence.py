@@ -16,12 +16,13 @@ agree bit for bit, as in the independent case:
   Once the regime k is known, G(x) = x * c1(x) / (1 + H_k), and k depends
   on x only through C = t*m / (x * c1(x)); k falls as x rises, so G stays
   nondecreasing on doubles. k grows like C * (1 + H_k) as x falls, and the
-  walk that finds it counts in doubles, exact up to 2^53 (c1~ has no
-  consistent regime below about x = 1e-16 at m = 1e6, t = 1e-4). So G's
-  argument is floored at 1e-12, or higher where t*m is so large that a
-  count would pass 2^53 there: above t*m = 117.5 at l00 = 0, c2 = 0.5
-  (587 at l00 = 0.8), and at t*m = 1e5 the floor is 8.5e-10. The reported
-  r-value is max(r_i, floor), and nothing is claimed below the floor.
+  walk that finds it counts in doubles, exact up to 2^53; past that it
+  raises NoConsistentRegime (below about x = 1.7e-13 at m = 1e6,
+  t = 1e-4, l00 = 0.8, c2 = 0.5). So G's argument is floored at 1e-12, or
+  higher where t*m is so large that a count would pass 2^53 there: above
+  t*m = 117.5 at l00 = 0, c2 = 0.5 (587 at l00 = 0.8), and at t*m = 1e5
+  the floor is 8.5e-10. The reported r-value is max(r_i, floor), and
+  nothing is claimed below the floor.
 
   The walk is dear, so the r-value engine evaluates G exactly only where
   a bracket cannot decide. The factor 1 + H_k depends on x only through
@@ -29,20 +30,20 @@ agree bit for bit, as in the independent case:
   doubles that keep the top 6 mantissa bits of g, tabled once per call,
   bracket G(x) to about 1 / (64 * (1 + H_k)) relative.
 
-Both produce r-values no smaller than the baseline. The threshold variant
-raises ValueError without config.t, DatasetError when a primary p-value is
-above t, and NoConsistentRegime when t*m is too large for any x below 1 or
-on a numerical defect of the regime walk.
+Both return r-values as a float64 array in ``dataset.ids`` order, no
+smaller than the baseline's. The threshold variant raises ValueError
+without config.t, DatasetError when a primary p-value is above t, and
+NoConsistentRegime when t*m is too large for any x below 1 or on a
+numerical defect of the regime walk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (AnalysisConfig, DatasetError, Method, RValueReport,
-                    ValidatedDataset)
+from .model import AnalysisConfig, DatasetError, ValidatedDataset
 from .rvalue import (_exact_rvalues, _fdr_procedure, _inverse_level, _level,
-                     _Procedure, _report, _step_up, c1)
+                     _Procedure, _step_up, c1)
 
 __all__ = [
     "m_star", "c1_tilde", "NoConsistentRegime",
@@ -52,12 +53,11 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015329
 _EXACT_TABLE_SIZE = 1024
-# c1~ regimes are int64; none is searched beyond this count
-_REGIME_LIMIT = 2**62
-# Regime counts are integral doubles, exact up to this count
+# Regime counts are integral doubles, exact up to this count; the walk
+# stops with NoConsistentRegime past it
 _EXACT_COUNT = 2.0**53
-# Smallest argument of the threshold-dependent level function at any t*m:
-# c1~ has no consistent regime below about 1e-16 at m = 1e6, t = 1e-4.
+# Smallest argument of the threshold-dependent level function at any t*m;
+# higher where a regime count would pass 2^53 there (_threshold_floor)
 _FLOOR = 1e-12
 # The regime factor is tabled on the doubles that keep the top 6 mantissa
 # bits: a plain level g lies in cell g.view(int64) >> _CELL_SHIFT
@@ -79,12 +79,11 @@ def _harmonic_tail(n):
 
 
 def _harmonic(k: np.ndarray) -> np.ndarray:
-    """H_k = sum_{i=1}^{k} 1/i elementwise for an array of integral counts
-    k >= 0 (int64, or float for counts past int64): exact table lookup up to
-    1024, asymptotic expansion above."""
-    out = _harmonic_tail(k.astype(float))
+    """H_k = sum_{i=1}^{k} 1/i elementwise for an array of integral doubles
+    k >= 0: exact table lookup up to 1024, asymptotic expansion above."""
+    out = _harmonic_tail(k)
     small = k <= _EXACT_TABLE_SIZE
-    out[small] = _PREFIX[k[small].astype(np.int64, copy=False)]
+    out[small] = _PREFIX[k[small].astype(np.int64)]
     return out
 
 
@@ -96,18 +95,11 @@ def m_star(m: int) -> float:
 
 
 class NoConsistentRegime(RuntimeError):
-    """Regime enumeration found no k with ceil(t*m/(a_k*x) - 1) = k. The
-    defining equation always has a solution (the integer excess walks down
-    in unit steps), so hitting this indicates a numerical corner worth a
-    look rather than something to paper over."""
-
-
-def _to_regime(k: np.ndarray, t: float, m: int) -> np.ndarray:
-    """Regime counts (integral floats) as int64; none may pass 2^62."""
-    if (k > _REGIME_LIMIT).any():
-        raise NoConsistentRegime(
-            f"no consistent regime below 2^62 for t={t}, m={m}")
-    return k.astype(np.int64)
+    """Regime enumeration found no k with ceil(t*m/(a_k*x) - 1) = k among
+    the counts that doubles hold exactly, up to 2^53. The defining equation
+    always has a solution (the integer excess walks down in unit steps), so
+    this means t*m / x is too large, or a numerical corner worth a look
+    rather than something to paper over."""
 
 
 def _regime_factor(g: np.ndarray, t: float, m: int) -> np.ndarray:
@@ -118,15 +110,17 @@ def _regime_factor(g: np.ndarray, t: float, m: int) -> np.ndarray:
     idx = np.flatnonzero(big_c > 1.0)
     c = big_c[idx]
     # walk k <- g(k); the first step sets k to the start
-    walk = _to_regime(np.maximum(1.0, np.ceil(c) - 1.0), t, m)
-    k = np.zeros_like(walk)
+    walk = np.maximum(1.0, np.ceil(c) - 1.0)
+    k = np.zeros(len(c))
     h = np.zeros(len(c))
     moving = np.arange(len(c))
     while moving.size:
+        if (walk[moving] > _EXACT_COUNT).any():
+            raise NoConsistentRegime(
+                f"no consistent regime below 2^53 for t={t}, m={m}")
         k[moving] = walk[moving]
         h[moving] = _harmonic(k[moving])
-        walk[moving] = _to_regime(
-            np.ceil(c[moving] * (1.0 + h[moving]) - 1.0), t, m)
+        walk[moving] = np.ceil(c[moving] * (1.0 + h[moving]) - 1.0)
         moving = moving[walk[moving] > k[moving]]
     if (walk != k).any():
         bad = int(np.argmax(walk != k))
@@ -148,6 +142,8 @@ def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
     where g(k) > k, rises to the smallest fixed point and stops there; for
     k >= C the excess g(k) - k steps down by at most 1, so it hits 0 exactly.
     When C <= 1 the empty-sum regime k = 0 applies and c1~ = c1.
+    NoConsistentRegime when the walk passes 2^53, where counts in doubles
+    stop being exact.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x!r}")
@@ -160,11 +156,10 @@ def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
 # --- general dependence (harmonic inflation) -------------------------------
 
 def fdr_rvalues_all_general_dep(dataset: ValidatedDataset,
-                                config: AnalysisConfig) -> RValueReport:
+                                config: AnalysisConfig) -> np.ndarray:
     """r-values valid under arbitrary primary-study dependence."""
     proc = _fdr_procedure(config, m_star(config.m))
-    return _report(dataset, config, Method.FDR_GENERAL_DEP,
-                   _exact_rvalues(proc, dataset.p1, dataset.p2))
+    return _exact_rvalues(proc, dataset.p1, dataset.p2)
 
 
 def step_up_set_general_dep(dataset: ValidatedDataset, config: AnalysisConfig,
@@ -264,13 +259,12 @@ def _threshold_procedure(dataset: ValidatedDataset,
 
 
 def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
-                                  config: AnalysisConfig) -> RValueReport:
+                                  config: AnalysisConfig) -> np.ndarray:
     """r-values valid under arbitrary primary-study dependence when the
     follow-up set was everything below a fixed primary cutoff t. Never below
     the floor of the level function (see the module docstring)."""
     proc = _threshold_procedure(dataset, config)
-    return _report(dataset, config, Method.FDR_THRESHOLD_DEP,
-                   _exact_rvalues(proc, dataset.p1, dataset.p2))
+    return _exact_rvalues(proc, dataset.p1, dataset.p2)
 
 
 def step_up_set_threshold_dep(dataset: ValidatedDataset,

@@ -16,16 +16,14 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "FeatureRecord", "AnalysisConfig", "Method", "ValidatedDataset",
-    "RValueReport", "validate_dataset", "read_pvalue_table", "PValueTable",
-    "DatasetError",
+    "FeatureRecord", "AnalysisConfig", "ValidatedDataset", "validate_dataset",
+    "read_pvalue_table", "PValueTable", "DatasetError",
 ]
 
 
@@ -52,15 +50,6 @@ class FeatureRecord:
     id: str
     p1: float
     p2: float
-
-
-class Method(str, Enum):
-    """Which r-value procedure produced a report."""
-
-    FDR_INDEPENDENT = "fdr"
-    FDR_GENERAL_DEP = "fdr-general-dep"
-    FDR_THRESHOLD_DEP = "fdr-threshold-dep"
-    FWER_BONFERRONI = "fwer-bonferroni"
 
 
 @dataclass(frozen=True)
@@ -154,25 +143,6 @@ def validate_dataset(
         raise DatasetError(
             f"{len(cleaned)} features followed up but m={config.m}")
     return ValidatedDataset(tuple(cleaned))
-
-
-@dataclass(frozen=True)
-class RValueReport:
-    """Per-feature r-values plus the method and parameters that made them."""
-
-    method: Method
-    entries: tuple[tuple[str, float], ...]
-    config: AnalysisConfig
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return np.array([r for _, r in self.entries], dtype=float)
-
-    def r_value(self, feature_id: str) -> float:
-        for fid, r in self.entries:
-            if fid == feature_id:
-                return r
-        raise KeyError(f"unknown feature id {feature_id!r}")
 
 
 # --- file ingestion -------------------------------------------------------

@@ -35,8 +35,9 @@ of it, and its level is evaluated exactly only where a bracket cannot
 decide T(r) or a feature's minimum. G is inverted by a search over doubles
 that starts from a closed-form guess of the inverse, gallops to a bracket
 a few ulps wide and bisects it; the smallest double reaching b_i is
-unique, so the start does not change it. All functions are pure; r-values
-are bitwise reproducible and do not depend on the order of the records.
+unique, so the start does not change it. All functions are pure. r-values
+come back as a float64 array in ``dataset.ids`` order; they are bitwise
+reproducible and do not depend on the order of the records.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import AnalysisConfig, Method, RValueReport, ValidatedDataset
+from .model import AnalysisConfig, ValidatedDataset
 
 __all__ = ["c1", "fdr_rvalues_all", "step_up_set"]
 
@@ -292,18 +293,12 @@ def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
     return values
 
 
-def _report(dataset: ValidatedDataset, config: AnalysisConfig, method: Method,
-            values: np.ndarray) -> RValueReport:
-    return RValueReport(method, tuple(zip(dataset.ids, map(float, values))),
-                        config)
-
-
 def fdr_rvalues_all(dataset: ValidatedDataset,
-                    config: AnalysisConfig) -> RValueReport:
-    """FDR r-values for every followed-up feature (independence variant)."""
+                    config: AnalysisConfig) -> np.ndarray:
+    """FDR r-values for every followed-up feature (independence variant),
+    as a float64 array in ``dataset.ids`` order."""
     proc = _fdr_procedure(config, float(config.m))
-    return _report(dataset, config, Method.FDR_INDEPENDENT,
-                   _exact_rvalues(proc, dataset.p1, dataset.p2))
+    return _exact_rvalues(proc, dataset.p1, dataset.p2)
 
 
 def _claim_levels(proc: _Procedure,

@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
+from .baselines import _max_p_bh_mask
 from .model import AnalysisConfig
 from .normal import normal_quantile, normal_sf
 from .rvalue import (_claim_levels, _fdr_procedure, _need_counts,
@@ -46,8 +47,8 @@ from .rvalue import (_claim_levels, _fdr_procedure, _need_counts,
 from .selection import bh_reject
 
 __all__ = [
-    "SimulationScenario", "SimulationMetrics", "RepOutcome",
-    "simulate_rep", "estimate", "sweep_c2", "compare_baseline",
+    "SimulationScenario", "SimulationMetrics", "simulate_rep", "estimate",
+    "sweep_c2", "compare_baseline",
     "parse_scenario_file", "scenario_from_mapping", "SCENARIO_FIELDS",
     "METRICS_CSV_HEADER", "metrics_csv_row",
 ]
@@ -138,21 +139,6 @@ class SimulationMetrics:
     mean_r1: float
 
 
-@dataclass(frozen=True)
-class RepOutcome:
-    r1: int
-    n_claims: int
-    n_true: int
-
-    @property
-    def n_false(self) -> int:
-        return self.n_claims - self.n_true
-
-    @property
-    def fdp(self) -> float:
-        return self.n_false / max(self.n_claims, 1)
-
-
 def _rep_generator(seed: int, rep_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep_index,))
     return np.random.Generator(np.random.Philox(ss))
@@ -199,18 +185,11 @@ class _Design:
                    - normal_quantile(1.0 - scenario.pi1))
             self.shift1 = np.where(np.arange(m) >= n00 + n01, mu1, 0.0)
         self.bh_level = c1(q, scenario.l00, scenario.c2) * q
+        self.config = scenario.analysis_config
         # both claim rules read G(q) and q* at level q (Bonferroni runs at
         # alpha = q)
-        self.procedure = _fdr_procedure(scenario.analysis_config, float(m))
+        self.procedure = _fdr_procedure(self.config, float(m))
         self.levels = _claim_levels(self.procedure, q)
-
-
-def _max_p_bh_claims(design: _Design, p1: np.ndarray,
-                     p2: np.ndarray) -> np.ndarray:
-    sc = design.scenario
-    mask = np.zeros(len(p1), dtype=bool)
-    mask[bh_reject(np.maximum(p1, p2), sc.q / (1.0 - sc.l00), n=sc.m)] = True
-    return mask
 
 
 # procedure -> claim mask; Bonferroni is the count-1 case of the step-up
@@ -220,7 +199,8 @@ _CLAIMS = {
         design.procedure, p1, p2, design.levels),
     "bonferroni": lambda design, p1, p2: _need_counts(
         design.procedure, p1, p2, design.levels) <= 1.0,
-    "max-p-bh": _max_p_bh_claims}
+    "max-p-bh": lambda design, p1, p2: _max_p_bh_mask(
+        p1, p2, design.config, design.scenario.q)}
 
 # Primary values per block of repetitions: 32 KiB of float64. At m = 1000,
 # against one repetition per block, the paper-design sweep ran ~1.7x faster
@@ -230,16 +210,19 @@ _BLOCK = 2**12
 
 
 def _outcomes(scenario: SimulationScenario, reps: range,
-              procedures: Sequence[str]) -> dict[str, list[RepOutcome]]:
+              procedures: Sequence[str]) -> dict[str, np.ndarray]:
     """Outcomes of the given repetitions under each procedure, on the same
-    draws. Repetitions run in blocks of at most _BLOCK primary values; each
-    draws from its own (seed, rep) stream in a fixed order (primary noise,
-    then follow-up noise), so results do not depend on the block size."""
+    draws: per procedure an int64 array with one row per repetition and
+    columns R1, claims and true claims. Repetitions run in blocks of at
+    most _BLOCK primary values; each draws from its own (seed, rep) stream
+    in a fixed order (primary noise, then follow-up noise), so results do
+    not depend on the block size."""
     for proc in procedures:
         if proc not in _CLAIMS:
             raise ValueError(f"unknown procedure {proc!r}")
     design = _Design(scenario)
-    out: dict[str, list[RepOutcome]] = {proc: [] for proc in procedures}
+    out = {proc: np.empty((len(reps), 3), dtype=np.int64)
+           for proc in procedures}
     rows = max(1, _BLOCK // scenario.m)
     for first in range(reps.start, reps.stop, rows):
         block = range(first, min(first + rows, reps.stop))
@@ -261,41 +244,39 @@ def _outcomes(scenario: SimulationScenario, reps: range,
         p2_all = normal_sf(np.concatenate(x2))
 
         end = 0
-        for row, sel in zip(p1, selected):
+        for i, (row, sel) in enumerate(zip(p1, selected),
+                                       first - reps.start):
             r1 = len(sel)
-            if r1 == 0:
-                for proc in procedures:
-                    out[proc].append(RepOutcome(0, 0, 0))
-                continue
             p2 = p2_all[end:end + r1]
             end += r1
             p1_sel = row[sel]
             sel_truth = design.truth11[sel]
             for proc in procedures:
                 mask = _CLAIMS[proc](design, p1_sel, p2)
-                out[proc].append(RepOutcome(r1, int(mask.sum()),
-                                            int((mask & sel_truth).sum())))
+                out[proc][i] = r1, mask.sum(), (mask & sel_truth).sum()
     return out
 
 
 def simulate_rep(scenario: SimulationScenario, rep_index: int,
-                 procedure: str = "step-up") -> RepOutcome:
-    """Outcome of a single repetition; deterministic in (seed, rep_index)."""
+                 procedure: str = "step-up") -> tuple[int, int, int]:
+    """(R1, claims, true claims) of a single repetition; deterministic in
+    (seed, rep_index)."""
     reps = range(rep_index, rep_index + 1)
-    return _outcomes(scenario, reps, (procedure,))[procedure][0]
+    row = _outcomes(scenario, reps, (procedure,))[procedure][0]
+    return tuple(row.tolist())
 
 
 def _aggregate(scenario: SimulationScenario,
-               outcomes: Sequence[RepOutcome]) -> SimulationMetrics:
+               outcomes: np.ndarray) -> SimulationMetrics:
+    """Metrics from the (reps, 3) outcome array of :func:`_outcomes`."""
     reps = len(outcomes)
     n11 = scenario.counts[3]
-    fdp = np.array([o.fdp for o in outcomes])
-    power = (np.array([o.n_true for o in outcomes]) / (n11 if n11 else 1)
-             if n11 else np.zeros(reps))
-    palo = np.array([1.0 if o.n_true > 0 else 0.0 for o in outcomes])
-    fwer = np.array([1.0 if o.n_false > 0 else 0.0 for o in outcomes])
-    claims = np.array([o.n_claims for o in outcomes], dtype=float)
-    r1s = np.array([o.r1 for o in outcomes], dtype=float)
+    r1s, claims, true = outcomes.T
+    false = claims - true
+    fdp = false / np.maximum(claims, 1)
+    power = true / n11 if n11 else np.zeros(reps)
+    palo = (true > 0).astype(float)
+    fwer = (false > 0).astype(float)
 
     def se(v: np.ndarray) -> float:
         return float(v.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

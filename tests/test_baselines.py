@@ -101,7 +101,7 @@ def test_meta_p_domain():
 def test_rvalue_and_meta_rankings_differ(iga_table):
     config = AnalysisConfig(m=IGA_M, l00=0.8, c2=0.5)
     ds = validate_dataset(iga_table.records, config)
-    rvalues = list(fdr_rvalues_all(ds, config).values)
+    rvalues = list(fdr_rvalues_all(ds, config))
     meta = [meta_p(r.p1, r.p2, "fisher") for r in ds.records]
     rho = spearman(rvalues, meta)
     assert rho < 0.999

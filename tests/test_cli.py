@@ -221,7 +221,7 @@ def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("m", ["1000000", "100000000"])
 def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
                                                       capsys):
-    # t*m from 1e5 to 1e7: the regime walk at x = 1e-12 would pass 2^62,
+    # t*m from 1e5 to 1e7: the regime walk at x = 1e-12 would pass 2^53,
     # so the level's floor rises with t*m and the r-values stop there
     table = tmp_path / "big.tsv"
     table.write_text("id\tp1\tp2\na\t1e-25\t1e-25\nb\t0.05\t0.5\n")
@@ -234,7 +234,7 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
     config = AnalysisConfig(m=int(m), l00=float(l00), t=0.1)
     ds = validate_dataset(ds.records, config)
     floor = dependence._threshold_procedure(ds, config).floor
-    values = fdr_rvalues_all_threshold_dep(ds, config).values
+    values = fdr_rvalues_all_threshold_dep(ds, config)
     assert 1e-12 < floor < 1e-5
     assert values[0] == floor and values[1] == 1.0
     assert "a" in step_up_set_threshold_dep(ds, config, floor)

@@ -37,10 +37,9 @@ def test_m_star_small_values():
 
 def test_harmonic_against_direct_summation():
     ns = (1, 2, 10, 500, 1024, 1025, 4000, 100000)
-    # int64 counts, as the regime walk passes them, and integral floats
-    for k in (np.array(ns), np.array(ns, dtype=float)):
-        for n, h in zip(ns, _harmonic(k)):
-            assert h == pytest.approx(oracle_harmonic(n), rel=1e-12)
+    # integral doubles, as the regime walk passes them
+    for n, h in zip(ns, _harmonic(np.array(ns, dtype=float))):
+        assert h == pytest.approx(oracle_harmonic(n), rel=1e-12)
 
 
 def test_m_star_matches_direct_summation_at_scan_sizes():
@@ -103,7 +102,7 @@ def test_c1_tilde_satisfies_defining_equation():
         a = c1_tilde(x, t, m, l00, c2)
         k = math.ceil(t * m / (a * x) - 1.0)
         k = max(k, 0)
-        h = _harmonic(np.array([k]))[0] if k else 0.0
+        h = _harmonic(np.array([float(k)]))[0] if k else 0.0
         assert a * (1.0 + h) == pytest.approx(
             c1(x, l00, c2), rel=1e-10)
 
@@ -138,8 +137,8 @@ def test_c1_tilde_domain_checks():
 
 def test_general_dep_single_feature_equals_plain():
     ds, config = dataset_from_arrays([0.01], [0.02], m=1, l00=0.3, c2=0.5)
-    assert fdr_rvalues_all_general_dep(ds, config).r_value("f0") == (
-        fdr_rvalues_all(ds, config).r_value("f0"))
+    assert fdr_rvalues_all_general_dep(ds, config)[0] == (
+        fdr_rvalues_all(ds, config)[0])
 
 
 def test_general_dep_is_more_conservative():
@@ -149,8 +148,8 @@ def test_general_dep_is_more_conservative():
         ds, config = dataset_from_arrays(
             [r.p1 for r in records], [r.p2 for r in records], m=m,
             l00=float(rng.uniform(0, 0.9)), c2=float(rng.uniform(0.2, 0.8)))
-        plain = fdr_rvalues_all(ds, config).values
-        conservative = fdr_rvalues_all_general_dep(ds, config).values
+        plain = fdr_rvalues_all(ds, config)
+        conservative = fdr_rvalues_all_general_dep(ds, config)
         assert (conservative >= plain - 1e-12).all()
 
 
@@ -162,7 +161,7 @@ def test_general_dep_step_up_equivalence():
         ds, config = dataset_from_arrays(
             [r.p1 for r in records], [r.p2 for r in records], m=m,
             l00=float(rng.uniform(0, 0.9)), c2=float(rng.uniform(0.2, 0.8)))
-        values = dict(fdr_rvalues_all_general_dep(ds, config).entries)
+        values = dict(zip(ds.ids, fdr_rvalues_all_general_dep(ds, config)))
         for q in qs:
             via_r = {fid for fid, r in values.items() if r <= q}
             assert via_r == step_up_set_general_dep(ds, config, q)
@@ -205,8 +204,8 @@ def test_threshold_dep_is_more_conservative():
     rng = np.random.default_rng(43)
     for _ in range(20):
         ds, config = _threshold_instance(rng)
-        plain = fdr_rvalues_all(ds, config).values
-        conservative = fdr_rvalues_all_threshold_dep(ds, config).values
+        plain = fdr_rvalues_all(ds, config)
+        conservative = fdr_rvalues_all_threshold_dep(ds, config)
         assert (conservative >= plain - 1e-12).all()
 
 
@@ -225,8 +224,8 @@ def test_threshold_dep_tiny_t_leaves_procedure_unchanged():
                                          l00=l00, c2=c2, t=t)
         assert (step_up_set_threshold_dep(ds, config, q)
                 == step_up_set(ds, config, q))
-        plain = fdr_rvalues_all(ds, config).values
-        cons = fdr_rvalues_all_threshold_dep(ds, config).values
+        plain = fdr_rvalues_all(ds, config)
+        cons = fdr_rvalues_all_threshold_dep(ds, config)
         assert ({i for i in range(len(ds)) if cons[i] <= q}
                 == {i for i in range(len(ds)) if plain[i] <= q})
 
@@ -239,8 +238,8 @@ def test_threshold_dep_rvalue_equal_when_regime_never_bites():
     for trial in range(40):
         t = float(10.0 ** rng.uniform(-5, -3)) if trial % 2 else None
         ds, config = _threshold_instance(rng, t=t)
-        plain = fdr_rvalues_all(ds, config).values
-        cons = fdr_rvalues_all_threshold_dep(ds, config).values
+        plain = fdr_rvalues_all(ds, config)
+        cons = fdr_rvalues_all_threshold_dep(ds, config)
         for i in range(len(ds)):
             r = plain[i]
             if r < 1.0 and config.t <= c1(r, config.l00, config.c2) * r / config.m:
@@ -257,11 +256,20 @@ def test_threshold_dep_floor_is_1e12():
         c1_tilde(1e-17, 1e-4, 10**6, 0.8, 0.5)
     ds, config = dataset_from_arrays([1e-30, 1e-9], [1e-20, 1e-3], m=10**6,
                                      l00=0.8, c2=0.5, t=1e-4)
-    values = fdr_rvalues_all_threshold_dep(ds, config).values
+    values = fdr_rvalues_all_threshold_dep(ds, config)
     assert values[0] == 1e-12
-    assert fdr_rvalues_all(ds, config).values[0] < 1e-12
+    assert fdr_rvalues_all(ds, config)[0] < 1e-12
     assert 1e-12 < values[1] < 1.0
     assert "f0" in step_up_set_threshold_dep(ds, config, 1e-9)
+
+
+def test_c1_tilde_raises_where_a_regime_count_passes_2_53():
+    # at x = 1e-15 the consistent regime count is about 1.7e18, past 2^53,
+    # up to which counts in doubles are exact; at the floor, 1e-12, it is
+    # about 1.5e15
+    with pytest.raises(NoConsistentRegime, match=r"below 2\^53"):
+        c1_tilde(1e-15, 1e-4, 10**6, 0.8, 0.5)
+    assert 0.0 < c1_tilde(1e-12, 1e-4, 10**6, 0.8, 0.5) < c1(1e-12, 0.8, 0.5)
 
 
 def test_threshold_dep_step_up_equivalence():
@@ -269,7 +277,7 @@ def test_threshold_dep_step_up_equivalence():
     qs = [round(0.01 * k, 2) for k in range(1, 21)]
     for _ in range(30):
         ds, config = _threshold_instance(rng)
-        values = dict(fdr_rvalues_all_threshold_dep(ds, config).entries)
+        values = dict(zip(ds.ids, fdr_rvalues_all_threshold_dep(ds, config)))
         for q in qs:
             via_r = {fid for fid, r in values.items() if r <= q}
             assert via_r == step_up_set_threshold_dep(ds, config, q)

@@ -78,7 +78,7 @@ def instances(draw):
 @given(instances())
 def test_engine_matches_bisection_and_step_up(instance):
     method, ds, config = instance
-    got = ENGINE[method](ds, config).values
+    got = ENGINE[method](ds, config)
     ref = _bisected(method, ds, config)
     for r, b in zip(got, ref):
         # the oracle's search starts at 1e-12 and stops at 1 - 1e-12
@@ -107,7 +107,7 @@ def test_claimed_exactly_from_the_rvalue_on(method):
                           rng.uniform(-12, 0, r1))
     ds, config = dataset_from_arrays(p1, p2, m=10**7, l00=0.8, c2=0.5,
                                      t=1e-4 if threshold else None)
-    values = ENGINE[method](ds, config).values
+    values = ENGINE[method](ds, config)
     inside = np.flatnonzero((values < 1.0) & (values > 1e-12 * threshold))
     sample = rng.choice(inside, 200, replace=False)
     for i in sample:
@@ -126,7 +126,7 @@ def test_bonferroni_engine_is_the_closed_form():
         l00 = float(rng.choice([0.0, 0.5, 0.8, 0.95]))
         ds, config = dataset_from_arrays(p1, p2, m=int(rng.integers(r1, 10**6)),
                                          l00=l00, c2=0.5)
-        got = bonferroni_rvalues_all(ds, config).values
+        got = bonferroni_rvalues_all(ds, config)
         ref = [oracle_bonferroni(a, b, config.m, r1, l00, 0.5)
                for a, b in zip(p1, p2)]
         assert np.allclose(got, ref, rtol=1e-14, atol=0)
@@ -144,13 +144,13 @@ def test_block_split_never_changes_results(method, monkeypatch):
     ds, config = dataset_from_arrays(
         p1, p2, m=10**6, l00=0.8,
         t=1e-4 if method == "fdr-threshold-dep" else None)
-    values = ENGINE[method](ds, config).values
+    values = ENGINE[method](ds, config)
     for q in (0.01, 0.05):
         via_r = {fid for fid, r in zip(ds.ids, values) if r <= q}
         assert via_r == _claimed(method, ds, config, q)
     for block in (7 * r1, 1):
         monkeypatch.setattr(rvalue, "_BLOCK", block)
-        assert np.array_equal(ENGINE[method](ds, config).values, values)
+        assert np.array_equal(ENGINE[method](ds, config), values)
 
 
 @pytest.mark.parametrize("method", METHODS[:3])
@@ -163,14 +163,14 @@ def test_blocks_stay_within_budget_on_a_skewed_table(method, monkeypatch):
     p2[0] = 1e-9
     ds, config = dataset_from_arrays(np.full(r1, 1e-6), p2, m=10**6,
                                      l00=0.8, t=1e-4)
-    values = ENGINE[method](ds, config).values
+    values = ENGINE[method](ds, config)
     sizes = []
     kth = rvalue._kth_smallest
     monkeypatch.setattr(rvalue, "_BLOCK", block)
     monkeypatch.setattr(
         rvalue, "_kth_smallest",
         lambda a, ranks: sizes.append(a.shape) or kth(a, ranks))
-    assert np.array_equal(ENGINE[method](ds, config).values, values)
+    assert np.array_equal(ENGINE[method](ds, config), values)
     assert len(sizes) > 1
     assert all(rows * width <= max(block, width) for rows, width in sizes)
 
@@ -223,7 +223,7 @@ def test_engine_matches_exact_oracle_bitwise(instance, block):
     ref = oracle_exact_rvalues(_procedure(method, ds, config), ds.p1, ds.p2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rvalue, "_BLOCK", block)
-        assert np.array_equal(ENGINE[method](ds, config).values, ref)
+        assert np.array_equal(ENGINE[method](ds, config), ref)
 
 
 @pytest.mark.parametrize("l00", (0.0, 0.8, 0.95))

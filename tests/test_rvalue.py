@@ -3,7 +3,8 @@ import pytest
 
 from repval import (AnalysisConfig, FeatureRecord, bonferroni_rvalues_all,
                     fdr_rvalues_all, fdr_rvalues_all_general_dep,
-                    step_up_set, step_up_set_general_dep, validate_dataset)
+                    fdr_rvalues_all_threshold_dep, step_up_set,
+                    step_up_set_general_dep, validate_dataset)
 from repval.rvalue import c1
 
 from conftest import IGA_M, IGA_SIGNIFICANT, dataset_from_arrays, \
@@ -79,7 +80,7 @@ def test_f_iga_minimiser_is_second_ranked_feature(iga_dataset):
     config = AnalysisConfig(m=IGA_M, l00=0.0, c2=0.5)
     got = _f(ds, config, 0.02, ds.ids.index("chr6:32779226"))
     # f is constant in x at l00 = 0, so it is the r-value itself
-    expected = fdr_rvalues_all(ds, config).r_value("chr6:32779226")
+    expected = fdr_rvalues_all(ds, config)[ds.ids.index("chr6:32779226")]
     assert got == pytest.approx(expected, rel=1e-12)
     assert round(got, 4) == 0.0224
 
@@ -101,7 +102,7 @@ def test_f_over_x_strictly_decreasing():
 
 def test_rvalue_single_feature_fixed_point():
     ds, config = dataset_from_arrays([0.05], [0.05], m=1, l00=0.0, c2=0.5)
-    assert fdr_rvalues_all(ds, config).r_value("f0") == pytest.approx(
+    assert fdr_rvalues_all(ds, config)[0] == pytest.approx(
         0.1, abs=1e-12)
 
 
@@ -109,22 +110,15 @@ def test_rvalue_iga_headline_row(iga_dataset):
     ds, _ = iga_dataset
     for l00, expected in ((0.0, 0.0243), (0.5, 0.0150), (0.8, 0.0074)):
         config = AnalysisConfig(m=IGA_M, l00=l00, c2=0.5)
-        got = fdr_rvalues_all(ds, config).r_value("chr6:32685358")
+        got = fdr_rvalues_all(ds, config)[ds.ids.index("chr6:32685358")]
         assert round(got, 4) == expected
 
 
 def test_rvalue_t2d_first_row(t2d_table):
     config = AnalysisConfig(m=68, l00=0.0, c2=0.5)
     ds = validate_dataset(t2d_table.records, config)
-    report = fdr_rvalues_all(ds, config)
-    assert round(report.r_value("chr7:27953796"), 4) == 0.0055
-
-
-def test_batch_matches_per_feature(iga_dataset):
-    ds, config = iga_dataset
-    report = fdr_rvalues_all(ds, config)
-    for fid in ds.ids:
-        assert report.r_value(fid) == report.values[ds.ids.index(fid)]
+    values = fdr_rvalues_all(ds, config)
+    assert round(values[ds.ids.index("chr7:27953796")], 4) == 0.0055
 
 
 def test_iga_significant_counts(iga_table):
@@ -132,7 +126,7 @@ def test_iga_significant_counts(iga_table):
     for l00, expected in IGA_SIGNIFICANT.items():
         config = AnalysisConfig(m=IGA_M, l00=l00, c2=0.5)
         ds = validate_dataset(iga_table.records, config)
-        values = fdr_rvalues_all(ds, config).values
+        values = fdr_rvalues_all(ds, config)
         assert tuple(round(v, 4) for v in values[:7]) == expected
         assert (values[7:] == 1.0).all()
 
@@ -140,14 +134,13 @@ def test_iga_significant_counts(iga_table):
 def test_t2d_five_replicated(t2d_table):
     config = AnalysisConfig(m=68, l00=0.0, c2=0.5)
     ds = validate_dataset(t2d_table.records, config)
-    values = fdr_rvalues_all(ds, config).values
+    values = fdr_rvalues_all(ds, config)
     assert int((values <= 0.05).sum()) == 5
 
 
 def test_empty_dataset_empty_report():
     ds, config = dataset_from_arrays([], [], m=5)
-    report = fdr_rvalues_all(ds, config)
-    assert report.entries == ()
+    assert fdr_rvalues_all(ds, config).shape == (0,)
     assert step_up_set(ds, config, 0.05) == frozenset()
 
 
@@ -162,10 +155,8 @@ def test_fixed_point_residual(iga_dataset):
             [r.p1 for r in records], [r.p2 for r in records], m=m,
             l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9))))
     for data, config in cases:
-        report = fdr_rvalues_all(data, config)
-        for fid, r in report.entries:
+        for i, r in enumerate(fdr_rvalues_all(data, config)):
             if r < 1.0:
-                i = data.ids.index(fid)
                 assert abs(_f(data, config, r, i) - r) <= 1e-9
 
 
@@ -177,7 +168,7 @@ def test_l00_zero_reduces_to_adjusted_evalues():
         ds, config = dataset_from_arrays(
             [r.p1 for r in records], [r.p2 for r in records], m=m,
             l00=0.0, c2=c2)
-        got = fdr_rvalues_all(ds, config).values
+        got = fdr_rvalues_all(ds, config)
         ref = oracle_adjusted_capped(list(ds.p1), list(ds.p2), m, c2)
         assert np.allclose(got, ref, rtol=0, atol=1e-10)
 
@@ -192,22 +183,36 @@ def test_rvalues_monotone_in_l00():
         prev = None
         for l00 in grid:
             ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00, c2=0.5)
-            values = fdr_rvalues_all(ds, config).values
+            values = fdr_rvalues_all(ds, config)
             if prev is not None:
                 assert (values <= prev + 1e-12).all()
             prev = values
 
 
-def test_record_order_never_matters():
+@pytest.mark.parametrize("rvalues_fn", [
+    fdr_rvalues_all, fdr_rvalues_all_general_dep,
+    fdr_rvalues_all_threshold_dep, bonferroni_rvalues_all],
+    ids=["fdr", "fdr-general-dep", "fdr-threshold-dep", "fwer-bonferroni"])
+def test_record_order_never_matters(rvalues_fn):
     rng = np.random.default_rng(17)
-    records, m = make_random_dataset(rng, r1=12)
-    ds, config = dataset_from_arrays(
-        [r.p1 for r in records], [r.p2 for r in records], m=m, l00=0.7)
-    base = dict(fdr_rvalues_all(ds, config).entries)
-    perm = rng.permutation(len(records))
-    shuffled = validate_dataset([ds.records[i] for i in perm], config)
-    again = dict(fdr_rvalues_all(shuffled, config).entries)
-    assert base == again
+    records, m = make_random_dataset(rng, r1=40, spread=(-8.0, -0.5))
+    p1 = np.array([r.p1 for r in records])
+    p2 = np.array([r.p2 for r in records])
+    # f0 and f1 tie in both p-values; the eight next strongest follow-up
+    # p-values tie in pairs, so their v = p2 * R1 / c2 tie too
+    p1[:2], p2[:2] = 1e-7, 1e-4
+    strong = np.argsort(p2[2:], kind="stable")[:8] + 2
+    p2[strong[1::2]] = p2[strong[::2]]
+    # t = 0.5 lies above every p1 (at most 10^-0.5)
+    ds, config = dataset_from_arrays(p1, p2, m=m, l00=0.7, t=0.5)
+    base = rvalues_fn(ds, config)
+    assert (base[:2] < 1.0).all() and (base[strong] < 1.0).all()
+    for _ in range(3):
+        perm = rng.permutation(len(ds))
+        shuffled = validate_dataset([ds.records[i] for i in perm], config)
+        # record i of the shuffled set is record perm[i] of the original
+        assert (rvalues_fn(shuffled, config).view(np.int64)
+                == base[perm].view(np.int64)).all()
 
 
 # --- step-up ----------------------------------------------------------------
@@ -251,7 +256,7 @@ def test_threshold_and_rvalue_routes_agree():
         ds, config = dataset_from_arrays(
             [r.p1 for r in records], [r.p2 for r in records], m=m,
             l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9)))
-        values = dict(fdr_rvalues_all(ds, config).entries)
+        values = dict(zip(ds.ids, fdr_rvalues_all(ds, config)))
         for q in qs:
             via_rvalues = {fid for fid, r in values.items() if r <= q}
             assert via_rvalues == step_up_set(ds, config, q)
@@ -266,15 +271,12 @@ def test_rvalue_far_below_1e12_matches_step_up():
     assert "f0" in step_up_set_general_dep(ds, config, q)
     for rvalues_fn in (fdr_rvalues_all, fdr_rvalues_all_general_dep,
                        bonferroni_rvalues_all):
-        r = rvalues_fn(ds, config).r_value("f0")
+        r = rvalues_fn(ds, config)[0]
         assert r == pytest.approx(2e-20, rel=1e-12)  # p2 * R1 / c2 binds
 
 
 def test_report_shape(iga_dataset):
     ds, config = iga_dataset
-    report = fdr_rvalues_all(ds, config)
-    assert tuple(fid for fid, _ in report.entries) == ds.ids
-    assert ((report.values > 0) & (report.values <= 1.0)).all()
-    assert report.r_value("chr6:32685358") == report.values[0]
-    with pytest.raises(KeyError):
-        report.r_value("nope")
+    values = fdr_rvalues_all(ds, config)
+    assert values.dtype == np.float64 and values.shape == (len(ds),)
+    assert ((values > 0) & (values <= 1.0)).all()

@@ -130,7 +130,7 @@ def test_refine_iga_keeps_fourteen(iga_dataset):
     reduced = refine_for_replicability(ds, config, 0.05)
     assert len(reduced) == 14
     report = fdr_rvalues_all(reduced, config)
-    values = dict(report.entries)
+    values = dict(zip(reduced.ids, report))
     headline = ["chr6:32685358", "chr8:6810195", "chr6:32779226",
                 "chr22:28753460", "chr6:30049922", "chr17:7403693",
                 "chr17:7431901"]
@@ -140,18 +140,20 @@ def test_refine_iga_keeps_fourteen(iga_dataset):
 
 def test_refine_never_loses_claims(iga_dataset):
     ds, config = iga_dataset
-    full = {fid for fid, r in fdr_rvalues_all(ds, config).entries if r <= 0.05}
+    full = {fid for fid, r in zip(ds.ids, fdr_rvalues_all(ds, config))
+            if r <= 0.05}
     reduced = refine_for_replicability(ds, config, 0.05)
-    refined = {fid for fid, r in fdr_rvalues_all(reduced, config).entries
+    refined = {fid for fid, r in zip(reduced.ids,
+                                     fdr_rvalues_all(reduced, config))
                if r <= 0.05}
     assert full <= refined
 
 
 def test_refine_shrinks_rvalues(iga_dataset):
     ds, config = iga_dataset
-    full = dict(fdr_rvalues_all(ds, config).entries)
+    full = dict(zip(ds.ids, fdr_rvalues_all(ds, config)))
     reduced = refine_for_replicability(ds, config, 0.05)
-    for fid, r in fdr_rvalues_all(reduced, config).entries:
+    for fid, r in zip(reduced.ids, fdr_rvalues_all(reduced, config)):
         assert r <= full[fid] + 1e-12
 
 
@@ -165,11 +167,12 @@ def test_refine_monotone_with_theoretical_level():
         l00 = float(rng.uniform(0, 0.9))
         ds, config = dataset_from_arrays(
             [r.p1 for r in records], [r.p2 for r in records], m=m, l00=l00)
-        full = {fid for fid, r in fdr_rvalues_all(ds, config).entries
+        full = {fid for fid, r in zip(ds.ids, fdr_rvalues_all(ds, config))
                 if r <= q}
         level = c1(q, config.l00, config.c2) * q
         reduced = ds.subset(bh_reject(ds.p1, level, n=m))
-        refined_report = dict(fdr_rvalues_all(reduced, config).entries)
+        refined_report = dict(zip(reduced.ids,
+                                  fdr_rvalues_all(reduced, config)))
         refined = {fid for fid, r in refined_report.items() if r <= q}
         assert full <= refined
 
