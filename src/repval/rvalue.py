@@ -166,12 +166,11 @@ def _live_counts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite, and the number of finite entry levels at each. An entry level
     is inf exactly where v_j / r rounds to 1 or more, so at count r the
     finite ones are a prefix of the features, and T(r), with every
-    candidate at r, is inf where that prefix is shorter than r."""
+    candidate at r, is inf where that prefix is shorter than r. That
+    prefix is the v_j < r: for doubles v < r, the exact quotient v / r is
+    at most 1 - 2^-53, itself a double, so it never rounds up to 1."""
     counts = np.arange(1.0, len(v) + 1.0)
-    finite = np.searchsorted(v, counts)  # features with v_j < r
-    while (over := (finite > 0)
-           & (v[np.maximum(finite - 1, 0)] / counts >= 1.0)).any():
-        finite -= over  # v_j / r rounded up to 1
+    finite = np.searchsorted(v, counts)
     live = finite >= counts
     return counts[live], finite[live]
 

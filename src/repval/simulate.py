@@ -21,7 +21,7 @@ repetitions are scheduled, and paired procedure comparisons see identical
 data.
 
 What a scenario fixes (block masks, the mu1 shifts, c1(q)) is computed
-once per scenario, and mu2 once per (pi2, R1) pair, whatever the c2 point.
+once per scenario; mu2 is two scalar quantiles, computed per repetition.
 Repetitions then run in blocks of at most 2^12 primary values: the block's
 primary p-values come from one ``normal_sf`` call on a (reps x m) matrix,
 and its follow-up p-values from one call on the concatenated draws.
@@ -32,7 +32,6 @@ repetitions one at a time; memory is O(block + m), not O(reps * m).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, get_type_hints
@@ -156,14 +155,10 @@ def _primary_noise(scenario: SimulationScenario,
     return math.sqrt(scenario.rho) * shared + math.sqrt(1.0 - scenario.rho) * own
 
 
-@functools.lru_cache(maxsize=2**12)
 def _mu2(pi2: float, r1: int) -> float:
-    """Follow-up shift giving a Bonferroni test at 0.05/R1 power pi2. It
-    does not depend on c2, l00 or q, so a sweep computes it once per R1.
-    Both quantiles come from one elementwise call."""
-    z_r1, z_pi2 = normal_quantile(
-        [1.0 - _POWER_CALIBRATION_ALPHA / r1, 1.0 - pi2])
-    return float(z_r1 - z_pi2)
+    """Follow-up shift giving a Bonferroni test at 0.05/R1 power pi2."""
+    return (normal_quantile(1.0 - _POWER_CALIBRATION_ALPHA / r1)
+            - normal_quantile(1.0 - pi2))
 
 
 class _Design:

@@ -153,6 +153,26 @@ def test_block_split_never_changes_results(method, monkeypatch):
         assert np.array_equal(ENGINE[method](ds, config), values)
 
 
+def test_live_prefix_is_the_values_below_the_count():
+    # _live_counts takes the finite entries at count r to be the v_j < r,
+    # which needs v / r < 1 after rounding for every double v below r;
+    # the largest such v is the hardest case
+    r = np.concatenate([np.arange(1.0, 2.0**20), np.floor(
+        np.random.default_rng(5).uniform(1.0, 2.0**40, 10**6))])
+    assert (np.nextafter(r, 0.0) / r < 1.0).all()
+    # values on the counts and one double either side, plus a tail no
+    # count reaches, against a direct count of the v_j with v_j / r < 1
+    whole = np.arange(1.0, 201.0)
+    v = np.sort(np.concatenate([whole, np.nextafter(whole, 0.0),
+                                np.nextafter(whole, np.inf),
+                                np.full(300, 1e3)]))
+    all_counts = np.arange(1.0, len(v) + 1.0)
+    below = (v[None, :] / all_counts[:, None] < 1.0).sum(axis=1)
+    counts, finite = rvalue._live_counts(v)
+    assert np.array_equal(counts, all_counts[below >= all_counts])
+    assert np.array_equal(finite, below[below >= all_counts])
+
+
 @pytest.mark.parametrize("method", METHODS[:3])
 def test_blocks_stay_within_budget_on_a_skewed_table(method, monkeypatch):
     # one very strong follow-up p-value makes the first live count's row

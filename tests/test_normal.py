@@ -40,6 +40,25 @@ def test_quantile_absolute_error_bound():
         assert abs(normal_quantile(p) - ref) < 5e-12  # actual headroom
 
 
+def test_quantile_relative_error_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    # log grid over the lower half, down to the smallest subnormal, and its
+    # mirror 1 - p wherever that is below 1
+    lower = np.geomspace(5e-324, 0.5, 600, endpoint=False)
+    upper = 1.0 - lower[1.0 - lower < 1.0]
+
+    def lower_root(tail):  # x with P(Z <= x) = tail <= 1/2, in log space
+        target = mp.log(tail)
+        return float(mp.findroot(lambda x: mp.log(mp.ncdf(x)) - target,
+                                 normal_quantile(float(tail))))
+
+    cases = [(p, lower_root(mp.mpf(p))) for p in lower.tolist()]
+    cases += [(p, -lower_root(1 - mp.mpf(p))) for p in upper.tolist()]
+    for p, ref in cases:
+        assert abs(normal_quantile(p) - ref) <= 1e-15 * abs(ref), p
+
+
 def test_cdf_and_sf_match_erfc():
     for x in np.linspace(-36.0, 36.0, 4001):
         x = float(x)
@@ -97,11 +116,14 @@ def test_quantile_monotone(p, q):
     assert normal_quantile(lo) <= normal_quantile(hi)
 
 
-@pytest.mark.parametrize("fn", [normal_sf])
+@pytest.mark.parametrize("fn", [normal_sf, normal_quantile])
 def test_two_dimensional_input_matches_rows(fn):
     rows = np.random.default_rng(3).standard_normal((4, 257)) * 4.0
     rows[1, :5] = (0.0, -0.0, 3.5, -3.5, 40.0)
+    if fn is normal_quantile:  # probabilities, both ends and outside [0, 1]
+        rows = normal_sf(rows)
+        rows[2, :4] = (0.0, 1.0, 1.5, np.nan)
     out = fn(rows)
     assert out.shape == rows.shape
     for row, got in zip(rows, out):
-        assert np.array_equal(got, fn(row))
+        assert np.array_equal(got, fn(row), equal_nan=True)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +109,10 @@ def test_mu_calibration_identities():
            - normal_quantile(1 - sc.pi1))
     attained = normal_sf(normal_quantile(1 - 0.05 / sc.m) - mu1)
     assert attained == pytest.approx(sc.pi1, rel=1e-10)
+    for r1 in (1, 7, 87, 1000):
+        mu2 = simulate._mu2(sc.pi2, r1)
+        attained = normal_sf(normal_quantile(1 - 0.05 / r1) - mu2)
+        assert attained == pytest.approx(sc.pi2, rel=1e-10)
 
 
 def test_claims_never_exceed_selection():
@@ -124,26 +127,6 @@ def test_sweep_matches_pointwise_estimate():
     rows = list(sweep_c2(sc, [0.3, 0.5]))
     assert len(rows) == 2
     assert rows[1][1] == estimate(replace(sc, c2=0.5))
-
-
-def test_sweep_computes_each_follow_up_shift_once(monkeypatch):
-    # mu2 depends on pi2 and R1 only, so across c2 points each follow-up
-    # calibration quantile 1 - 0.05/R1 is computed once
-    calls = []
-
-    def counting(p):
-        calls.extend(np.atleast_1d(p).tolist())
-        return normal_quantile(p)
-
-    monkeypatch.setattr(simulate, "normal_quantile", counting)
-    simulate._mu2.cache_clear()
-    sc = SimulationScenario(**PAPER, seed=5, reps=20)
-    list(sweep_c2(sc, [0.1, 0.3, 0.5, 0.7, 0.9]))
-    # the primary shift's two quantiles and z(1 - pi2) are not per R1
-    fixed = {1 - 0.05 / sc.m, 1 - sc.pi1, 1 - sc.pi2}
-    per_r1 = Counter(p for p in calls if p not in fixed)
-    assert len(per_r1) > 5
-    assert max(per_r1.values()) == 1
 
 
 def test_equicorrelated_blocks_smoke():
