@@ -4,17 +4,16 @@ The survival function is vectorised numpy in double precision, so the
 simulation harness does not pull in an external numerics stack: a
 Hart-style rational approximation for the central region and a deep Gauss
 continued fraction for the tail. The quantile is the standard library's
-``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), applied element by
-element to arrays. Both accept plain floats; the test suite checks them
-against ``math.erfc`` and mpmath references (relative error within 5e-13
-for the survival function and 1e-15 for the quantile, far inside the 1e-9
-the rest of the package assumes).
+``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), imported on first
+use and applied element by element to arrays. Both accept plain floats;
+the test suite checks them against ``math.erfc`` and mpmath references
+(relative error within 5e-13 for the survival function and 1e-15 for the
+quantile, far inside the 1e-9 the rest of the package assumes).
 """
 
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -67,12 +66,19 @@ def normal_sf(x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-_STANDARD = NormalDist()
 _EDGES = {0.0: -math.inf, 1.0: math.inf}  # inv_cdf raises on these
 
 
+def _inv_cdf(p: float) -> float:
+    """Rebinds itself to NormalDist().inv_cdf; statistics is slow to import."""
+    global _inv_cdf
+    from statistics import NormalDist
+    _inv_cdf = NormalDist().inv_cdf
+    return _inv_cdf(p)
+
+
 def _quantile(p: float) -> float:
-    return _STANDARD.inv_cdf(p) if 0.0 < p < 1.0 else _EDGES.get(p, math.nan)
+    return _inv_cdf(p) if 0.0 < p < 1.0 else _EDGES.get(p, math.nan)
 
 
 def normal_quantile(p):

@@ -25,18 +25,21 @@ it iff b_i = min over r of max(A_i(r), T(r)) <= G(q), so its r-value is the
 smallest double x with G(x) >= b_i (1 when no x below 1 reaches it), and
 r_i <= q holds exactly when feature i is in the step-up set at q.
 
-:func:`_exact_rvalues` finds every b_i in blocks of counts, in O(R1^2) time
+:func:`_exact_rvalues` takes T(r) over blocks of counts, in O(R1^2) time
 and O(R1) memory. An entry level is inf exactly where v_j / r rounds to 1
 or more, so with the features sorted by v only a prefix of them has finite
 entries at count r, and counts with fewer than r finite entries, where
-T(r) and every candidate are inf, are skipped. A procedure whose level is
-dear to evaluate (threshold-dependent selection) also gives cheap brackets
-of it, and its level is evaluated exactly only where a bracket cannot
-decide T(r) or a feature's minimum. G is inverted by a search over doubles
-that starts from a closed-form guess of the inverse, gallops to a bracket
-a few ulps wide and bisects it; the smallest double reaching b_i is
-unique, so the start does not change it. All functions are pure. r-values
-come back as a float64 array in ``dataset.ids`` order; they are bitwise
+T(r) is inf, are skipped. b_i is also the minimum over r of
+max(A_i(r), S(r)), S(r) the minimum of T over the counts from r up, as
+A_i(r) falls with r; S rises, so one bisection over counts finds where
+they cross for all features. A procedure whose level is dear to evaluate
+(threshold-dependent selection) also gives cheap brackets of it, and its
+level is evaluated exactly only where a bracket cannot decide T(r) or a
+step of that bisection. G is inverted by a search over doubles that
+starts from a closed-form guess of the inverse, gallops to a bracket a
+few ulps wide and bisects it; the smallest double reaching b_i is unique,
+so the start does not change it. All functions are pure. r-values come
+back as a float64 array in ``dataset.ids`` order; they are bitwise
 reproducible and do not depend on the order of the records.
 """
 
@@ -198,8 +201,8 @@ def _bracketed_kth(proc: _Procedure, x: np.ndarray, y: np.ndarray,
     """T(r) exactly from brackets lo <= A <= hi of a block's entry levels
     A = level(x, y). T(r) is at least t, the r-th smallest lo, and at most
     any u with at least r of the hi at or below it: t * (1 + 2^-8) in most
-    rows, as brackets are narrower, else the r-th smallest hi. The entries
-    whose brackets meet [t, u] are made exact in lo and hi. Every other
+    rows, as brackets are narrower, else the r-th smallest hi. Only the
+    entries whose brackets meet [t, u] are evaluated exactly. Every other
     entry lies strictly below or above that range, so T(r) is the
     (r - below)-th smallest of the exact ones, ``below`` counting the
     entries under it."""
@@ -215,78 +218,68 @@ def _bracketed_kth(proc: _Procedure, x: np.ndarray, y: np.ndarray,
     exact, upper = lo[r, c], hi[r, c]
     open_ = np.flatnonzero(exact < upper)
     exact[open_] = proc.level(x[r[open_], c[open_]], y[r[open_], c[open_]])
-    lo[r, c] = hi[r, c] = exact
     exact = exact[np.lexsort((exact, r))]
     return exact[np.searchsorted(r, np.arange(len(lo))) + ranks - below]
 
 
-# no deferred cells: counts, features, T(count) and lower candidates
-_NO_CELLS = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
-             np.empty(0))
-
-
-def _prune(best: np.ndarray, cells: tuple) -> tuple:
-    """The deferred cells (count, feature, T(count), lower candidate) whose
-    lower candidate is still below the feature's best."""
-    keep = cells[3] < best[cells[1]]
-    return tuple(column[keep] for column in cells)
-
-
-def _resolve(proc: _Procedure, u: np.ndarray, v: np.ndarray,
-             best: np.ndarray, cells: tuple) -> None:
-    """Fold the exact candidates of the deferred cells into ``best``."""
-    r, j, t, _ = _prune(best, cells)
-    np.minimum.at(best, j, np.maximum(proc.level(v[j] / r, u[j] / r), t))
+def _entries(proc: _Procedure, x: np.ndarray, y: np.ndarray,
+             exact_where: Optional[Callable] = None):
+    """Brackets lo <= A <= hi of the entry levels A = level(x, y), made
+    exact where ``exact_where(lo, hi)`` holds; A itself, twice, for a
+    procedure without bounds."""
+    if proc.bounds is None:
+        a = proc.level(x, y)
+        return a, a
+    lo, hi = proc.bounds(x, y)
+    if exact_where is not None:
+        at = np.flatnonzero(exact_where(lo, hi) & (lo < hi))
+        lo[at] = hi[at] = proc.level(x[at], y[at])
+    return lo, hi
 
 
 def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
                    p2: np.ndarray) -> np.ndarray:
     """r-values of all features by the min-max formula of the module
-    docstring. Counts are taken in blocks of at most _BLOCK elements (or
-    one row, where a row is wider), so memory stays O(R1) while time is
-    O(R1^2).
-
-    A procedure with ``bounds`` evaluates its level exactly only where a
-    bracket decides: T(r) comes from :func:`_bracketed_kth`, ``best`` is
-    the running minimum of the upper candidates max(hi, T), and a cell
-    whose lower candidate max(lo, T) is below it is deferred. Deferred
-    cells are dropped once ``best`` falls to their lower candidate, and
-    the rest are made exact at the end, or when more than _BLOCK wait.
-    Every other cell's candidate is at least ``best``, so the minimum is
-    exact."""
+    docstring. T(r) comes from blocks of at most _BLOCK elements (or one
+    row, where a row is wider), so memory stays O(R1) while time is
+    O(R1^2). With S(R1 + 1) = inf and r* the smallest count where
+    S(r*) >= A_i(r*), b_i = min(S(r*), A_i(r* - 1)), A_i(0) = inf: from
+    r* up the candidates are S(r) >= S(r*), below r* they are
+    A_i(r) >= A_i(r* - 1). Levels are evaluated exactly only where a
+    bracket cannot decide them against T or S."""
     r1 = len(p1)
     u, v = _scaled(proc, p1, p2)
     order = np.argsort(v, kind="stable")
     u, v = u[order], v[order]
     live, finite = _live_counts(v)
-    best = np.full(r1, np.inf)
-    deferred = _NO_CELLS
+    s = np.full(r1 + 1, np.inf)  # T(r), then S(r), at r - 1
     first = 0
     while first < len(live):
         stop = first + _block_rows(finite[first:], _BLOCK)
         counts, width = live[first:stop, None], finite[stop - 1]
         ranks = counts[:, 0].astype(np.int64) - 1
         # the entries past the last row's finite prefix are all inf
-        x, y, head = v[:width] / counts, u[:width] / counts, best[:width]
+        x, y = v[:width] / counts, u[:width] / counts
         first = stop
-        if proc.bounds is None:
-            a = proc.level(x, y)
-            t = _kth_smallest(a, ranks)[:, None]
-            np.minimum(head, np.maximum(a, t, out=a).min(axis=0), out=head)
-            continue
-        lo, hi = proc.bounds(x, y)
-        t = _bracketed_kth(proc, x, y, lo, hi, ranks)[:, None]
-        np.minimum(head, np.maximum(hi, t, out=hi).min(axis=0), out=head)
-        low = np.maximum(lo, t, out=lo)
-        r, j = np.divmod(np.flatnonzero(low < head), width)
-        deferred = _prune(best, tuple(
-            np.concatenate(pair) for pair in
-            zip(deferred, (counts[r, 0], j, t[r, 0], low[r, j]))))
-        if len(deferred[0]) > _BLOCK:  # keeps memory O(_BLOCK)
-            _resolve(proc, u, v, best, deferred)
-            deferred = _NO_CELLS
-    if len(deferred[0]):
-        _resolve(proc, u, v, best, deferred)
+        # lo and hi stay bound into the next block: freed here, the heap
+        # top went back to the system and was faulted in again each block
+        lo, hi = _entries(proc, x, y)
+        s[ranks] = (_kth_smallest(lo, ranks) if proc.bounds is None else
+                    _bracketed_kth(proc, x, y, lo, hi, ranks))
+    s = np.minimum.accumulate(s[::-1])[::-1]
+    # r* - 1, the last count with S(r) < A_i(r), bit by bit from the top;
+    # that test is monotone in r, so a probe may be clipped to R1
+    below = np.zeros(r1, dtype=np.int64)
+    for step in (1 << k for k in reversed(range(r1.bit_length()))):
+        probe = np.minimum(below + step, r1)
+        cap = s[probe - 1]
+        _, top = _entries(proc, v / probe, u / probe,
+                          lambda lo, hi: (lo <= cap) & (cap < hi))
+        below = np.where(top <= cap, below, probe)
+    best = s[below]
+    with np.errstate(divide="ignore"):  # count 0 gives A_i(0) = inf
+        low, _ = _entries(proc, v / below, u / below, lambda lo, hi: lo < best)
+    np.minimum(best, low, out=best)
     values = np.empty(r1)
     values[order] = _invert(proc, best)
     return values

@@ -1,6 +1,8 @@
 """The exact r-value engine against plain bisection and the step-up rules,
 for all four procedures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,7 +137,9 @@ def test_bonferroni_engine_is_the_closed_form():
 @pytest.mark.parametrize("method", METHODS)
 def test_block_split_never_changes_results(method, monkeypatch):
     # R1 = 1500 spans several blocks of counts at the default block size;
-    # blocks of 7 counts, or of one, must give the same bits
+    # blocks of 7 counts, or of one, must give the same bits, and for the
+    # FDR methods so must the exact level on every cell, at a size where
+    # the crossing search takes about 11 steps
     rng = np.random.default_rng(71)
     r1 = 1500
     p1 = 10.0 ** rng.uniform(-10, -4, r1)
@@ -148,6 +152,10 @@ def test_block_split_never_changes_results(method, monkeypatch):
     for q in (0.01, 0.05):
         via_r = {fid for fid, r in zip(ds.ids, values) if r <= q}
         assert via_r == _claimed(method, ds, config, q)
+    if method != "fwer-bonferroni":
+        proc = _procedure(method, ds, config)
+        assert np.array_equal(values,
+                              oracle_exact_rvalues(proc, ds.p1, ds.p2))
     for block in (7 * r1, 1):
         monkeypatch.setattr(rvalue, "_BLOCK", block)
         assert np.array_equal(ENGINE[method](ds, config), values)
@@ -294,9 +302,10 @@ def test_inverse_takes_few_level_evaluations(method, monkeypatch):
 
 
 def test_threshold_engine_walks_few_cells(monkeypatch):
-    # the regime walk runs only where a bracket cannot decide, and on the
-    # edges of the factor table: <= 1% of the R1^2 cells (every cell with
-    # x * c1(x) above u / r before)
+    # the regime walk runs only on the edges of the factor table, on the
+    # cells whose brackets straddle T(r), and on the crossing search's
+    # probes whose brackets straddle S(r): <= 1% of the R1^2 cells (every
+    # cell with x * c1(x) above u / r before)
     ds, config = _seeded_table()
     walked = []
     walk = dependence._regime_factor
@@ -304,6 +313,20 @@ def test_threshold_engine_walks_few_cells(monkeypatch):
                         lambda g, t, m: walked.append(len(g)) or walk(g, t, m))
     fdr_rvalues_all_threshold_dep(ds, config)
     assert 0 < sum(walked) <= 0.01 * len(ds) ** 2
+
+
+@pytest.mark.parametrize("method", ("fdr", "fdr-threshold-dep"))
+def test_engine_memory_stays_linear(method):
+    # O(R1) memory: one R1^2 array of float64 at R1 = 3000 would be 69 MB
+    ds, config = _seeded_table(r1=3000)
+    ds.p1, ds.p2  # cached on the dataset, so not counted below
+    tracemalloc.start()
+    try:
+        ENGINE[method](ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def _step_up_count_by_scan(need):

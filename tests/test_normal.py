@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repval import normal
 from repval.normal import normal_quantile, normal_sf
 
 # reference quantiles (60-digit root-finding, truncated to double)
@@ -127,3 +132,13 @@ def test_two_dimensional_input_matches_rows(fn):
     assert out.shape == rows.shape
     for row, got in zip(rows, out):
         assert np.array_equal(got, fn(row), equal_nan=True)
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # the quantile imports statistics on its first call; a run that needs
+    # no quantile (rvalues without --meta stouffer) never pays for it
+    check = ("import sys, repval.cli; "
+             "assert 'statistics' not in sys.modules, 'loaded at import'")
+    env = {**os.environ, "PYTHONPATH": str(Path(normal.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+                   check=True)
