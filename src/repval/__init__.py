@@ -24,9 +24,20 @@ from .model import (AnalysisConfig, DatasetError, FeatureRecord,
 from .normal import normal_quantile, normal_sf
 from .rvalue import c1, fdr_rvalues_all, step_up_set
 from .selection import bh_reject, refine_for_replicability
-from .simulate import (SimulationMetrics, SimulationScenario,
-                       compare_baseline, estimate, parse_scenario_file,
-                       simulate_rep, sweep_c2)
+
+# The simulation harness loads on first use of one of its names: the CLI
+# imports this package for every call, and only ``repval simulate`` needs it.
+_SIMULATION = ("SimulationMetrics", "SimulationScenario", "compare_baseline",
+               "estimate", "parse_scenario_file", "simulate_rep", "sweep_c2")
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION:
+        from . import simulate
+        value = globals()[name] = getattr(simulate, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

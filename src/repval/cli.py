@@ -22,12 +22,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
-from typing import ContextManager, Optional, TextIO
+from typing import Callable, ContextManager, Optional, TextIO
 
 from .baselines import meta_p
 from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
@@ -38,8 +39,27 @@ from .model import (AnalysisConfig, DatasetError, read_pvalue_table,
                     validate_dataset)
 from .rvalue import fdr_rvalues_all, step_up_set
 from .selection import refine_for_replicability
-from .simulate import (METRICS_CSV_HEADER, SCENARIO_FIELDS, metrics_csv_row,
-                       parse_scenario_file, scenario_from_mapping, sweep_c2)
+
+# Names from repval.simulate. Only the simulate subcommand needs the
+# harness, so it is imported, and these bound here, on first use.
+_SIMULATION = ("METRICS_CSV_HEADER", "SCENARIO_FIELDS", "metrics_csv_row",
+               "parse_scenario_file", "scenario_from_mapping", "sweep_c2")
+
+
+def _load_simulation() -> None:
+    """Bind the _SIMULATION names here; one already bound (a wrapper set
+    from outside) is kept."""
+    from . import simulate
+    for name in _SIMULATION:
+        globals().setdefault(name, getattr(simulate, name))
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION:
+        _load_simulation()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -67,7 +87,17 @@ def _methods() -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; this tool reserves 2 for data
-    errors, so flag problems exit 3 instead."""
+    errors, so flag problems exit 3 instead. ``fill(parser)``, when set,
+    adds the arguments when the parser first parses (``--help`` included),
+    so a subcommand that is not run costs nothing to build."""
+
+    fill: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.fill is not None:
+            fill, self.fill = self.fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -115,6 +145,12 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="estimate error rates and power "
                          "by Monte Carlo")
+    sim.fill = _simulate_arguments
+    return parser
+
+
+def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
+    _load_simulation()
     sim.add_argument("--scenario", default=None,
                      help="key = value scenario file; inline flags override")
     for name, kind in SCENARIO_FIELDS.items():
@@ -127,7 +163,6 @@ def build_parser() -> _Parser:
                      choices=["step-up", "bonferroni"],
                      help="claim rule whose error rates are estimated")
     sim.add_argument("--out", default=None, help="output file (default stdout)")
-    return parser
 
 
 def _open_output(prog: str,
@@ -254,6 +289,7 @@ def _parse_grid(spec: str) -> _Grid:
 
 
 def cmd_simulate(args) -> int:
+    _load_simulation()
     inline = {name: getattr(args, name) for name in SCENARIO_FIELDS
               if getattr(args, name) is not None}
 
@@ -280,9 +316,19 @@ def cmd_simulate(args) -> int:
     output = _open_output("simulate", args.out)
     if output is None:
         return EXIT_FLAGS
+    points = sweep_c2(scenario, grid, args.procedure)
     with output as out:
+        try:
+            # the first point runs before the header is written, so a
+            # scenario too large for memory leaves no partial table
+            first = next(points)
+        except MemoryError:
+            print(f"repval simulate: bad scenario: m = {scenario.m} with "
+                  f"reps = {scenario.reps} does not fit in memory",
+                  file=sys.stderr)
+            return EXIT_DATA
         out.write(METRICS_CSV_HEADER + "\n")
-        for c2v, metrics in sweep_c2(scenario, grid, args.procedure):
+        for c2v, metrics in itertools.chain((first,), points):
             out.write(metrics_csv_row(replace(scenario, c2=c2v), metrics)
                       + "\n")
             out.flush()

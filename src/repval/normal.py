@@ -2,8 +2,12 @@
 
 The survival function is vectorised numpy in double precision, so the
 simulation harness does not pull in an external numerics stack: a
-Hart-style rational approximation for the central region and a deep Gauss
-continued fraction for the tail. The quantile is the standard library's
+Hart-style rational approximation for |x| below 3.5, and in the tail the
+standard library's ``math.erfc``, one Python call per value. The
+simulation's tail values are few per call, and there that costs less than
+numpy's per-call overhead over the steps of a deep continued fraction.
+Rounding x / sqrt(2) bounds the tail's relative error, about 2e-13 near
+x = 37. The quantile is the standard library's
 ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), imported on first
 use and applied element by element to arrays. Both accept plain floats;
 the test suite checks them against ``math.erfc`` and mpmath references
@@ -19,19 +23,9 @@ import numpy as np
 
 __all__ = ["normal_sf", "normal_quantile"]
 
-_SQRT_TWO_PI = 2.5066282746310002
+_SQRT_TWO = math.sqrt(2.0)
 _TAIL_SPLIT = 3.5
-_CF_DEPTH = 48
-
-
-def _mills_denom(z: np.ndarray) -> np.ndarray:
-    """z + R(z) where sf(z) = pdf(z) / (z + R(z)), via the Gauss continued
-    fraction R(z) = 1/(z + 2/(z + 3/(z + ...))) evaluated backward at fixed
-    depth. Accurate to ~1e-15 relative for z >= 3."""
-    r = np.zeros_like(z)
-    for k in range(_CF_DEPTH, 0, -1):
-        r = k / (z + r)
-    return z + r
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _upper_tail(z: np.ndarray) -> np.ndarray:
@@ -53,8 +47,7 @@ def _upper_tail(z: np.ndarray) -> np.ndarray:
         out[core] = ex * num / den
     tail = ~core
     if np.any(tail):
-        zt = np.minimum(z[tail], 40.0)
-        out[tail] = np.exp(-0.5 * zt * zt) / (_mills_denom(zt) * _SQRT_TWO_PI)
+        out[tail] = 0.5 * _ERFC(z[tail] / _SQRT_TWO).astype(float)
     return out
 
 

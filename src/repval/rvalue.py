@@ -117,10 +117,11 @@ def _fdr_procedure(config: AnalysisConfig, m_eff: float) -> _Procedure:
                       lambda b: _inverse_level(b, l00, c2))
 
 
-def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray):
+def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray, r1=None):
     """u = p1 * m_eff and v = p2 * R1 / c2: feature j's entry level at
-    count r is level(v_j / r, u_j / r)."""
-    return p1 * proc.m_eff, p2 * len(p2) / proc.c2
+    count r is level(v_j / r, u_j / r). R1 is ``len(p2)`` unless given,
+    as a scalar or per feature (features of several follow-up sets)."""
+    return p1 * proc.m_eff, p2 * (len(p2) if r1 is None else r1) / proc.c2
 
 
 def _smallest_reaching(level, a: np.ndarray, floor: float,
@@ -307,14 +308,16 @@ def _claim_levels(proc: _Procedure,
 
 
 def _need_counts(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
-                 levels: tuple[float, float]) -> np.ndarray:
+                 levels: tuple[float, float], r1=None) -> np.ndarray:
     """Per feature, the smallest count r with u_j / r <= G(q) and
     v_j / r <= q* as rounded, ``levels`` being (G(q), q*); more than R1 when
-    there is none. Dividing by the next doubles up gives counts never above
-    that and, for normal levels, at most one below, so the loop ends after
-    one check or two."""
+    there is none. R1 is as in :func:`_scaled`. Dividing by the next
+    doubles up gives counts never above that and, for normal levels, at
+    most one below, so the loop ends after one check or two."""
     g, q_star = levels
-    u, v = _scaled(proc, p1, p2)
+    if r1 is None:
+        r1 = len(p2)
+    u, v = _scaled(proc, p1, p2, r1)
 
     def passes(r):
         return (u / r <= g) & (v / r <= q_star)
@@ -323,7 +326,7 @@ def _need_counts(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
         need = np.maximum(np.ceil(u / math.nextafter(g, math.inf)),
                           np.ceil(v / math.nextafter(q_star, math.inf)))
     np.maximum(need, 1.0, out=need)
-    while (short := (need <= len(u)) & ~passes(need)).any():
+    while (short := (need <= r1) & ~passes(need)).any():
         need += short
     return need
 

@@ -20,14 +20,23 @@ Every repetition draws from its own counter-derived stream
 repetitions are scheduled, and paired procedure comparisons see identical
 data.
 
-What a scenario fixes (block masks, the mu1 shifts, c1(q)) is computed
-once per scenario; mu2 is two scalar quantiles, computed per repetition.
-Repetitions then run in blocks of at most 2^12 primary values: the block's
-primary p-values come from one ``normal_sf`` call on a (reps x m) matrix,
-and its follow-up p-values from one call on the concatenated draws.
-``normal_sf`` works element by element and each repetition keeps its own
-stream and draw order, so every result is the same as running the
-repetitions one at a time; memory is O(block + m), not O(reps * m).
+What a scenario fixes (block masks, the mu1 shifts, c1(q) and the BH
+candidate cut) is computed once per scenario; mu2 is two scalar quantiles,
+computed per repetition. Repetitions then run in blocks of at most 2^14
+primary values, and each block makes a few numpy calls, not a few per
+repetition. Every BH bound is at most the level c1(q)*q, so below a level
+of 1/2 only primary z-scores at or above its upper quantile (less a 1e-6
+margin) can be selected; only these candidates get a p-value, from one
+``normal_sf`` call per block. BH then runs on all of the block's
+candidates in one pass, one row per repetition of a padded table sorted
+row by row, and the follow-up p-values come from one more call on the
+concatenated draws. The claim rules also take the whole block at once,
+with R1 per feature: the step-up set's R2 per repetition comes from one
+such sort of the need counts. Each repetition keeps its own stream and
+draw order, and every step is the per-repetition rule applied row by row,
+so every result is the same as running the repetitions one at a time.
+A block keeps only its candidates, so memory is O(block + m), not
+O(reps * m).
 """
 
 from __future__ import annotations
@@ -38,12 +47,12 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .baselines import _max_p_bh_mask
 from .model import AnalysisConfig
 from .normal import normal_quantile, normal_sf
-from .rvalue import (_claim_levels, _fdr_procedure, _need_counts,
-                     _step_up_mask, c1)
-from .selection import bh_reject
+from .rvalue import _claim_levels, _fdr_procedure, _need_counts, c1
+# the per-repetition rule that _block_bh applies to a whole block; the
+# perfbench tracer wraps it under this module's name
+from .selection import bh_reject  # noqa: F401
 
 __all__ = [
     "SimulationScenario", "SimulationMetrics", "simulate_rep", "estimate",
@@ -180,6 +189,12 @@ class _Design:
                    - normal_quantile(1.0 - scenario.pi1))
             self.shift1 = np.where(np.arange(m) >= n00 + n01, mu1, 0.0)
         self.bh_level = c1(q, scenario.l00, scenario.c2) * q
+        # only p1 <= bh_level can pass BH. Below a level of 1/2 that needs
+        # x1 at or above the level's upper quantile, and the margin is far
+        # wider than the error of either function; the floor of 1e-300
+        # keeps a level that rounds to 0 (p1 = 0 passes) finite.
+        self.cut = (-normal_quantile(max(self.bh_level, 1e-300)) - 1e-6
+                    if self.bh_level < 0.5 else -math.inf)
         self.config = scenario.analysis_config
         # both claim rules read G(q) and q* at level q (Bonferroni runs at
         # alpha = q)
@@ -187,21 +202,82 @@ class _Design:
         self.levels = _claim_levels(self.procedure, q)
 
 
-# procedure -> claim mask; Bonferroni is the count-1 case of the step-up
-# predicate
-_CLAIMS = {
-    "step-up": lambda design, p1, p2: _step_up_mask(
-        design.procedure, p1, p2, design.levels),
-    "bonferroni": lambda design, p1, p2: _need_counts(
-        design.procedure, p1, p2, design.levels) <= 1.0,
-    "max-p-bh": lambda design, p1, p2: _max_p_bh_mask(
-        p1, p2, design.config, design.scenario.q)}
+def _step_up_rows(rows: np.ndarray, x: np.ndarray,
+                  step: float) -> np.ndarray:
+    """The step-up rule on every row at once, ``rows`` being nondecreasing:
+    per row i, a mask of the k smallest x among the entries with rows == i,
+    k the largest count with x_(k) <= k * step (0 if none). These are the
+    x <= x_(k), since a tie with x_(k) would pass at k + 1. The rows are
+    sorted as one table, padded with inf."""
+    counts = np.bincount(rows)
+    table = np.full((len(counts), counts.max(initial=0)), np.inf)
+    table[rows, np.arange(len(x)) - (np.cumsum(counts) - counts)[rows]] = x
+    table.sort(axis=1)
+    rank = np.arange(1, table.shape[1] + 1)
+    k = ((table <= rank * step) * rank).max(axis=1, initial=0)
+    cap = np.where(k > 0, table[np.arange(len(k)), k - 1], -np.inf)
+    return x <= cap[rows]
 
-# Primary values per block of repetitions: 32 KiB of float64. At m = 1000,
-# against one repetition per block, the paper-design sweep ran ~1.7x faster
-# and the simulate CLI child's peak RSS rose 0.3 MB; 2^16 ran ~2x faster but
-# rose 4.7 MB.
-_BLOCK = 2**12
+
+def _block_bh(rows: np.ndarray, p: np.ndarray, level: float,
+              n: int) -> np.ndarray:
+    """bh_reject(p[rows == i], level, n=n) for every row i, as one mask,
+    for p in [0, 1]: the entries missing from a row of n are p = 1, and
+    then all of them pass at the last step or none of them does."""
+    step = level / n
+    if n * step >= 1.0:  # every p <= 1 passes at count n
+        return np.ones(len(p), dtype=bool)
+    return _step_up_rows(rows, p, step)
+
+
+# procedure -> claim mask over a block's followed-up features, given each
+# one's repetition (rows, nondecreasing) and that repetition's R1.
+# Bonferroni is the count-1 case of the step-up predicate; it claims
+# feature by feature, so it also takes one repetition's features alone.
+def _step_up_claims(design, p1, p2, rows, r1):
+    need = _need_counts(design.procedure, p1, p2, design.levels, r1)
+    return _step_up_rows(rows, need, 1)
+
+
+def _bonferroni_claims(design, p1, p2, rows=None, r1=None):
+    return _need_counts(design.procedure, p1, p2, design.levels, r1) <= 1.0
+
+
+def _max_p_bh_claims(design, p1, p2, rows, r1):
+    """BH at q / (1 - l00) on max(p1, p2) with n = m, as max_p_bh."""
+    return _block_bh(rows, np.maximum(p1, p2),
+                     design.scenario.q / (1.0 - design.config.l00),
+                     design.config.m)
+
+
+_CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
+           "max-p-bh": _max_p_bh_claims}
+
+# Primary values per block of repetitions: 16 repetitions at m = 1000, of
+# which a block keeps only the candidates (about 18% at the paper design).
+# On the paper-design sweep (5 points x 100 reps, in-process, 2 vCPU) 2^14
+# took 68-71 ms, 2^12 81-108 ms and 2^15 63-68 ms; the release that ran
+# each repetition's BH and claims apart took 162-169 ms. The simulate CLI
+# child's peak RSS was 36.6-36.7 MB at 2^14 and 37.1-37.2 MB at 2^15,
+# against 36.9 MB for that release.
+_BLOCK = 2**14
+
+
+def _select(design: _Design, x1: Iterable[np.ndarray]):
+    """BH at the design's level in each repetition of a block, given its
+    primary z-scores one repetition at a time: (repetition, feature, p1)
+    of the selected features, by repetition in feature order. Only the
+    candidates (z at or above ``design.cut``) get a p-value, and only they
+    are kept from each repetition's m z-scores."""
+    cols, z = [], []
+    for x in x1:
+        cols.append(np.flatnonzero(x >= design.cut))
+        z.append(x[cols[-1]])
+    rep = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+    col = np.concatenate(cols)
+    p1 = normal_sf(np.concatenate(z))
+    selected = _block_bh(rep, p1, design.bh_level, design.scenario.m)
+    return rep[selected], col[selected], p1[selected]
 
 
 def _outcomes(scenario: SimulationScenario, reps: range,
@@ -221,34 +297,28 @@ def _outcomes(scenario: SimulationScenario, reps: range,
     rows = max(1, _BLOCK // scenario.m)
     for first in range(reps.start, reps.stop, rows):
         block = range(first, min(first + rows, reps.stop))
+        n = len(block)
         rngs = [_rep_generator(scenario.seed, rep) for rep in block]
-        x1 = np.stack([_primary_noise(scenario, rng) for rng in rngs])
+        x1 = (_primary_noise(scenario, rng) for rng in rngs)
         if design.shift1 is not None:
-            x1 += design.shift1
-        p1 = normal_sf(x1)
+            x1 = (x + design.shift1 for x in x1)
+        rep, col, p1 = _select(design, x1)
+        r1 = np.bincount(rep, minlength=n)
 
-        selected = [bh_reject(row, design.bh_level) for row in p1]
-        x2 = []
-        for rng, sel in zip(rngs, selected):
-            draws = rng.standard_normal(len(sel))
-            sel_signal2 = design.signal2[sel]
-            if sel_signal2.any():
-                draws = draws + np.where(
-                    sel_signal2, _mu2(scenario.pi2, len(sel)), 0.0)
-            x2.append(draws)
-        p2_all = normal_sf(np.concatenate(x2))
+        x2 = np.concatenate([rng.standard_normal(k)
+                             for rng, k in zip(rngs, r1.tolist())])
+        mu2 = np.array([_mu2(scenario.pi2, k) if k else 0.0
+                        for k in r1.tolist()])
+        x2 += np.where(design.signal2[col], mu2[rep], 0.0)
+        p2 = normal_sf(x2)
 
-        end = 0
-        for i, (row, sel) in enumerate(zip(p1, selected),
-                                       first - reps.start):
-            r1 = len(sel)
-            p2 = p2_all[end:end + r1]
-            end += r1
-            p1_sel = row[sel]
-            sel_truth = design.truth11[sel]
-            for proc in procedures:
-                mask = _CLAIMS[proc](design, p1_sel, p2)
-                out[proc][i] = r1, mask.sum(), (mask & sel_truth).sum()
+        true = design.truth11[col]
+        at = slice(first - reps.start, first - reps.start + n)
+        for proc in procedures:
+            claimed = _CLAIMS[proc](design, p1, p2, rep, r1[rep])
+            out[proc][at] = np.column_stack((
+                r1, np.bincount(rep[claimed], minlength=n),
+                np.bincount(rep[claimed & true], minlength=n)))
     return out
 
 

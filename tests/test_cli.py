@@ -115,6 +115,30 @@ def test_c2_grid_is_lazy():
                    check=True)
 
 
+@pytest.mark.parametrize("flag", ["--m", "--reps"])
+def test_scenario_too_large_for_memory_exits_2(flag):
+    # in a child capped at 512 MB of address space, so that no run can fill
+    # the host: the first grid point fails before the CSV header is written
+    check = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+        from repval import cli
+        sys.argv = ["repval", "simulate", "--pi1", ".8", "--pi2", ".8",
+                    "--seed", "1", "{flag}", "1000000000000"]
+        cli.entry()
+    """)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", check], env=env,
+                            timeout=60, capture_output=True)
+    assert result.returncode == cli.EXIT_DATA
+    assert result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("repval simulate: bad scenario: ")
+    assert "does not fit in memory" in lines[0]
+
+
 def test_c2_grid_matches_listed_points():
     for spec in ("0.1:0.9:0.2", "0.1:0.95:0.2", "0.3:0.3:0.1",
                  "0.05:0.95:0.15"):
@@ -311,3 +335,48 @@ def test_unopenable_out_exits_3_with_one_line(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_FLAGS
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--out: " in err and "Errno" in err
+
+
+@pytest.mark.parametrize("command", ["", "rvalues", "simulate"])
+def test_help_is_byte_identical(command, monkeypatch, capsys):
+    # the golden files are the help of the release that built every
+    # subcommand's arguments at start-up, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    golden = GOLDEN_DIR / f"help-{command or 'repval'}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_rvalues_run_leaves_simulation_unloaded(tmp_path):
+    # only ``repval simulate`` needs the harness and numpy's random
+    # generators; an r-value run never imports them
+    check = textwrap.dedent(f"""
+        import sys, repval.cli
+        assert "repval.simulate" not in sys.modules, "loaded at import"
+        code = repval.cli.main(["rvalues", {str(DATA_DIR / "t2d.tsv")!r},
+                                "--m", "68", "--l00", "0.0", "--q", "0.05",
+                                "--out", {str(tmp_path / "out.tsv")!r}])
+        assert code == 0
+        for name in ("repval.simulate", "numpy.random"):
+            assert name not in sys.modules, name
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+                   check=True)
+    assert (tmp_path / "out.tsv").read_bytes() == (
+        GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
+
+
+def test_simulation_names_resolve_on_first_use():
+    # the package and the CLI bind the harness's names when first asked for
+    from repval import simulate as module
+    assert cli.sweep_c2 is module.sweep_c2
+    assert cli.SCENARIO_FIELDS is module.SCENARIO_FIELDS
+    import repval
+    assert repval.estimate is module.estimate
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+    with pytest.raises(AttributeError):
+        repval.no_such_name

@@ -4,12 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repval import (SimulationScenario, compare_baseline, estimate,
                     normal_quantile, normal_sf, parse_scenario_file,
                     simulate, simulate_rep, sweep_c2)
+from repval.baselines import _max_p_bh_mask
+from repval.rvalue import _need_counts, _step_up_mask
+from repval.selection import bh_reject
 from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
                              metrics_csv_row, scenario_from_mapping)
+
+DEFAULT_BLOCK = simulate._BLOCK
 
 # The paper's simulation design (l00 = 0.8, c2 = 0.5 and q = 0.05 are the
 # defaults).
@@ -268,11 +275,161 @@ def test_sweep_equals_rep_by_rep(procedure):
 
 
 def test_block_size_never_changes_results(monkeypatch):
-    sc = BLOCK_CASES["rho"]
-    expected = compare_baseline(sc)
-    for block in (1, 999, 1001, 2**20):
-        monkeypatch.setattr(simulate, "_BLOCK", block)
-        assert compare_baseline(sc) == expected
+    # against one repetition per block; 40 repetitions at m = 1000 make
+    # 3 blocks at the default size
+    for sc in (BLOCK_CASES["rho"], replace(BLOCK_CASES["paper"], reps=40)):
+        monkeypatch.setattr(simulate, "_BLOCK", 1)
+        expected = (compare_baseline(sc), estimate(sc, "step-up"),
+                    estimate(sc, "bonferroni"))
+        for block in (999, 1001, DEFAULT_BLOCK, 2**20):
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+            assert (compare_baseline(sc), estimate(sc, "step-up"),
+                    estimate(sc, "bonferroni")) == expected, block
+
+
+@pytest.mark.parametrize("block", [1000, 2**12, DEFAULT_BLOCK, 2**20])
+def test_normal_sf_is_called_at_most_twice_per_block(monkeypatch, block):
+    # one call for the block's primary candidates, one for its follow-up
+    # draws, however many repetitions the block holds
+    calls = []
+    real = simulate.normal_sf
+
+    def counted(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(simulate, "normal_sf", counted)
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    sc = SimulationScenario(seed=5, reps=40, **PAPER)
+    compare_baseline(sc)
+    blocks = -(-sc.reps // max(1, block // sc.m))
+    assert 0 < len(calls) <= 2 * blocks
+
+
+def _design(m, l00, c2, q):
+    return simulate._Design(SimulationScenario(
+        pi1=0.5, pi2=0.5, seed=0, m=m, f00=1.0, f01=0.0, f10=0.0, f11=0.0,
+        l00=l00, c2=c2, q=q))
+
+
+def _by_row(rows, values, nrows):
+    return [values[rows == i] for i in range(nrows)]
+
+
+@st.composite
+def bh_blocks(draw):
+    """(rows, p, level, n): rows of at most n p-values in [0, 1], empty or
+    all-null ones among them, with ties and values exactly on or next to
+    the BH bounds k * level / n."""
+    n = draw(st.integers(1, 12))
+    level = draw(st.sampled_from([1e-3, 0.05, 0.11, 0.5, 0.95, 1.0, 3.0]))
+    bounds = [min(k * (level / n), 1.0) for k in range(1, n + 1)]
+    pool = st.one_of(
+        st.sampled_from(bounds),
+        st.sampled_from(bounds).map(
+            lambda b: min(float(np.nextafter(b, 2.0)), 1.0)),
+        st.sampled_from(bounds).map(lambda b: float(np.nextafter(b, -1.0))),
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0))
+    null = st.floats(0.9, 1.0)
+    rows = draw(st.lists(st.tuples(st.integers(0, n), st.booleans()),
+                         min_size=1, max_size=5))
+    p = [draw(st.lists(null if is_null else pool, min_size=size,
+                       max_size=size)) for size, is_null in rows]
+    lengths = [len(row) for row in p]
+    return (np.repeat(np.arange(len(p)), lengths),
+            np.array([v for row in p for v in row], dtype=float), level, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bh_blocks())
+def test_block_bh_equals_bh_reject_row_by_row(block):
+    rows, p, level, n = block
+    mask = simulate._block_bh(rows, p, level, n)
+    nrows = rows.max(initial=-1) + 1
+    for row_p, row_mask in zip(_by_row(rows, p, nrows),
+                               _by_row(rows, mask, nrows)):
+        assert np.array_equal(np.flatnonzero(row_mask),
+                              bh_reject(row_p, level, n=n))
+
+
+@st.composite
+def primary_blocks(draw):
+    """(design, rows of primary z-scores): ties, z-scores within 1e-6 of
+    the candidate cut, and z-scores whose p-values sit near the BH
+    bounds."""
+    m = draw(st.integers(1, 20))
+    design = _design(m, draw(st.sampled_from([0.0, 0.8])),
+                     draw(st.sampled_from([0.3, 0.5])),
+                     draw(st.sampled_from([0.01, 0.05, 0.3])))
+    level = design.bh_level
+    near_cut = [design.cut + d for d in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7,
+                                         1e-6, 2e-6)]
+    near_cut += [float(np.nextafter(design.cut, v))
+                 for v in (-np.inf, np.inf)]
+    on_bounds = [-normal_quantile(min(k * level / m, 1.0))
+                 for k in range(1, m + 1)]
+    pool = st.one_of(st.sampled_from(near_cut), st.sampled_from(on_bounds),
+                     st.floats(-4.0, 12.0), st.sampled_from([40.0, -40.0]))
+    reps = draw(st.integers(1, 4))
+    return design, [np.array(draw(st.lists(pool, min_size=m, max_size=m)))
+                    for _ in range(reps)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(primary_blocks())
+def test_block_selection_equals_bh_reject_row_by_row(block):
+    design, x1 = block
+    rep, col, p1 = simulate._select(design, iter(x1))
+    for i, x in enumerate(x1):
+        p = normal_sf(x)
+        expected = bh_reject(p, design.bh_level)
+        assert np.array_equal(col[rep == i], expected)
+        assert np.array_equal(p1[rep == i], p[expected])
+
+
+@st.composite
+def claim_blocks(draw):
+    """(design, rows, p1, p2): the followed-up features of a few
+    repetitions, with ties and p-values exactly on the claim bounds."""
+    m = draw(st.sampled_from([20, 1000]))
+    design = _design(m, draw(st.sampled_from([0.0, 0.8])),
+                     draw(st.sampled_from([0.3, 0.5])),
+                     draw(st.sampled_from([0.01, 0.05])))
+    g, q_star = design.levels
+    c2 = design.config.c2
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=5))
+    p1, p2 = [], []
+    for r1 in sizes:
+        on_p1 = [min(r * g / m, 1.0) for r in range(1, r1 + 1)]
+        on_p2 = [min(r * q_star * c2 / r1, 1.0) for r in range(1, r1 + 1)]
+        for pool, out in ((on_p1, p1), (on_p2, p2)):
+            values = st.one_of(st.floats(1e-12, 1.0), st.sampled_from(
+                pool + [1e-9, 0.5]))
+            out.extend(draw(st.lists(values, min_size=r1, max_size=r1)))
+    return (design, np.repeat(np.arange(len(sizes)), sizes),
+            np.array(p1, dtype=float), np.array(p2, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(claim_blocks())
+def test_block_claims_equal_per_rep_rules(block):
+    design, rows, p1, p2 = block
+    r1 = np.bincount(rows)[rows]
+    nrows = rows.max(initial=-1) + 1
+    per_rep = list(zip(_by_row(rows, p1, nrows), _by_row(rows, p2, nrows)))
+    expected = {
+        "step-up": [_step_up_mask(design.procedure, a, b, design.levels)
+                    for a, b in per_rep],
+        "bonferroni": [_need_counts(design.procedure, a, b,
+                                    design.levels) <= 1.0
+                       for a, b in per_rep],
+        "max-p-bh": [_max_p_bh_mask(a, b, design.config, design.scenario.q)
+                     for a, b in per_rep],
+    }
+    for proc, masks in expected.items():
+        got = simulate._CLAIMS[proc](design, p1, p2, rows, r1)
+        assert np.array_equal(got, np.concatenate(masks + [[]]).astype(bool))
 
 
 def test_estimate_memory_is_bounded_by_block_not_reps():
