@@ -12,33 +12,36 @@ have pooled more cohorts.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
 from .model import AnalysisConfig, ValidatedDataset
 from .normal import normal_quantile, normal_sf
-from .selection import bh_reject
+from .selection import _bh_mask
+# not called here: the perfbench tracer wraps it under this module's name
+from .selection import bh_reject  # noqa: F401
 
 __all__ = ["max_p_bh", "meta_p"]
 
 
 def _max_p_bh_mask(p1: np.ndarray, p2: np.ndarray, config: AnalysisConfig,
-                   q: float) -> np.ndarray:
+                   q: float, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Which features BH claims at level q / (1 - l00) on max(p1, p2), with
     the maximum set to 1 for the m - R1 features that were not followed
-    up. The l00 inflation keeps the comparison with the r-value procedure
-    fair."""
-    mask = np.zeros(len(p1), dtype=bool)
-    mask[bh_reject(np.maximum(p1, p2), q / (1.0 - config.l00),
-                   n=config.m)] = True
-    return mask
+    up; per row of ``rows`` as in :func:`repval.selection._bh_mask`, for
+    the simulation's blocks of repetitions. The l00 inflation keeps the
+    comparison with the r-value procedure fair."""
+    return _bh_mask(np.maximum(p1, p2), q / (1.0 - config.l00), config.m,
+                    rows)
 
 
 def max_p_bh(dataset: ValidatedDataset, config: AnalysisConfig,
              q: float) -> frozenset[str]:
     """Ids of the features BH on max(p1, p2) claims at level q / (1 - l00);
     see :func:`_max_p_bh_mask`."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {q!r}")
     mask = _max_p_bh_mask(dataset.p1, dataset.p2, config, q)
     return frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
 

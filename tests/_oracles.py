@@ -109,16 +109,27 @@ def oracle_bonferroni_bisect(p1, p2, m, l00, c2):
         for a, b in zip(p1, p2)]
 
 
-def oracle_bh(pvalues, level):
-    """Step-up BH by scanning k downward."""
-    n = len(pvalues)
-    order = sorted(range(n), key=lambda i: pvalues[i])
-    k_best = 0
+def oracle_bh(pvalues, level, n=None):
+    """Step-up BH by scanning k downward, over n hypotheses (default
+    len(pvalues)) of which the ones not given are p = 1, materialised;
+    the indices into ``pvalues`` it rejects. The bounds are k * (level / n),
+    rounded as the package rounds them."""
+    n = len(pvalues) if n is None else n
+    p = list(pvalues) + [1.0] * (n - len(pvalues))
+    order = sorted(range(n), key=lambda i: p[i])
     for k in range(n, 0, -1):
-        if pvalues[order[k - 1]] <= k * level / n:
-            k_best = k
-            break
-    return set(order[:k_best])
+        if p[order[k - 1]] <= k * (level / n):
+            return {i for i in order[:k] if i < len(pvalues)}
+    return set()
+
+
+def oracle_step_up_count(need):
+    """R2 from need counts by scanning r downward for #{need <= r} == r,
+    one count at a time."""
+    for r in range(len(need), 0, -1):
+        if sum(1 for x in need if x <= r) == r:
+            return r
+    return 0
 
 
 def oracle_bonferroni(p1, p2, m, r1, l00, c2):

@@ -51,6 +51,14 @@ def test_max_p_padding_both_regimes():
                 assert got == frozenset(ds.ids)
 
 
+def test_max_p_rejects_q_outside_the_unit_interval(t2d_table):
+    config = AnalysisConfig(m=68, l00=0.0)
+    ds = validate_dataset(t2d_table.records, config)
+    for q in (1.5, float("nan"), -0.1, 0.0, 1.0):
+        with pytest.raises(ValueError, match="q must lie in \\(0, 1\\)"):
+            max_p_bh(ds, config, q)
+
+
 def test_max_p_level_inflation_monotone():
     rng = np.random.default_rng(9)
     records, m = make_random_dataset(rng, r1=15)

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repval import (AnalysisConfig, cli, dependence,
@@ -221,13 +222,67 @@ def test_c2_grid_outside_unit_interval_exits_3(capsys):
     ("--seed", "-1", "seed must be >= 0"),
     ("--m", "-40", "m must be >= 1"),
     ("--scenario-id", "a,b", "contains a comma"),
-], ids=["seed", "m", "scenario-id"])
+    ("--f00", "nan", "f00 must lie in [0, 1], got nan"),
+], ids=["seed", "m", "scenario-id", "f00-nan"])
 def test_bad_scenario_exits_2_with_one_line(flag, value, message, capsys):
     code = cli.main([*SIM_DESIGN, flag, value])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "bad scenario: " in err and message in err
+
+
+# --method -> the step-up function whose set the replicated column is, at
+# every q, for the three FDR methods
+STEP_UP_NAMES = {"fdr": "step_up_set",
+                 "fdr-general-dep": "step_up_set_general_dep",
+                 "fdr-threshold-dep": "step_up_set_threshold_dep",
+                 "fwer-bonferroni": None}
+
+
+def _replicated(argv, out):
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    assert rows[0][-1] == "replicated"
+    return {row[0]: row[-1] for row in rows[1:]}
+
+
+@pytest.mark.parametrize("method", sorted(STEP_UP_NAMES))
+def test_replicated_column_reads_the_exact_rvalue(method, tmp_path):
+    # at q equal to a feature's r-value the feature is replicated, one
+    # double below it is not; the column is the method's step-up set
+    table = DATA_DIR / "iga_nephropathy.tsv"
+    config = AnalysisConfig(m=444882, l00=0.8, c2=0.5, t=2e-4)
+    ds = validate_dataset(read_pvalue_table(table).records, config)
+    rvals = cli._methods()[method](ds, config)
+    below_one = np.flatnonzero(rvals < 1.0)
+    pick = below_one[np.argsort(rvals[below_one])[len(below_one) // 2]]
+    r = float(rvals[pick])
+    argv = ["rvalues", str(table), "--m", "444882", "--method", method,
+            "--t", "2e-4"]
+    for q, hit in ((r, "yes"), (float(np.nextafter(r, 0.0)), "no")):
+        column = _replicated(argv + ["--q", repr(q)], tmp_path / "out.tsv")
+        assert column[ds.ids[pick]] == hit
+        assert {fid for fid, v in column.items() if v == "yes"} == {
+            fid for fid, rv in zip(ds.ids, rvals.tolist()) if rv <= q}
+        if STEP_UP_NAMES[method]:
+            step_up = getattr(cli, STEP_UP_NAMES[method])
+            assert {fid for fid, v in column.items() if v == "yes"} == (
+                step_up(ds, config, q))
+
+
+def test_replicated_column_calls_no_step_up_function(monkeypatch, tmp_path):
+    def called(*args):
+        raise AssertionError("a step-up function was called")
+
+    for name in filter(None, STEP_UP_NAMES.values()):
+        monkeypatch.setattr(cli, name, called)
+    for method in STEP_UP_NAMES:
+        column = _replicated(
+            ["rvalues", str(DATA_DIR / "iga_nephropathy.tsv"), "--m",
+             "444882", "--method", method, "--t", "2e-4", "--q", "0.05"],
+            tmp_path / "out.tsv")
+        assert "yes" in column.values()
 
 
 def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):

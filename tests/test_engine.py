@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import dependence, rvalue, simulate
+from repval import dependence, rvalue, selection, simulate
 from repval import (AnalysisConfig, SimulationScenario,
                     bonferroni_rvalues_all, c1_tilde, fdr_rvalues_all,
                     fdr_rvalues_all_general_dep,
@@ -18,7 +18,7 @@ from repval import (AnalysisConfig, SimulationScenario,
 from conftest import dataset_from_arrays
 from _oracles import (oracle_bonferroni, oracle_bonferroni_bisect, oracle_c1,
                       oracle_exact_rvalues, oracle_rvalues_bisect,
-                      oracle_smallest_reaching)
+                      oracle_smallest_reaching, oracle_step_up_count)
 
 QS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9)
 METHODS = ("fdr", "fdr-general-dep", "fdr-threshold-dep", "fwer-bonferroni")
@@ -329,16 +329,6 @@ def test_engine_memory_stays_linear(method):
     assert peak <= 16 * 2**20
 
 
-def _step_up_count_by_scan(need):
-    """R2 by scanning r downward for #{need <= r} == r, one count at a
-    time: the form the vectorised count in ``_step_up_mask`` replaced."""
-    sorted_need = np.sort(need)
-    for r in range(len(need), 0, -1):
-        if np.searchsorted(sorted_need, r, side="right") == r:
-            return r
-    return 0
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
                 min_size=1, max_size=12),
@@ -370,5 +360,9 @@ def test_step_up_count_matches_downward_scan(units, q, method):
     scanned = [next((r for r in range(1, r1 + 1) if entry[r - 1, j] <= g),
                     r1 + 1) for j in range(r1)]
     assert np.array_equal(np.minimum(need, r1 + 1), scanned)
-    assert np.array_equal(rvalue._step_up_mask(proc, p1, p2, levels),
-                          need <= _step_up_count_by_scan(need))
+    # the step-up rule on the need counts, as one row alone (the step-up
+    # set) and as a row of a padded table (the simulation's claims)
+    expected = need <= oracle_step_up_count(need.tolist())
+    assert np.array_equal(selection._step_up_mask(need, 1), expected)
+    assert np.array_equal(
+        selection._step_up_mask(need, 1, np.zeros(r1, dtype=int)), expected)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from repval import (SimulationScenario, compare_baseline, estimate,
                     normal_quantile, normal_sf, parse_scenario_file,
                     simulate, simulate_rep, sweep_c2)
-from repval.baselines import _max_p_bh_mask
-from repval.rvalue import _need_counts, _step_up_mask
-from repval.selection import bh_reject
+from repval.rvalue import _need_counts
+from repval.selection import _bh_mask, bh_reject
 from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
                              metrics_csv_row, scenario_from_mapping)
+
+from _oracles import oracle_bh, oracle_step_up_count
 
 DEFAULT_BLOCK = simulate._BLOCK
 
@@ -62,6 +63,9 @@ def test_scenario_validation():
         _scenario(seed=-1)
     with pytest.raises(ValueError, match="m must be"):
         _scenario(m=-40)
+    for frac in (math.nan, -0.1, 1.5, math.inf):
+        with pytest.raises(ValueError, match=r"f00 must lie in \[0, 1\]"):
+            _scenario(f00=frac)
     for bad_id in ("a,b", 'a"b', "a\rb", "a\nb"):
         with pytest.raises(ValueError, match="scenario_id"):
             _scenario(scenario_id=bad_id)
@@ -343,14 +347,16 @@ def bh_blocks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(bh_blocks())
-def test_block_bh_equals_bh_reject_row_by_row(block):
+def test_block_bh_equals_oracle_row_by_row(block):
+    # the whole block as one padded table, and each row alone
     rows, p, level, n = block
-    mask = simulate._block_bh(rows, p, level, n)
+    mask = _bh_mask(p, level, n, rows)
     nrows = rows.max(initial=-1) + 1
     for row_p, row_mask in zip(_by_row(rows, p, nrows),
                                _by_row(rows, mask, nrows)):
-        assert np.array_equal(np.flatnonzero(row_mask),
-                              bh_reject(row_p, level, n=n))
+        expected = sorted(oracle_bh(row_p.tolist(), level, n))
+        assert np.flatnonzero(row_mask).tolist() == expected
+        assert np.flatnonzero(_bh_mask(row_p, level, n)).tolist() == expected
 
 
 @st.composite
@@ -413,19 +419,26 @@ def claim_blocks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(claim_blocks())
-def test_block_claims_equal_per_rep_rules(block):
+def test_block_claims_equal_oracles_row_by_row(block):
     design, rows, p1, p2 = block
     r1 = np.bincount(rows)[rows]
     nrows = rows.max(initial=-1) + 1
     per_rep = list(zip(_by_row(rows, p1, nrows), _by_row(rows, p2, nrows)))
+    needs = [_need_counts(design.procedure, a, b, design.levels)
+             for a, b in per_rep]
+    max_p_level = design.scenario.q / (1.0 - design.config.l00)
+
+    def max_p_bh(a, b):
+        mask = np.zeros(len(a), dtype=bool)
+        mask[list(oracle_bh(np.maximum(a, b).tolist(), max_p_level,
+                            design.config.m))] = True
+        return mask
+
     expected = {
-        "step-up": [_step_up_mask(design.procedure, a, b, design.levels)
-                    for a, b in per_rep],
-        "bonferroni": [_need_counts(design.procedure, a, b,
-                                    design.levels) <= 1.0
-                       for a, b in per_rep],
-        "max-p-bh": [_max_p_bh_mask(a, b, design.config, design.scenario.q)
-                     for a, b in per_rep],
+        "step-up": [need <= oracle_step_up_count(need.tolist())
+                    for need in needs],
+        "bonferroni": [need <= 1.0 for need in needs],
+        "max-p-bh": [max_p_bh(a, b) for a, b in per_rep],
     }
     for proc, masks in expected.items():
         got = simulate._CLAIMS[proc](design, p1, p2, rows, r1)
