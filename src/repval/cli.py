@@ -45,8 +45,8 @@ from .rvalue import step_up_set  # noqa: F401
 
 # Names from repval.simulate. Only the simulate subcommand needs the
 # harness, so it is imported, and these bound here, on first use.
-_SIMULATION = ("METRICS_CSV_HEADER", "SCENARIO_FIELDS", "metrics_csv_row",
-               "parse_scenario_file", "scenario_from_mapping", "sweep_c2")
+_SIMULATION = ("METRICS_CSV_HEADER", "SCENARIO_FIELDS", "_scenario_keys",
+               "metrics_csv_row", "scenario_from_mapping", "sweep_c2")
 
 
 def _load_simulation() -> None:
@@ -220,7 +220,7 @@ def cmd_rvalues(args) -> int:
     try:
         rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
     except (ValueError, NoConsistentRegime) as exc:
-        print(f"repval rvalues: {exc}", file=sys.stderr)
+        print(f"repval rvalues: {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
     delim = {"tsv": "\t", "csv": ","}.get(args.format or "", table.delimiter)
@@ -284,16 +284,12 @@ def _parse_grid(spec: str) -> _Grid:
 
 def cmd_simulate(args) -> int:
     _load_simulation()
-    inline = {name: getattr(args, name) for name in SCENARIO_FIELDS
-              if getattr(args, name) is not None}
-
     try:
-        if args.scenario:
-            scenario = parse_scenario_file(args.scenario)
-            if inline:
-                scenario = replace(scenario, **inline)
-        else:
-            scenario = scenario_from_mapping(inline)
+        # inline flags override the file's keys before any value is checked
+        keys = _scenario_keys(args.scenario) if args.scenario else {}
+        keys.update((name, getattr(args, name)) for name in SCENARIO_FIELDS
+                    if getattr(args, name) is not None)
+        scenario = scenario_from_mapping(keys)
     except (ValueError, OSError) as exc:
         print(f"repval simulate: bad scenario: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -162,6 +162,23 @@ class PValueTable:
     source_lines: list[int]
 
 
+def _read_text(source) -> str:
+    """The whole text of ``source``, a path to a UTF-8 file or an open text
+    stream, without one leading byte-order mark. Undecodable bytes are a
+    :class:`DatasetError`."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DatasetError(f"not UTF-8 text: byte 0x{byte:02x} cannot be "
+                           "decoded") from None
+    return text.removeprefix("\ufeff")
+
+
 def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
@@ -177,17 +194,7 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
     given epsilon, for dirty real-world exports.
     """
-    try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise DatasetError(f"not UTF-8 text: byte 0x{byte:02x} cannot be "
-                           "decoded") from None
-    stream = io.StringIO(text.removeprefix("\ufeff"))
+    stream = io.StringIO(_read_text(source))
     first = stream.readline()
     if not first.strip():
         raise DatasetError("empty input table", 1)

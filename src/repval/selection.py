@@ -73,7 +73,12 @@ def bh_reject(pvalues: Sequence[float], level: float, *,
     step, when n * (level / n) >= 1, and then every hypothesis is rejected.
     Otherwise no value 1 passes, the given p-values fill the first sorted
     positions, and BH runs on them alone with denominator n.
+
+    ``level`` must be positive and finite (:class:`ValueError` otherwise);
+    a level of 1 or more is valid.
     """
+    if not 0.0 < level < np.inf:
+        raise ValueError(f"level must be positive and finite, got {level!r}")
     p = np.asarray(pvalues, dtype=float)
     if n is None:
         n = len(p)

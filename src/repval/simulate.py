@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from .baselines import _max_p_bh_mask
-from .model import AnalysisConfig
+from .model import AnalysisConfig, _read_text
 from .normal import normal_quantile, normal_sf
 from .rvalue import _claim_levels, _fdr_procedure, _need_counts, c1
 from .selection import _bh_mask, _step_up_mask
@@ -90,8 +90,7 @@ class SimulationScenario:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m!r}")
+        self.analysis_config  # checks m, l00 and c2
         for name in ("f00", "f01", "f10", "f11"):
             frac = getattr(self, name)
             if not 0.0 <= frac <= 1.0:  # NaN too, before round() sees it
@@ -106,10 +105,6 @@ class SimulationScenario:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
-        if not 0.0 <= self.l00 < 1.0:
-            raise ValueError("l00 must lie in [0, 1)")
-        if not 0.0 < self.c2 < 1.0:
-            raise ValueError("c2 must lie in (0, 1)")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         if self.reps < 1:
@@ -375,23 +370,32 @@ def scenario_from_mapping(mapping: dict) -> SimulationScenario:
     return SimulationScenario(**kwargs)
 
 
-def parse_scenario_file(source) -> SimulationScenario:
-    """Plain key = value lines mirroring the scenario fields; # comments."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+def _scenario_keys(source) -> dict[str, str]:
+    """The key = value lines of a scenario file, values as written."""
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
-    return scenario_from_mapping(mapping)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in mapping:
+            raise ValueError(f"line {lineno}: key {key!r} appears twice")
+        mapping[key] = value
+    return mapping
+
+
+def parse_scenario_file(source) -> SimulationScenario:
+    """The scenario in a file of plain ``key = value`` lines, one per
+    :data:`SCENARIO_FIELDS` entry (pi1, pi2 and seed are required);
+    ``#`` starts a comment. ``source`` is a path or an open text stream.
+    The text must be UTF-8, and one leading byte-order mark is skipped, as
+    in :func:`repval.model.read_pvalue_table`. A key given twice is an
+    error (:class:`ValueError`), not a silent override. ``repval simulate
+    --scenario`` reads the same keys, and its inline flags override them
+    before any value is checked."""
+    return scenario_from_mapping(_scenario_keys(source))
 
 
 METRICS_CSV_HEADER = ("scenario_id,c2,l00,pi1,pi2,fdr_hat,se_fdr,"

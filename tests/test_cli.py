@@ -208,8 +208,16 @@ def test_clamp_zero_out_of_range_exits_3_before_reading(capsys):
         assert "--clamp-zero must lie in (0, 1]" in capsys.readouterr().err
 
 
+def test_threshold_dep_without_t_exits_3_before_reading(capsys):
+    code = cli.main(["rvalues", "no-such-file.tsv", "--m", "68", "--method",
+                     "fdr-threshold-dep"])
+    assert code == cli.EXIT_FLAGS
+    assert "--t is required" in capsys.readouterr().err
+
+
 def test_c2_grid_outside_unit_interval_exits_3(capsys):
     for grid, message in (("0:1:0.5", "c2 must lie in (0, 1)"),
+                          ("0.1:0.9", "expected LO:HI:STEP"),
                           ("0.1:inf:0.1", "bad grid"),
                           ("0.1:0.9:5e-324", "STEP is too small")):
         code = cli.main([*SIM_DESIGN, "--c2-grid", grid])
@@ -220,7 +228,7 @@ def test_c2_grid_outside_unit_interval_exits_3(capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "seed must be >= 0"),
-    ("--m", "-40", "m must be >= 1"),
+    ("--m", "-40", "m must be a positive integer, got -40"),
     ("--scenario-id", "a,b", "contains a comma"),
     ("--f00", "nan", "f00 must lie in [0, 1], got nan"),
 ], ids=["seed", "m", "scenario-id", "f00-nan"])
@@ -230,6 +238,44 @@ def test_bad_scenario_exits_2_with_one_line(flag, value, message, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "bad scenario: " in err and message in err
+
+
+# SIM_DESIGN's flags as the lines of a scenario file
+DESIGN_FILE = "".join(f"{flag[2:]} = {value}\n" for flag, value
+                      in zip(SIM_DESIGN[1::2], SIM_DESIGN[2::2]))
+
+
+@pytest.mark.parametrize("text, flags", [
+    (DESIGN_FILE, []),
+    ("\ufeff" + DESIGN_FILE, []),
+    (DESIGN_FILE.replace("seed = 1\n", ""), ["--seed", "1"]),
+    (DESIGN_FILE + "c2 = 1.5\n", ["--c2", "0.5"]),
+], ids=["file-only", "bom", "seed-inline", "flag-overrides-bad-value"])
+def test_scenario_file_run_equals_inline_flags(text, flags, tmp_path,
+                                               capsys):
+    path = tmp_path / "design.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(list(SIM_DESIGN)) == cli.EXIT_OK
+    inline = capsys.readouterr()
+    assert inline.out.startswith("scenario_id,") and inline.err == ""
+    code = cli.main(["simulate", "--scenario", str(path), *flags])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr() == inline
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"pi1 = 0.8\npi2 = 0.8\nseed = 1\n# caf\xe9\n",
+     "not UTF-8 text: byte 0xe9"),
+    (b"pi1 = 0.8\npi2 = 0.8\nseed = 1\npi2 = 0.5\n",
+     "line 4: key 'pi2' appears twice"),
+], ids=["non-utf8", "repeated-key"])
+def test_bad_scenario_file_exits_2_with_one_line(data, message, tmp_path,
+                                                 capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(data)
+    assert cli.main(["simulate", "--scenario", str(path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"bad scenario: {message}" in err
 
 
 # --method -> the step-up function whose set the replicated column is, at
@@ -331,12 +377,14 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
      "{table}: 3 features followed up but m=2"),
     ("id,p1,p2\na,0.4,0.1\nb,0.01,0.2\n",
      ["--method", "fdr-threshold-dep", "--t", "0.1"],
-     "feature 'a' has p1=0.4 above the selection threshold t=0.1"),
+     "{table}: feature 'a' has p1=0.4 above the selection threshold t=0.1"),
     ("id,p1,p2,p1\na,0.01,0.2,0.9\n", [],
      "{table}: line 1: repeated column(s) 'p1'; header was "
      "['id', 'p1', 'p2', 'p1']"),
+    ("id,p1,p2\na,0.1,0.2\n,0.1,0.3\n", [],
+     "{table}: line 3: empty feature id"),
 ], ids=["zero", "above-one", "duplicate-id", "r1-above-m", "above-t",
-        "column-twice"])
+        "column-twice", "empty-id"])
 def test_invalid_data_exits_2_with_a_pinned_line(text, flags, message,
                                                  tmp_path, capsys):
     table = tmp_path / "bad.csv"
@@ -372,6 +420,13 @@ def test_rvalues_output_round_trips_quoted_cells(tmp_path):
         assert echoed.fieldnames == given.fieldnames + ["r_value"]
         assert [{k: row[k] for k in given.fieldnames} for row in echoed.rows] \
             == given.rows
+
+
+def test_missing_input_exits_2_with_one_line(tmp_path, capsys):
+    table = tmp_path / "no-such-file.tsv"
+    assert cli.main(["rvalues", str(table), "--m", "5"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(table) in err
 
 
 def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys):
@@ -425,13 +480,13 @@ def test_rvalues_run_leaves_simulation_unloaded(tmp_path):
 
 
 def test_simulation_names_resolve_on_first_use():
-    # the package and the CLI bind the harness's names when first asked for
+    # the CLI binds the harness's names when first asked for; the package
+    # does not mirror them
     from repval import simulate as module
     assert cli.sweep_c2 is module.sweep_c2
     assert cli.SCENARIO_FIELDS is module.SCENARIO_FIELDS
     import repval
-    assert repval.estimate is module.estimate
     with pytest.raises(AttributeError):
         cli.no_such_name
     with pytest.raises(AttributeError):
-        repval.no_such_name
+        repval.estimate

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repval import dependence, rvalue, selection, simulate
-from repval import (AnalysisConfig, SimulationScenario,
-                    bonferroni_rvalues_all, c1_tilde, fdr_rvalues_all,
-                    fdr_rvalues_all_general_dep,
+from repval import (AnalysisConfig, bonferroni_rvalues_all, c1_tilde,
+                    fdr_rvalues_all, fdr_rvalues_all_general_dep,
                     fdr_rvalues_all_threshold_dep, m_star, step_up_set,
                     step_up_set_general_dep, step_up_set_threshold_dep)
+from repval.simulate import SimulationScenario
 
 from conftest import dataset_from_arrays
 from _oracles import (oracle_bonferroni, oracle_bonferroni_bisect, oracle_c1,

@@ -9,14 +9,19 @@ import repval
 # Adding or dropping a public name means editing this set.
 PUBLIC = {
     "AnalysisConfig", "DatasetError", "FeatureRecord", "NoConsistentRegime",
-    "PValueTable", "SimulationMetrics", "SimulationScenario",
-    "ValidatedDataset", "bh_reject", "bonferroni_rvalues_all", "c1",
-    "c1_tilde", "compare_baseline", "estimate", "fdr_rvalues_all",
-    "fdr_rvalues_all_general_dep", "fdr_rvalues_all_threshold_dep", "m_star",
-    "max_p_bh", "meta_p", "normal_quantile", "normal_sf",
-    "parse_scenario_file", "read_pvalue_table", "refine_for_replicability",
-    "simulate_rep", "step_up_set", "step_up_set_general_dep",
-    "step_up_set_threshold_dep", "sweep_c2", "validate_dataset",
+    "PValueTable", "ValidatedDataset", "bh_reject", "bonferroni_rvalues_all",
+    "c1", "c1_tilde", "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
+    "fdr_rvalues_all_threshold_dep", "m_star", "max_p_bh", "meta_p",
+    "normal_quantile", "normal_sf", "read_pvalue_table",
+    "refine_for_replicability", "step_up_set", "step_up_set_general_dep",
+    "step_up_set_threshold_dep", "validate_dataset",
+}
+# The simulation harness is public through its own module only.
+SIMULATE = {
+    "SimulationScenario", "SimulationMetrics", "simulate_rep", "estimate",
+    "sweep_c2", "compare_baseline", "parse_scenario_file",
+    "scenario_from_mapping", "SCENARIO_FIELDS", "METRICS_CSV_HEADER",
+    "metrics_csv_row",
 }
 
 
@@ -31,5 +36,13 @@ def test_every_exported_name_resolves():
 
 
 def test_public_surface_is_pinned():
-    assert len(repval.__all__) == len(PUBLIC) == 31
+    assert len(repval.__all__) == len(PUBLIC) == 24
     assert set(repval.__all__) == PUBLIC
+    assert not hasattr(repval, "__getattr__")
+
+
+def test_simulation_surface_is_pinned():
+    from repval import simulate
+    assert len(simulate.__all__) == len(SIMULATE) == 11
+    assert set(simulate.__all__) == SIMULATE
+    assert not SIMULATE & set(repval.__all__)

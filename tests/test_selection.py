@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repval import (bh_reject, fdr_rvalues_all, refine_for_replicability,
-                    validate_dataset)
+from repval import (AnalysisConfig, bh_reject, fdr_rvalues_all,
+                    refine_for_replicability, step_up_set, validate_dataset)
 from repval.rvalue import c1
 
 from conftest import (IGA_M, REFINED_IGA_SIGNIFICANT, dataset_from_arrays,
@@ -93,6 +93,24 @@ def test_bh_padding_at_level_one_follows_float_rounding():
     assert list(bh_reject(p, 1.0, n=50)) == [0, 1]
     with pytest.raises(ValueError):
         bh_reject(p, 0.05, n=1)
+
+
+def test_bh_rejects_a_level_not_positive_and_finite():
+    for level in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="level must be positive and "
+                                             "finite"):
+            bh_reject([0.01, 0.5], level)
+    assert list(bh_reject([0.01, 0.5], 1.5)) == [0, 1]  # above 1 is valid
+
+
+def test_step_up_and_refinement_reject_q_outside_the_unit_interval(
+        t2d_table):
+    config = AnalysisConfig(m=68, l00=0.0)
+    ds = validate_dataset(t2d_table.records, config)
+    for fn in (step_up_set, refine_for_replicability):
+        for q in (1.5, float("nan"), -0.1, 0.0, 1.0):
+            with pytest.raises(ValueError, match="q must lie in \\(0, 1\\)"):
+                fn(ds, config, q)
 
 
 def test_bh_level_agrees_with_realised_cutoff():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import (SimulationScenario, compare_baseline, estimate,
-                    normal_quantile, normal_sf, parse_scenario_file,
-                    simulate, simulate_rep, sweep_c2)
+from repval import normal_quantile, normal_sf, simulate
 from repval.rvalue import _need_counts
 from repval.selection import _bh_mask, bh_reject
 from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
-                             metrics_csv_row, scenario_from_mapping)
+                             SimulationScenario, compare_baseline, estimate,
+                             metrics_csv_row, parse_scenario_file,
+                             scenario_from_mapping, simulate_rep, sweep_c2)
 
 from _oracles import oracle_bh, oracle_step_up_count
 
@@ -185,6 +185,9 @@ def test_scenario_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("pi1 0.1\n")
     with pytest.raises(ValueError):
+        parse_scenario_file(bad)
+    bad.write_text("pi1 = 0.1\npi2 = 0.8\nseed = 1\npi1 = 0.2\n")
+    with pytest.raises(ValueError, match="line 4: key 'pi1' appears twice"):
         parse_scenario_file(bad)
     with pytest.raises(ValueError):
         scenario_from_mapping({"pi1": 0.1, "pi2": 0.5})  # seed missing
