@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import AnalysisConfig, ValidatedDataset
+from .model import AnalysisConfig, ValidatedDataset, _check_unit
 from .normal import normal_quantile, normal_sf
 from .selection import _bh_mask
 # not called here: the perfbench tracer wraps it under this module's name
@@ -40,8 +40,7 @@ def max_p_bh(dataset: ValidatedDataset, config: AnalysisConfig,
              q: float) -> frozenset[str]:
     """Ids of the features BH on max(p1, p2) claims at level q / (1 - l00);
     see :func:`_max_p_bh_mask`."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q!r}")
+    _check_unit("q", q)
     mask = _max_p_bh_mask(dataset.p1, dataset.p2, config, q)
     return frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
 

@@ -10,7 +10,8 @@ Two subcommands:
   (``block_size`` is ``--block-size``), and emit a metrics CSV with one
   row per c2 point, each written as soon as its point finishes.
 
-Exit codes: 0 success, 1 output pipe closed by the reader, 2 invalid input
+Exit codes: 0 success, 1 output that cannot be written (one line on stderr,
+say on a full disk; none when the reader closed the pipe), 2 invalid input
 data or scenario, 3 bad flags, including an ``--out`` path that cannot be
 opened for writing.
 Output is byte-stable across runs: r-values print as fixed %.4f, input
@@ -34,8 +35,8 @@ from .baselines import meta_p
 from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
                          fdr_rvalues_all_threshold_dep)
 from .fwer import bonferroni_rvalues_all
-from .model import (AnalysisConfig, DatasetError, read_pvalue_table,
-                    validate_dataset)
+from .model import (AnalysisConfig, DatasetError, _check_unit,
+                    read_pvalue_table, validate_dataset)
 from .rvalue import fdr_rvalues_all
 from .selection import refine_for_replicability
 # not called here: the perfbench tracer wraps them under this module's name
@@ -43,24 +44,12 @@ from .dependence import (step_up_set_general_dep,  # noqa: F401
                          step_up_set_threshold_dep)
 from .rvalue import step_up_set  # noqa: F401
 
-# Names from repval.simulate. Only the simulate subcommand needs the
-# harness, so it is imported, and these bound here, on first use.
-_SIMULATION = ("METRICS_CSV_HEADER", "SCENARIO_FIELDS", "_scenario_keys",
-               "metrics_csv_row", "scenario_from_mapping", "sweep_c2")
-
-
-def _load_simulation() -> None:
-    """Bind the _SIMULATION names here; one already bound (a wrapper set
-    from outside) is kept."""
-    from . import simulate
-    for name in _SIMULATION:
-        globals().setdefault(name, getattr(simulate, name))
-
 
 def __getattr__(name: str):
-    if name in _SIMULATION:
-        _load_simulation()
-        return globals()[name]
+    # the perfbench tracer wraps sweep_c2 under this module's name too
+    if name == "sweep_c2":
+        from .simulate import sweep_c2
+        return sweep_c2
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -152,7 +141,7 @@ def build_parser() -> _Parser:
 
 
 def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
-    _load_simulation()
+    from .simulate import SCENARIO_FIELDS  # only simulate needs the harness
     sim.add_argument("--scenario", default=None,
                      help="key = value scenario file; inline flags override")
     for name, kind in SCENARIO_FIELDS.items():
@@ -190,8 +179,8 @@ def cmd_rvalues(args) -> int:
     try:
         config = AnalysisConfig(m=args.m, l00=args.l00, c2=args.c2, t=args.t)
         for flag, q in (("--q", args.q), ("--refine-q", args.refine_q)):
-            if q is not None and not 0.0 < q < 1.0:
-                raise ValueError(f"{flag} must lie in (0, 1), got {q!r}")
+            if q is not None:
+                _check_unit(flag, q)
         eps = args.clamp_zero
         if eps is not None and not 0.0 < eps <= 1.0:
             raise ValueError(f"--clamp-zero must lie in (0, 1], got {eps!r}")
@@ -283,13 +272,14 @@ def _parse_grid(spec: str) -> _Grid:
 
 
 def cmd_simulate(args) -> int:
-    _load_simulation()
+    from . import simulate  # only simulate needs the harness
     try:
         # inline flags override the file's keys before any value is checked
-        keys = _scenario_keys(args.scenario) if args.scenario else {}
-        keys.update((name, getattr(args, name)) for name in SCENARIO_FIELDS
+        keys = simulate._scenario_keys(args.scenario) if args.scenario else {}
+        keys.update((name, getattr(args, name))
+                    for name in simulate.SCENARIO_FIELDS
                     if getattr(args, name) is not None)
-        scenario = scenario_from_mapping(keys)
+        scenario = simulate.scenario_from_mapping(keys)
     except (ValueError, OSError) as exc:
         print(f"repval simulate: bad scenario: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -306,7 +296,7 @@ def cmd_simulate(args) -> int:
     output = _open_output("simulate", args.out)
     if output is None:
         return EXIT_FLAGS
-    points = sweep_c2(scenario, grid, args.procedure)
+    points = simulate.sweep_c2(scenario, grid, args.procedure)
     with output as out:
         try:
             # the first point runs before the header is written, so a
@@ -317,10 +307,10 @@ def cmd_simulate(args) -> int:
                   f"reps = {scenario.reps} does not fit in memory",
                   file=sys.stderr)
             return EXIT_DATA
-        out.write(METRICS_CSV_HEADER + "\n")
+        out.write(simulate.METRICS_CSV_HEADER + "\n")
         for c2v, metrics in itertools.chain((first,), points):
-            out.write(metrics_csv_row(replace(scenario, c2=c2v), metrics)
-                      + "\n")
+            out.write(simulate.metrics_csv_row(replace(scenario, c2=c2v),
+                                               metrics) + "\n")
             out.flush()
     return EXIT_OK
 
@@ -337,10 +327,13 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early (``| head``); simulate rows stream, so
-        # this can happen mid-run. Point stdout at devnull so the flush at
-        # exit does not fail again.
+    except OSError as exc:
+        # the output could not be written. A reader that stopped early
+        # (``| head``; simulate rows stream, so this can happen mid-run)
+        # needs no message. Point stdout at devnull so the flush at exit
+        # does not fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"repval: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     raise SystemExit(code)

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AnalysisConfig, DatasetError, ValidatedDataset
+from .model import (AnalysisConfig, DatasetError, ValidatedDataset,
+                    _check_unit)
 from .rvalue import (_exact_rvalues, _fdr_procedure, _inverse_level, _level,
                      _Procedure, _step_up, c1)
 
@@ -145,10 +146,8 @@ def c1_tilde(x: float, t: float, m: int, l00: float, c2: float) -> float:
     NoConsistentRegime when the walk passes 2^53, where counts in doubles
     stop being exact.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x!r}")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t!r}")
+    _check_unit("x", x)
+    _check_unit("t", t)
     base = c1(x, l00, c2)
     return float(base / _regime_factor(np.array([base * x]), t, m)[0])
 

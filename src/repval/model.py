@@ -43,6 +43,12 @@ class DatasetError(ValueError):
         return f"line {self.line}: {base}" if self.line is not None else base
 
 
+def _check_unit(name: str, value: float) -> None:
+    """ValueError unless 0 < value < 1; NaN fails too."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class FeatureRecord:
     """One followed-up feature: primary (p1) and follow-up (p2) p-values."""
@@ -74,10 +80,9 @@ class AnalysisConfig:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if not 0.0 <= self.l00 < 1.0:
             raise ValueError(f"l00 must lie in [0, 1), got {self.l00!r}")
-        if not 0.0 < self.c2 < 1.0:
-            raise ValueError(f"c2 must lie in (0, 1), got {self.c2!r}")
-        if self.t is not None and not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must lie in (0, 1), got {self.t!r}")
+        _check_unit("c2", self.c2)
+        if self.t is not None:
+            _check_unit("t", self.t)
 
 
 @dataclass(frozen=True)

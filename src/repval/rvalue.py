@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import AnalysisConfig, ValidatedDataset
+from .model import AnalysisConfig, ValidatedDataset, _check_unit
 from .selection import _step_up_mask
 
 __all__ = ["c1", "fdr_rvalues_all", "step_up_set"]
@@ -337,8 +337,7 @@ def _step_up(dataset: ValidatedDataset, q: float,
     """Ids of the step-up set at level q of the procedure ``proc``: the
     features whose need count is at most R2, the largest r with at least r
     need counts <= r, i.e. the step-up rule at step 1 on the need counts."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q!r}")
+    _check_unit("q", q)
     levels = _claim_levels(proc, q)
     if levels is None:
         return frozenset()

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import AnalysisConfig, ValidatedDataset
+from .model import AnalysisConfig, ValidatedDataset, _check_unit
 
 __all__ = ["bh_reject", "refine_for_replicability"]
 
@@ -110,6 +110,5 @@ def refine_for_replicability(dataset: ValidatedDataset,
     n = m). That can only shrink the refined set, so it is conservative for
     this screening step.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q!r}")
+    _check_unit("q", q)
     return dataset.subset(bh_reject(dataset.p1, q, n=config.m))

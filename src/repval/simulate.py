@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from .baselines import _max_p_bh_mask
-from .model import AnalysisConfig, _read_text
+from .model import AnalysisConfig, _check_unit, _read_text
 from .normal import normal_quantile, normal_sf
 from .rvalue import _claim_levels, _fdr_procedure, _need_counts, c1
 from .selection import _bh_mask, _step_up_mask
@@ -101,18 +101,15 @@ class SimulationScenario:
         total = self.f00 + self.f01 + self.f10 + self.f11
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"fractions sum to {total!r}, not 1")
-        for name in ("pi1", "pi2"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie in (0, 1)")
+        for name in ("pi1", "pi2", "q"):
+            _check_unit(name, getattr(self, name))
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise ValueError(f"reps must be >= 1, got {self.reps!r}")
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
+            raise ValueError(f"rho must lie in [0, 1), got {self.rho!r}")
         if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+            raise ValueError(
+                f"block_size must be >= 1, got {self.block_size!r}")
         # the id is written unquoted as the first metrics CSV cell
         if any(ch in self.scenario_id for ch in ',"\r\n'):
             raise ValueError(f"scenario_id {self.scenario_id!r} contains a "
@@ -162,10 +159,11 @@ def _primary_noise(scenario: SimulationScenario,
     return math.sqrt(scenario.rho) * shared + math.sqrt(1.0 - scenario.rho) * own
 
 
-def _mu2(pi2: float, r1: int) -> float:
-    """Follow-up shift giving a Bonferroni test at 0.05/R1 power pi2."""
-    return (normal_quantile(1.0 - _POWER_CALIBRATION_ALPHA / r1)
-            - normal_quantile(1.0 - pi2))
+def _shift(power: float, n: int) -> float:
+    """Mean shift giving a Bonferroni test at 0.05/n power ``power``: mu1
+    with n = m, mu2 with n = R1."""
+    return (normal_quantile(1.0 - _POWER_CALIBRATION_ALPHA / n)
+            - normal_quantile(1.0 - power))
 
 
 class _Design:
@@ -183,9 +181,8 @@ class _Design:
         self.truth11[n00 + n01 + n10:] = True
         self.shift1 = None
         if n00 + n01 < m:                           # primary-signal block
-            mu1 = (normal_quantile(1.0 - _POWER_CALIBRATION_ALPHA / m)
-                   - normal_quantile(1.0 - scenario.pi1))
-            self.shift1 = np.where(np.arange(m) >= n00 + n01, mu1, 0.0)
+            self.shift1 = np.where(np.arange(m) >= n00 + n01,
+                                   _shift(scenario.pi1, m), 0.0)
         self.bh_level = c1(q, scenario.l00, scenario.c2) * q
         # only p1 <= bh_level can pass BH. Below a level of 1/2 that needs
         # x1 at or above the level's upper quantile, and the margin is far
@@ -275,7 +272,7 @@ def _outcomes(scenario: SimulationScenario, reps: range,
 
         x2 = np.concatenate([rng.standard_normal(k)
                              for rng, k in zip(rngs, r1.tolist())])
-        mu2 = np.array([_mu2(scenario.pi2, k) if k else 0.0
+        mu2 = np.array([_shift(scenario.pi2, k) if k else 0.0
                         for k in r1.tolist()])
         x2 += np.where(design.signal2[col], mu2[rep], 0.0)
         p2 = normal_sf(x2)
@@ -363,7 +360,12 @@ def scenario_from_mapping(mapping: dict) -> SimulationScenario:
     for key, raw in mapping.items():
         if key not in SCENARIO_FIELDS:
             raise ValueError(f"unknown scenario field {key!r}")
-        kwargs[key] = SCENARIO_FIELDS[key](raw)
+        kind = SCENARIO_FIELDS[key]
+        try:
+            kwargs[key] = kind(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be {kind.__name__}, got "
+                             f"{raw!r}") from None
     for required in ("pi1", "pi2", "seed"):
         if required not in kwargs:
             raise ValueError(f"scenario is missing required field {required!r}")
@@ -398,17 +400,18 @@ def parse_scenario_file(source) -> SimulationScenario:
     return scenario_from_mapping(_scenario_keys(source))
 
 
-METRICS_CSV_HEADER = ("scenario_id,c2,l00,pi1,pi2,fdr_hat,se_fdr,"
-                      "avg_power,se_power,p_at_least_one,se_palo")
+# metrics CSV columns after scenario_id: scenario fields, written %.6g,
+# then metrics, written %.6f
+_SCENARIO_COLUMNS = ("c2", "l00", "pi1", "pi2")
+_METRIC_COLUMNS = ("fdr_hat", "se_fdr", "avg_power", "se_power",
+                   "p_at_least_one", "se_palo")
+METRICS_CSV_HEADER = ",".join(("scenario_id", *_SCENARIO_COLUMNS,
+                               *_METRIC_COLUMNS))
 
 
 def metrics_csv_row(scenario: SimulationScenario,
                     metrics: SimulationMetrics) -> str:
-    return ",".join([
-        scenario.scenario_id,
-        f"{scenario.c2:.6g}", f"{scenario.l00:.6g}",
-        f"{scenario.pi1:.6g}", f"{scenario.pi2:.6g}",
-        f"{metrics.fdr_hat:.6f}", f"{metrics.se_fdr:.6f}",
-        f"{metrics.avg_power:.6f}", f"{metrics.se_power:.6f}",
-        f"{metrics.p_at_least_one:.6f}", f"{metrics.se_palo:.6f}",
-    ])
+    return ",".join(
+        [scenario.scenario_id]
+        + [f"{getattr(scenario, name):.6g}" for name in _SCENARIO_COLUMNS]
+        + [f"{getattr(metrics, name):.6f}" for name in _METRIC_COLUMNS])

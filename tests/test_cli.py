@@ -141,8 +141,9 @@ def test_scenario_too_large_for_memory_exits_2(flag):
 
 
 def test_c2_grid_matches_listed_points():
+    # 0.1:0.9:0.3 rounds to 4 points, and the last, 1.0, lies above HI
     for spec in ("0.1:0.9:0.2", "0.1:0.95:0.2", "0.3:0.3:0.1",
-                 "0.05:0.95:0.15"):
+                 "0.05:0.95:0.15", "0.1:0.9:0.3"):
         lo, hi, step = map(float, spec.split(":"))
         n = round((hi - lo) / step) + 1
         listed = [lo + i * step for i in range(n)
@@ -183,9 +184,31 @@ def test_reader_closing_the_pipe_stops_without_traceback():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert child.stdout.readline().startswith(b"scenario_id,")
     child.stdout.close()
-    err = child.stderr.read().decode()
+    with child.stderr:
+        err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 1
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    (["rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68", "--out",
+      "/dev/full"], False),
+    (["rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68"], True),
+    ([*SIM_DESIGN, "--out", "/dev/full"], False),
+], ids=["rvalues-out", "rvalues-stdout", "simulate-out"])
+def test_full_disk_exits_1_with_one_line(argv, to_stdout):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "repval.cli", *argv],
+            stdout=full if to_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, env=env, timeout=60)
+    err = result.stderr.decode()
+    assert result.returncode == 1 and err.count("\n") == 1
+    assert err.startswith("repval: cannot write output: [Errno 28] ")
 
 
 def test_q_out_of_range_exits_3_before_computing(monkeypatch, capsys):
@@ -231,7 +254,12 @@ def test_c2_grid_outside_unit_interval_exits_3(capsys):
     ("--m", "-40", "m must be a positive integer, got -40"),
     ("--scenario-id", "a,b", "contains a comma"),
     ("--f00", "nan", "f00 must lie in [0, 1], got nan"),
-], ids=["seed", "m", "scenario-id", "f00-nan"])
+    ("--q", "1.5", "q must lie in (0, 1), got 1.5"),
+    ("--reps", "0", "reps must be >= 1, got 0"),
+    ("--rho", "1", "rho must lie in [0, 1), got 1.0"),
+    ("--block-size", "0", "block_size must be >= 1, got 0"),
+], ids=["seed", "m", "scenario-id", "f00-nan", "q", "reps", "rho",
+        "block-size"])
 def test_bad_scenario_exits_2_with_one_line(flag, value, message, capsys):
     code = cli.main([*SIM_DESIGN, flag, value])
     assert code == cli.EXIT_DATA
@@ -268,7 +296,10 @@ def test_scenario_file_run_equals_inline_flags(text, flags, tmp_path,
      "not UTF-8 text: byte 0xe9"),
     (b"pi1 = 0.8\npi2 = 0.8\nseed = 1\npi2 = 0.5\n",
      "line 4: key 'pi2' appears twice"),
-], ids=["non-utf8", "repeated-key"])
+    (b"pi1 = 0.8\npi2 = 0.8\nseed = 1.5\n", "seed must be int, got '1.5'"),
+    (b"pi1 = 0.8\npi2 = 0.8\nseed = 1\nm = 1e3\n",
+     "m must be int, got '1e3'"),
+], ids=["non-utf8", "repeated-key", "seed-not-int", "m-not-int"])
 def test_bad_scenario_file_exits_2_with_one_line(data, message, tmp_path,
                                                  capsys):
     path = tmp_path / "bad.cfg"
@@ -480,11 +511,10 @@ def test_rvalues_run_leaves_simulation_unloaded(tmp_path):
 
 
 def test_simulation_names_resolve_on_first_use():
-    # the CLI binds the harness's names when first asked for; the package
-    # does not mirror them
+    # the CLI resolves sweep_c2 when first asked for; the package does not
+    # mirror the harness's names
     from repval import simulate as module
     assert cli.sweep_c2 is module.sweep_c2
-    assert cli.SCENARIO_FIELDS is module.SCENARIO_FIELDS
     import repval
     with pytest.raises(AttributeError):
         cli.no_such_name

@@ -120,8 +120,9 @@ def test_mu_calibration_identities():
            - normal_quantile(1 - sc.pi1))
     attained = normal_sf(normal_quantile(1 - 0.05 / sc.m) - mu1)
     assert attained == pytest.approx(sc.pi1, rel=1e-10)
+    assert simulate._shift(sc.pi1, sc.m) == mu1  # one rule for mu1 and mu2
     for r1 in (1, 7, 87, 1000):
-        mu2 = simulate._mu2(sc.pi2, r1)
+        mu2 = simulate._shift(sc.pi2, r1)
         attained = normal_sf(normal_quantile(1 - 0.05 / r1) - mu2)
         assert attained == pytest.approx(sc.pi2, rel=1e-10)
 
