@@ -16,6 +16,14 @@ data or scenario, 3 bad flags, including an ``--out`` path that cannot be
 opened for writing.
 Output is byte-stable across runs: r-values print as fixed %.4f, input
 columns are echoed verbatim, and simulation metrics use fixed formats.
+
+A CLI process (:func:`entry`: ``python -m repval.cli`` and the ``repval``
+script) freezes its import-time heap before it runs, so the garbage
+collector's passes skip the ~22 000 objects that importing numpy and this
+module creates. They live until exit, so those passes could free none of
+them; skipping them saves about 15-25 ms a call (2 vCPU, Python 3.11,
+numpy 2.4). :func:`main` leaves the collector as it is, for callers in a
+long-lived process.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import itertools
 import math
 import os
@@ -324,6 +333,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    # everything imported so far lives until the process exits, so the
+    # collector's passes over it, during the run and at teardown, have
+    # nothing to free: move it out of their reach
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

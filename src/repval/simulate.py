@@ -363,7 +363,11 @@ def scenario_from_mapping(mapping: dict) -> SimulationScenario:
         kind = SCENARIO_FIELDS[key]
         try:
             kwargs[key] = kind(raw)
-        except (TypeError, ValueError):
+            # int() truncates a number; one that is not whole is refused,
+            # as its text is
+            if kind is int and not isinstance(raw, str) and kwargs[key] != raw:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{key} must be {kind.__name__}, got "
                              f"{raw!r}") from None
     for required in ("pi1", "pi2", "seed"):

@@ -1,7 +1,9 @@
 """The command-line front end: documented exit codes and byte-stable output
 on the bundled published tables."""
 
+import gc
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -38,28 +40,52 @@ PUBLISHED = {
 SIM_DESIGN = ("simulate", "--m", "1000", "--f00", "0.9", "--f01", "0.025",
               "--f10", "0.025", "--f11", "0.05", "--pi1", "0.8", "--pi2",
               "0.8", "--seed", "1", "--reps", "2")
+# a child python finds this checkout's package
+CHILD_ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
-@pytest.mark.parametrize("name", sorted(PUBLISHED))
-def test_published_output_is_byte_identical(name, tmp_path):
+def run_cli(via: str, argv: list) -> int:
+    """The exit code of ``repval argv``, run in-process through
+    ``cli.main`` or as a child ``python -m repval.cli``, which goes through
+    ``cli.entry`` as the ``repval`` script does."""
+    if via == "main":
+        return cli.main(argv)
+    return subprocess.run([sys.executable, "-m", "repval.cli", *argv],
+                          env=CHILD_ENV, timeout=60).returncode
+
+
+@pytest.mark.parametrize("name, via", [
+    param for name in sorted(PUBLISHED)
+    for param in (pytest.param(name, "main", id=name),
+                  pytest.param(name, "child", id=f"{name}-child"))])
+def test_published_output_is_byte_identical(name, via, tmp_path):
     table, *flags = PUBLISHED[name]
     meta = ["--meta", "fisher"] if table.startswith("iga") else []
     out = tmp_path / "out.tsv"
-    code = cli.main(["rvalues", str(DATA_DIR / table), *flags, "--q", "0.05",
-                     *meta, "--out", str(out)])
+    code = run_cli(via, ["rvalues", str(DATA_DIR / table), *flags, "--q",
+                         "0.05", *meta, "--out", str(out)])
     assert code == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.tsv").read_bytes()
 
 
-def test_simulate_paper_design_is_byte_identical(tmp_path):
+def check_simulate_paper_design(via, tmp_path):
     # the golden file is the output of the release that spelled out each
     # scenario flag by hand
     out = tmp_path / "out.csv"
     # a later --reps overrides the one in SIM_DESIGN
-    code = cli.main([*SIM_DESIGN, "--reps", "20", "--c2-grid", "0.1:0.9:0.2",
-                     "--out", str(out)])
+    code = run_cli(via, [*SIM_DESIGN, "--reps", "20", "--c2-grid",
+                         "0.1:0.9:0.2", "--out", str(out)])
     assert code == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / "simulate-paper.csv").read_bytes()
+
+
+def test_simulate_paper_design_is_byte_identical(tmp_path):
+    check_simulate_paper_design("main", tmp_path)
+
+
+def test_simulate_paper_design_is_byte_identical_in_a_child(tmp_path):
+    check_simulate_paper_design("child", tmp_path)
 
 
 def test_simulate_bonferroni_is_byte_identical(tmp_path):
@@ -92,9 +118,7 @@ def test_block_size_beyond_m_makes_one_block():
             outputs.add(out.getvalue())
         assert len(outputs) == 1, outputs
     """)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+    subprocess.run([sys.executable, "-c", check], env=CHILD_ENV, timeout=60,
                    check=True)
 
 
@@ -110,9 +134,7 @@ def test_c2_grid_is_lazy():
         assert grid[0] == 0.1
         assert grid[-1] == 0.1 + 800_000_000_000 * 1e-12
     """)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+    subprocess.run([sys.executable, "-c", check], env=CHILD_ENV, timeout=60,
                    check=True)
 
 
@@ -128,9 +150,7 @@ def test_scenario_too_large_for_memory_exits_2(flag):
                     "--seed", "1", "{flag}", "1000000000000"]
         cli.entry()
     """)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", check], env=env,
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
                             timeout=60, capture_output=True)
     assert result.returncode == cli.EXIT_DATA
     assert result.stdout == b""
@@ -176,12 +196,10 @@ def test_grid_rows_are_written_as_they_finish(to_file, tmp_path,
 
 
 def test_reader_closing_the_pipe_stops_without_traceback():
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     child = subprocess.Popen(
         [sys.executable, "-m", "repval.cli", *SIM_DESIGN, "--reps", "1",
          "--c2-grid", "0.01:0.99:0.01"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     assert child.stdout.readline().startswith(b"scenario_id,")
     child.stdout.close()
     with child.stderr:
@@ -199,13 +217,11 @@ def test_reader_closing_the_pipe_stops_without_traceback():
     ([*SIM_DESIGN, "--out", "/dev/full"], False),
 ], ids=["rvalues-out", "rvalues-stdout", "simulate-out"])
 def test_full_disk_exits_1_with_one_line(argv, to_stdout):
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     with open("/dev/full", "wb") as full:
         result = subprocess.run(
             [sys.executable, "-m", "repval.cli", *argv],
             stdout=full if to_stdout else subprocess.DEVNULL,
-            stderr=subprocess.PIPE, env=env, timeout=60)
+            stderr=subprocess.PIPE, env=CHILD_ENV, timeout=60)
     err = result.stderr.decode()
     assert result.returncode == 1 and err.count("\n") == 1
     assert err.startswith("repval: cannot write output: [Errno 28] ")
@@ -503,8 +519,7 @@ def test_rvalues_run_leaves_simulation_unloaded(tmp_path):
         for name in ("repval.simulate", "numpy.random"):
             assert name not in sys.modules, name
     """)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", check], env=env, timeout=60,
+    subprocess.run([sys.executable, "-c", check], env=CHILD_ENV, timeout=60,
                    check=True)
     assert (tmp_path / "out.tsv").read_bytes() == (
         GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
@@ -520,3 +535,111 @@ def test_simulation_names_resolve_on_first_use():
         cli.no_such_name
     with pytest.raises(AttributeError):
         repval.estimate
+
+
+T2D_CALL = ("rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68", "--l00", "0.0",
+            "--q", "0.05")
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # tests, the benchmark's tracer and library callers run main() in a
+    # long-lived process, whose heap is not theirs to freeze
+    frozen = gc.get_freeze_count()
+    out = tmp_path / "out.tsv"
+    assert cli.main([*T2D_CALL, "--out", str(out)]) == cli.EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_freezes_the_import_time_heap(tmp_path):
+    out = tmp_path / "out.tsv"
+    check = textwrap.dedent(f"""
+        import atexit, gc, sys
+        import repval.cli
+        print("imported", gc.get_freeze_count())
+        atexit.register(lambda: print("exiting", gc.get_freeze_count()))
+        sys.argv = ["repval", *{T2D_CALL!r}, "--out", {str(out)!r}]
+        repval.cli.entry()
+    """)
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    counts = dict(line.split() for line in result.stdout.splitlines())
+    assert counts["imported"] == "0" and int(counts["exiting"]) > 0
+    assert out.read_bytes() == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
+
+
+def malformed_rvalues_calls(seed: int, count: int):
+    """``count`` seeded (file bytes, flags) pairs for ``repval rvalues``:
+    broken headers, ids and cells, mixed line endings, a BOM, and flags
+    outside their ranges. Some are valid, so every exit code shows."""
+    rng = random.Random(seed)
+    cells = ["0.01", "3e-6", "0.2", "1", "0", "-0.2", "1.5", "nan", "NaN",
+             "inf", "abc", "", '"', "1e-400"]
+    # flag -> (values in range, values outside it)
+    ranges = {"--m": (["3", "10", "1000"], ["0", "-5"]),
+              "--l00": (["0.0", "0.5"], ["-0.1", "1", "nan"]),
+              "--c2": (["0.3"], ["0", "1", "nan"]),
+              "--q": (["0.05"], ["0", "1.5", "nan"]),
+              "--clamp-zero": (["1e-10"], ["0", "2", "nan"]),
+              "--t": (["0.5", "1e-3"], ["0", "2", "nan"])}
+    for _ in range(count):
+        header = ["id", "p1", "p2"]
+        edit = rng.choice(["none", "none", "repeat", "drop", "extra", "empty",
+                           "shuffle"])
+        if edit == "repeat":
+            header.append(rng.choice(header))
+        elif edit == "drop":
+            header.remove(rng.choice(header))
+        elif edit == "extra":
+            header.append("gene")
+        elif edit == "empty":
+            header.append("")
+        elif edit == "shuffle":
+            rng.shuffle(header)
+        rows = [header]
+        for _ in range(rng.randint(0, 5)):
+            row = [rng.choice(["a", "b", "c", "", "rs 7"])]
+            row += [rng.choice(cells) if rng.random() < 0.3
+                    else rng.choice(["0.01", "3e-6", "0.2"])
+                    for _ in range(2)]
+            if rng.random() < 0.2:
+                row.append(rng.choice(["x", ""]))
+            elif rng.random() < 0.1:
+                row.pop()
+            rows.append(row)
+        delim = rng.choice([",", "\t"])
+        text = "".join(delim.join(row) + rng.choice(["\n", "\r\n", "\r"])
+                       for row in rows)
+        if rng.random() < 0.2:
+            text = "\ufeff" + text
+        method = rng.choice(list(cli._methods()))
+        flags = ["--method", method,
+                 "--meta", rng.choice(["none", "fisher", "stouffer"])]
+        for flag, (valid, invalid) in ranges.items():
+            # --m is required; without --t fdr-threshold-dep stops at once
+            if flag == "--m" or rng.random() < (
+                    0.95 if flag == "--t" and method == "fdr-threshold-dep"
+                    else 0.3):
+                bad = rng.random() < 0.1
+                flags += [flag, rng.choice(invalid if bad else valid)]
+        yield text.encode("utf-8"), flags
+
+
+def test_malformed_input_exits_with_one_line(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    codes = set()
+    for data, flags in malformed_rvalues_calls(seed=1, count=200):
+        table.write_bytes(data)
+        try:
+            code = cli.main(["rvalues", str(table), *flags])
+        except (Exception, SystemExit) as exc:  # argparse exits on flags
+            pytest.fail(f"{data!r} {flags}: {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (data, flags, code)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), (data, flags)
+            assert out == "", (data, flags)
+        else:
+            assert err == "", (data, flags)
+        codes.add(code)
+    assert codes == {0, 2, 3}

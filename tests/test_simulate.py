@@ -195,6 +195,17 @@ def test_scenario_file_errors(tmp_path):
     with pytest.raises(ValueError):
         scenario_from_mapping({"pi1": 0.1, "pi2": 0.5, "seed": 1,
                                "bogus": 2})
+    # a number that is not whole is refused, as its text is, not truncated
+    for key, value in (("seed", 1.5), ("reps", 2.7)):
+        with pytest.raises(ValueError, match=rf"^{key} must be int, got "
+                                             rf"{value}$"):
+            scenario_from_mapping({"pi1": 0.8, "pi2": 0.8, "seed": 1,
+                                   key: value})
+    with pytest.raises(ValueError, match=r"^seed must be int, got '1\.5'$"):
+        scenario_from_mapping({"pi1": 0.8, "pi2": 0.8, "seed": "1.5"})
+    whole = scenario_from_mapping({"pi1": 0.8, "pi2": 0.8, "seed": 1,
+                                   "m": 1000.0})
+    assert whole.m == 1000 and type(whole.m) is int
 
 
 def test_metrics_csv_layout():
