@@ -32,17 +32,17 @@ agree bit for bit, as in the independent case:
 
 Both return r-values as a float64 array in ``dataset.ids`` order, no
 smaller than the baseline's. The threshold variant raises ValueError
-without config.t, DatasetError when a primary p-value is above t, and
-NoConsistentRegime when t*m is too large for any x below 1 or on a
-numerical defect of the regime walk.
+without config.t, and NoConsistentRegime when t*m is too large for any x
+below 1 or on a numerical defect of the regime walk. That every primary
+p-value is at most t is a rule of the table, checked by
+:func:`repval.model.validate_dataset`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (AnalysisConfig, DatasetError, ValidatedDataset,
-                    _check_unit)
+from .model import AnalysisConfig, ValidatedDataset, _check_unit
 from .rvalue import (_exact_rvalues, _fdr_procedure, _inverse_level, _level,
                      _Procedure, _step_up, c1)
 
@@ -204,17 +204,13 @@ def _factor_table(t: float, m: int, g_floor: float):
     return int(first), lower, upper
 
 
-def _threshold_procedure(dataset: ValidatedDataset,
-                         config: AnalysisConfig) -> _Procedure:
+def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
+    """The threshold-dependent procedure, from the config alone; that every
+    p1 is at most t is a table rule, checked by ``validate_dataset``."""
     if config.t is None:
         raise ValueError(
             "threshold-dependent variant needs config.t (the selection "
             "cutoff on primary p-values)")
-    if len(dataset) and float(dataset.p1.max()) > config.t:
-        worst = int(dataset.p1.argmax())
-        raise DatasetError(
-            f"feature {dataset.ids[worst]!r} has p1={dataset.p1[worst]} "
-            f"above the selection threshold t={config.t}")
     t, m, l00, c2 = config.t, config.m, config.l00, config.c2
     tm = t * m
     floor = _threshold_floor(t, m, l00, c2)
@@ -262,7 +258,7 @@ def fdr_rvalues_all_threshold_dep(dataset: ValidatedDataset,
     """r-values valid under arbitrary primary-study dependence when the
     follow-up set was everything below a fixed primary cutoff t. Never below
     the floor of the level function (see the module docstring)."""
-    proc = _threshold_procedure(dataset, config)
+    proc = _threshold_procedure(config)
     return _exact_rvalues(proc, dataset.p1, dataset.p2)
 
 
@@ -271,4 +267,4 @@ def step_up_set_threshold_dep(dataset: ValidatedDataset,
                               q: float) -> frozenset[str]:
     """Ids claimed at level q under threshold-dependent selection; nothing
     is claimed below the floor of the level function."""
-    return _step_up(dataset, q, _threshold_procedure(dataset, config))
+    return _step_up(dataset, q, _threshold_procedure(config))

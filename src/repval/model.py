@@ -66,8 +66,9 @@ class AnalysisConfig:
     l00   -- conservative lower bound on the fraction null in both studies
              (0.8 is a sensible default for whole-genome scans)
     c2    -- emphasis on the follow-up study; larger relaxes its threshold
-    t     -- fixed selection threshold on primary p-values; only needed for
-             the threshold-dependent variant
+    t     -- fixed selection threshold on primary p-values, needed by the
+             threshold-dependent variant; when set, every p1 must be at
+             most t (checked by :func:`validate_dataset`)
     """
 
     m: int
@@ -119,7 +120,8 @@ def validate_dataset(
     """Check invariants and freeze the dataset.
 
     Raises :class:`DatasetError` for a NaN, a p-value not above 0 or above
-    1, a repeated id, or more records than ``config.m``. p-values of
+    1, a repeated id, more records than ``config.m``, or, when ``config.t``
+    is set, the first record whose p1 is above t. p-values of
     exactly 0 signal a corrupt export and are rejected, never clamped
     silently; ``read_pvalue_table(clamp_zero=)`` opts in to replacing them
     in dirty real-world exports.
@@ -147,7 +149,15 @@ def validate_dataset(
     if len(cleaned) > config.m:
         raise DatasetError(
             f"{len(cleaned)} features followed up but m={config.m}")
-    return ValidatedDataset(tuple(cleaned))
+    dataset = ValidatedDataset(tuple(cleaned))
+    above = [] if config.t is None else np.flatnonzero(dataset.p1 > config.t)
+    if len(above):
+        rec, line = cleaned[above[0]], None
+        if source_lines is not None:
+            line = source_lines[above[0]]
+        raise DatasetError(f"feature {rec.id!r} has p1={rec.p1} above the "
+                           f"selection threshold t={config.t}", line)
+    return dataset
 
 
 # --- file ingestion -------------------------------------------------------

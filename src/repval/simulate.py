@@ -59,9 +59,8 @@ from .selection import bh_reject  # noqa: F401
 
 __all__ = [
     "SimulationScenario", "SimulationMetrics", "simulate_rep", "estimate",
-    "sweep_c2", "compare_baseline",
-    "parse_scenario_file", "scenario_from_mapping", "SCENARIO_FIELDS",
-    "METRICS_CSV_HEADER", "metrics_csv_row",
+    "sweep_c2", "compare_baseline", "scenario_from_mapping",
+    "SCENARIO_FIELDS", "METRICS_CSV_HEADER", "metrics_csv_row",
 ]
 
 _POWER_CALIBRATION_ALPHA = 0.05  # Bonferroni level defining pi1/pi2
@@ -377,7 +376,12 @@ def scenario_from_mapping(mapping: dict) -> SimulationScenario:
 
 
 def _scenario_keys(source) -> dict[str, str]:
-    """The key = value lines of a scenario file, values as written."""
+    """The ``key = value`` lines of a scenario file, values as written, for
+    :func:`scenario_from_mapping`. ``source`` is a path or an open text
+    stream. The text must be UTF-8, and one leading byte-order mark is
+    skipped, as in :func:`repval.model.read_pvalue_table`; ``#`` starts a
+    comment. A key given twice is an error (:class:`ValueError`), not a
+    silent override."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -390,18 +394,6 @@ def _scenario_keys(source) -> dict[str, str]:
             raise ValueError(f"line {lineno}: key {key!r} appears twice")
         mapping[key] = value
     return mapping
-
-
-def parse_scenario_file(source) -> SimulationScenario:
-    """The scenario in a file of plain ``key = value`` lines, one per
-    :data:`SCENARIO_FIELDS` entry (pi1, pi2 and seed are required);
-    ``#`` starts a comment. ``source`` is a path or an open text stream.
-    The text must be UTF-8, and one leading byte-order mark is skipped, as
-    in :func:`repval.model.read_pvalue_table`. A key given twice is an
-    error (:class:`ValueError`), not a silent override. ``repval simulate
-    --scenario`` reads the same keys, and its inline flags override them
-    before any value is checked."""
-    return scenario_from_mapping(_scenario_keys(source))
 
 
 # metrics CSV columns after scenario_id: scenario fields, written %.6g,

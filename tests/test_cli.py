@@ -294,7 +294,11 @@ DESIGN_FILE = "".join(f"{flag[2:]} = {value}\n" for flag, value
     ("\ufeff" + DESIGN_FILE, []),
     (DESIGN_FILE.replace("seed = 1\n", ""), ["--seed", "1"]),
     (DESIGN_FILE + "c2 = 1.5\n", ["--c2", "0.5"]),
-], ids=["file-only", "bom", "seed-inline", "flag-overrides-bad-value"])
+    ("# the paper design\n"
+     + DESIGN_FILE.replace("seed = 1\n", "seed = 1  # trailing comment\n"),
+     []),
+], ids=["file-only", "bom", "seed-inline", "flag-overrides-bad-value",
+        "comments"])
 def test_scenario_file_run_equals_inline_flags(text, flags, tmp_path,
                                                capsys):
     path = tmp_path / "design.cfg"
@@ -315,7 +319,9 @@ def test_scenario_file_run_equals_inline_flags(text, flags, tmp_path,
     (b"pi1 = 0.8\npi2 = 0.8\nseed = 1.5\n", "seed must be int, got '1.5'"),
     (b"pi1 = 0.8\npi2 = 0.8\nseed = 1\nm = 1e3\n",
      "m must be int, got '1e3'"),
-], ids=["non-utf8", "repeated-key", "seed-not-int", "m-not-int"])
+    (b"pi1 0.1\n", "line 1: expected 'key = value'"),
+], ids=["non-utf8", "repeated-key", "seed-not-int", "m-not-int",
+        "no-equals"])
 def test_bad_scenario_file_exits_2_with_one_line(data, message, tmp_path,
                                                  capsys):
     path = tmp_path / "bad.cfg"
@@ -405,7 +411,7 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
     ds = read_pvalue_table(table)
     config = AnalysisConfig(m=int(m), l00=float(l00), t=0.1)
     ds = validate_dataset(ds.records, config)
-    floor = dependence._threshold_procedure(ds, config).floor
+    floor = dependence._threshold_procedure(config).floor
     values = fdr_rvalues_all_threshold_dep(ds, config)
     assert 1e-12 < floor < 1e-5
     assert values[0] == floor and values[1] == 1.0
@@ -422,15 +428,24 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
      "{table}: line 4: feature id 'a' appears twice"),
     ("id,p1,p2\na,0.1,0.2\nb,0.1,0.3\nc,0.1,0.3\n", ["--m", "2"],
      "{table}: 3 features followed up but m=2"),
-    ("id,p1,p2\na,0.4,0.1\nb,0.01,0.2\n",
-     ["--method", "fdr-threshold-dep", "--t", "0.1"],
-     "{table}: feature 'a' has p1=0.4 above the selection threshold t=0.1"),
+    *(("id,p1,p2\na,0.4,0.1\nb,0.01,0.2\n", ["--t", "0.1", *flags],
+       "{table}: line 2: feature 'a' has p1=0.4 above the selection "
+       "threshold t=0.1")
+      # checked with the other table rules: whatever the method, and before
+      # refinement, which keeps 'a' at m = 2 (this --m overrides the
+      # test's) and drops it at m = 10
+      for flags in (["--method", "fdr-threshold-dep"],
+                    ["--method", "fdr-threshold-dep", "--m", "2",
+                     "--refine-q", "0.9"],
+                    ["--method", "fdr-threshold-dep", "--refine-q", "0.5"],
+                    ["--method", "fdr"])),
     ("id,p1,p2,p1\na,0.01,0.2,0.9\n", [],
      "{table}: line 1: repeated column(s) 'p1'; header was "
      "['id', 'p1', 'p2', 'p1']"),
     ("id,p1,p2\na,0.1,0.2\n,0.1,0.3\n", [],
      "{table}: line 3: empty feature id"),
 ], ids=["zero", "above-one", "duplicate-id", "r1-above-m", "above-t",
+        "above-t-refine-r1-2", "above-t-refine-r1-10", "above-t-fdr",
         "column-twice", "empty-id"])
 def test_invalid_data_exits_2_with_a_pinned_line(text, flags, message,
                                                  tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from repval import (AnalysisConfig, DatasetError, FeatureRecord,
                     NoConsistentRegime, c1_tilde, fdr_rvalues_all,
                     fdr_rvalues_all_general_dep,
-                    fdr_rvalues_all_threshold_dep, m_star, step_up_set,
-                    step_up_set_general_dep, step_up_set_threshold_dep,
-                    validate_dataset)
+                    fdr_rvalues_all_threshold_dep, m_star,
+                    read_pvalue_table, step_up_set, step_up_set_general_dep,
+                    step_up_set_threshold_dep, validate_dataset)
 from repval.dependence import _harmonic
 from repval.rvalue import c1
 
@@ -192,12 +193,23 @@ def test_threshold_dep_requires_t():
 
 
 def test_threshold_dep_rejects_violations():
-    records = [FeatureRecord("a", 0.4, 0.1)]
+    # p1 <= t is a rule of the table: validation rejects the first row above
+    # t in input order, with its line when the table came from a file
+    records = [FeatureRecord("b", 0.01, 0.2), FeatureRecord("a", 0.4, 0.1),
+               FeatureRecord("c", 0.9, 0.1)]
     config = AnalysisConfig(m=5, t=0.1)
-    ds = validate_dataset(records, config)
-    with pytest.raises(DatasetError, match="p1=0.4 above the selection "
-                       "threshold t=0.1"):
-        fdr_rvalues_all_threshold_dep(ds, config)
+    with pytest.raises(DatasetError, match="^feature 'a' has p1=0.4 above "
+                       "the selection threshold t=0.1$") as err:
+        validate_dataset(records, config)
+    assert err.value.line is None
+    table = read_pvalue_table(io.StringIO("id,p1,p2\nb,0.01,0.2\n\n"
+                                          "a,0.4,0.1\nc,0.9,0.1\n"))
+    with pytest.raises(DatasetError) as err:
+        validate_dataset(table.records, config,
+                         source_lines=table.source_lines)
+    assert err.value.line == 4
+    assert str(err.value) == ("line 4: feature 'a' has p1=0.4 above the "
+                              "selection threshold t=0.1")
 
 
 def test_threshold_dep_is_more_conservative():

@@ -93,6 +93,44 @@ def test_engine_matches_bisection_and_step_up(instance):
             assert (r <= q) == (fid in claimed)
 
 
+@st.composite
+def raised_tables(draw):
+    """A table of up to 40 features, some tied with the first, and the same
+    table with one feature's p1 (at most t) or p2 (at most 1) raised by one
+    ulp or by a factor."""
+    method = draw(st.sampled_from(METHODS))
+    t = (draw(st.sampled_from((1e-4, 0.01, 0.3)))
+         if method == "fdr-threshold-dep" else None)
+    r1 = draw(st.integers(1, 40))
+    exponents = st.lists(st.floats(-16.0, 0.0), min_size=r1, max_size=r1)
+    p1 = (t or 1.0) * 10.0 ** np.array(draw(exponents))
+    p2 = 10.0 ** np.array(draw(exponents))
+    tied = draw(st.lists(st.integers(0, r1 - 1), max_size=r1))
+    p1[tied], p2[tied] = p1[0], p2[0]
+    raised = [p1.copy(), p2.copy()]
+    column, j = draw(st.integers(0, 1)), draw(st.integers(0, r1 - 1))
+    factor = draw(st.sampled_from((None, 1.01, 2.0, 1e3)))
+    x = raised[column][j]
+    x = np.nextafter(x, np.inf) if factor is None else x * factor
+    raised[column][j] = min(x, 1.0 if column else t or 1.0)
+    kw = dict(m=max(r1, draw(st.sampled_from((1, 50, 10**3, 10**6, 10**8)))),
+              l00=draw(st.sampled_from((0.0, 0.5, 0.8, 0.95))),
+              c2=draw(st.sampled_from((0.2, 0.5, 0.8))), t=t)
+    ds, config = dataset_from_arrays(p1, p2, **kw)
+    return method, config, ds, dataset_from_arrays(*raised, **kw)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raised_tables())
+def test_no_rvalue_falls_when_one_pvalue_rises(instance):
+    # raising one entry level cannot lower T(r) or any b_i in the min-max
+    # formula, so this holds exactly on doubles, ties and floors included
+    method, config, ds, raised = instance
+    before = ENGINE[method](ds, config)
+    after = ENGINE[method](raised, config)
+    assert (after >= before).all(), np.flatnonzero(after < before)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_claimed_exactly_from_the_rvalue_on(method):
     # the knife edge: every sampled feature is claimed at q = r_i and not
@@ -153,7 +191,7 @@ def test_block_split_never_changes_results(method, monkeypatch):
         via_r = {fid for fid, r in zip(ds.ids, values) if r <= q}
         assert via_r == _claimed(method, ds, config, q)
     if method != "fwer-bonferroni":
-        proc = _procedure(method, ds, config)
+        proc = _procedure(method, config)
         assert np.array_equal(values,
                               oracle_exact_rvalues(proc, ds.p1, ds.p2))
     for block in (7 * r1, 1):
@@ -203,9 +241,9 @@ def test_blocks_stay_within_budget_on_a_skewed_table(method, monkeypatch):
     assert all(rows * width <= max(block, width) for rows, width in sizes)
 
 
-def _procedure(method, ds, config):
+def _procedure(method, config):
     if method == "fdr-threshold-dep":
-        return dependence._threshold_procedure(ds, config)
+        return dependence._threshold_procedure(config)
     m_eff = m_star(config.m) if method == "fdr-general-dep" else config.m
     return rvalue._fdr_procedure(config, float(m_eff))
 
@@ -248,7 +286,7 @@ def test_engine_matches_exact_oracle_bitwise(instance, block):
     # the bracketed threshold engine, the sorted live-count blocks and the
     # guess-started inverse against the exact level on every cell
     method, ds, config = instance
-    ref = oracle_exact_rvalues(_procedure(method, ds, config), ds.p1, ds.p2)
+    ref = oracle_exact_rvalues(_procedure(method, config), ds.p1, ds.p2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rvalue, "_BLOCK", block)
         assert np.array_equal(ENGINE[method](ds, config), ref)
@@ -259,7 +297,7 @@ def test_engine_matches_exact_oracle_bitwise(instance, block):
 def test_guess_started_search_matches_full_range(method, l00):
     ds, config = dataset_from_arrays([1e-5], [0.5], m=10**6, l00=l00,
                                      t=1e-4)
-    proc = _procedure(method, ds, config)
+    proc = _procedure(method, config)
     rng = np.random.default_rng(83)
     g_floor = proc.level(np.array([proc.floor]))[0]
     b = np.concatenate([
@@ -344,8 +382,7 @@ def test_step_up_count_matches_downward_scan(units, q, method):
     if method == "fdr":
         proc = rvalue._fdr_procedure(config, float(m))
     else:
-        ds, _ = dataset_from_arrays([0.05], [0.5], m=m)
-        proc = dependence._threshold_procedure(ds, config)
+        proc = dependence._threshold_procedure(config)
     levels = rvalue._claim_levels(proc, q)
     if levels is None:  # below the threshold-dep floor nothing is claimed
         assert method == "fdr-threshold-dep" and q < 1e-12

@@ -19,9 +19,8 @@ PUBLIC = {
 # The simulation harness is public through its own module only.
 SIMULATE = {
     "SimulationScenario", "SimulationMetrics", "simulate_rep", "estimate",
-    "sweep_c2", "compare_baseline", "parse_scenario_file",
-    "scenario_from_mapping", "SCENARIO_FIELDS", "METRICS_CSV_HEADER",
-    "metrics_csv_row",
+    "sweep_c2", "compare_baseline", "scenario_from_mapping",
+    "SCENARIO_FIELDS", "METRICS_CSV_HEADER", "metrics_csv_row",
 }
 
 
@@ -43,6 +42,6 @@ def test_public_surface_is_pinned():
 
 def test_simulation_surface_is_pinned():
     from repval import simulate
-    assert len(simulate.__all__) == len(SIMULATE) == 11
+    assert len(simulate.__all__) == len(SIMULATE) == 10
     assert set(simulate.__all__) == SIMULATE
     assert not SIMULATE & set(repval.__all__)

@@ -12,8 +12,8 @@ from repval.rvalue import _need_counts
 from repval.selection import _bh_mask, bh_reject
 from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
                              SimulationScenario, compare_baseline, estimate,
-                             metrics_csv_row, parse_scenario_file,
-                             scenario_from_mapping, simulate_rep, sweep_c2)
+                             metrics_csv_row, scenario_from_mapping,
+                             simulate_rep, sweep_c2)
 
 from _oracles import oracle_bh, oracle_step_up_count
 
@@ -172,24 +172,7 @@ def test_both_procedures_gain_from_l00():
         assert series[0] <= series[1] <= series[2] + 1e-9
 
 
-def test_scenario_file_roundtrip(tmp_path):
-    path = tmp_path / "scenario.cfg"
-    path.write_text(
-        "# a comment\n"
-        "pi1 = 0.1\npi2 = 0.8\nseed = 42\nreps = 7\n"
-        "l00 = 0.9  # trailing comment\n")
-    sc = parse_scenario_file(path)
-    assert sc == _scenario(seed=42, reps=7, l00=0.9)
-
-
-def test_scenario_file_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("pi1 0.1\n")
-    with pytest.raises(ValueError):
-        parse_scenario_file(bad)
-    bad.write_text("pi1 = 0.1\npi2 = 0.8\nseed = 1\npi1 = 0.2\n")
-    with pytest.raises(ValueError, match="line 4: key 'pi1' appears twice"):
-        parse_scenario_file(bad)
+def test_scenario_mapping_errors():
     with pytest.raises(ValueError):
         scenario_from_mapping({"pi1": 0.1, "pi2": 0.5})  # seed missing
     with pytest.raises(ValueError):
