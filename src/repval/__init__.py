@@ -10,32 +10,61 @@ the equivalent step-up claim rule, conservative variants for dependent
 primary-study p-values, an optional BH refinement of the follow-up set and
 the usual comparison baselines.
 
+Importing the package loads none of its modules. Each public name resolves
+on first use, from the module that defines it, and stays bound here after
+that (:pep:`562`); ``from repval import *`` loads every module that defines
+one. The ``repval`` command loads only what its call runs (details in
+:mod:`repval.cli`): ``repval rvalues`` loads ``model``, ``rvalue`` and
+``selection``, plus ``dependence`` or ``fwer`` for the methods defined
+there and ``baselines`` and ``normal`` for ``--meta``; ``repval simulate``
+loads :mod:`repval.simulate` and what it imports.
+
 The seeded Monte Carlo harness for verifying error control and power is
-its own module, :mod:`repval.simulate`, with its own ``__all__``. Importing
-this package does not load it: only ``repval simulate`` needs it.
+its own module, :mod:`repval.simulate`, with its own ``__all__``. None of
+its names resolve here: only ``repval simulate`` needs it.
 """
 
-from .baselines import max_p_bh, meta_p
-from .dependence import (NoConsistentRegime, c1_tilde,
-                         fdr_rvalues_all_general_dep,
-                         fdr_rvalues_all_threshold_dep, m_star,
-                         step_up_set_general_dep, step_up_set_threshold_dep)
-from .fwer import bonferroni_rvalues_all
-from .model import (AnalysisConfig, DatasetError, FeatureRecord,
-                    PValueTable, ValidatedDataset, read_pvalue_table,
-                    validate_dataset)
-from .normal import normal_quantile, normal_sf
-from .rvalue import c1, fdr_rvalues_all, step_up_set
-from .selection import bh_reject, refine_for_replicability
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisConfig", "DatasetError", "FeatureRecord", "NoConsistentRegime",
-    "PValueTable", "ValidatedDataset", "bh_reject", "bonferroni_rvalues_all",
-    "c1", "c1_tilde", "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
-    "fdr_rvalues_all_threshold_dep", "m_star", "max_p_bh", "meta_p",
-    "normal_quantile", "normal_sf", "read_pvalue_table",
-    "refine_for_replicability", "step_up_set", "step_up_set_general_dep",
-    "step_up_set_threshold_dep", "validate_dataset",
-]
+# module -> the public names it defines
+_SOURCES = {
+    "baselines": ("max_p_bh", "meta_p"),
+    "dependence": ("NoConsistentRegime", "c1_tilde",
+                   "fdr_rvalues_all_general_dep",
+                   "fdr_rvalues_all_threshold_dep", "m_star",
+                   "step_up_set_general_dep", "step_up_set_threshold_dep"),
+    "fwer": ("bonferroni_rvalues_all",),
+    "model": ("AnalysisConfig", "DatasetError", "FeatureRecord",
+              "PValueTable", "ValidatedDataset", "read_pvalue_table",
+              "validate_dataset"),
+    "normal": ("normal_quantile", "normal_sf"),
+    "rvalue": ("c1", "fdr_rvalues_all", "step_up_set"),
+    "selection": ("bh_reject", "refine_for_replicability"),
+}
+_HOME = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _resolve(namespace: dict, home: dict, name: str):
+    """``name`` from the module of this package that ``home`` maps it to,
+    imported now if it is not yet, and bound in ``namespace`` so that the
+    next lookup finds it there."""
+    try:
+        module = home[name]
+    except KeyError:
+        raise AttributeError(f"module {namespace['__name__']!r} has no "
+                             f"attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    namespace[name] = value
+    return value
+
+
+def __getattr__(name: str):
+    return _resolve(globals(), _HOME, name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

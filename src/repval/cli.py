@@ -22,13 +22,28 @@ script) freezes its import-time heap before it runs, so the garbage
 collector's passes skip the ~22 000 objects that importing numpy and this
 module creates. They live until exit, so those passes could free none of
 them; skipping them saves about 15-25 ms a call (2 vCPU, Python 3.11,
-numpy 2.4). :func:`main` leaves the collector as it is, for callers in a
-long-lived process.
+numpy 2.4). Once its output is written and its exit handlers have run,
+it ends with :func:`os._exit`: a normal exit would then free the whole
+heap object by object, which takes ~6 ms a call and leaves nothing behind
+that the process has not already closed. :func:`main` leaves the collector
+and the interpreter's exit as they are, for callers in a long-lived
+process.
+
+A call loads only the modules it runs. ``import repval.cli`` loads
+:mod:`repval.model` and this module. ``rvalues --method fdr`` adds
+``rvalue`` and ``selection``; the two dependence methods add
+``dependence``, ``fwer-bonferroni`` adds ``fwer``, and ``--meta`` adds
+``baselines`` and ``normal``. ``simulate`` adds :mod:`repval.simulate` and
+what it imports, never ``dependence`` or ``fwer``. The names this module
+uses from those modules resolve on first use (``_HOME``, :pep:`562`).
+Modules loaded that way arrive after :func:`entry` has frozen the heap, so
+the freeze does not cover their objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import csv
 import gc
@@ -40,27 +55,35 @@ from collections.abc import Sequence
 from dataclasses import replace
 from typing import Callable, ContextManager, Optional, TextIO
 
-from .baselines import meta_p
-from .dependence import (NoConsistentRegime, fdr_rvalues_all_general_dep,
-                         fdr_rvalues_all_threshold_dep)
-from .fwer import bonferroni_rvalues_all
+from . import _resolve
 from .model import (AnalysisConfig, DatasetError, _check_unit,
                     read_pvalue_table, validate_dataset)
-from .rvalue import fdr_rvalues_all
-from .selection import refine_for_replicability
-# not called here: the perfbench tracer wraps them under this module's name
-from .dependence import (step_up_set_general_dep,  # noqa: F401
-                         step_up_set_threshold_dep)
-from .rvalue import step_up_set  # noqa: F401
+
+# name -> the module that defines it, for the names this module resolves on
+# first use. The step-up functions are not called here: the perfbench
+# tracer wraps them, with the rest, under this module's name.
+_HOME = {
+    "fdr_rvalues_all": "rvalue", "step_up_set": "rvalue",
+    "NoConsistentRegime": "dependence",
+    "fdr_rvalues_all_general_dep": "dependence",
+    "step_up_set_general_dep": "dependence",
+    "fdr_rvalues_all_threshold_dep": "dependence",
+    "step_up_set_threshold_dep": "dependence",
+    "bonferroni_rvalues_all": "fwer",
+    "refine_for_replicability": "selection",
+    "meta_p": "baselines",
+    "sweep_c2": "simulate",
+}
 
 
 def __getattr__(name: str):
-    # the perfbench tracer wraps sweep_c2 under this module's name too
-    if name == "sweep_c2":
-        from .simulate import sweep_c2
-        return sweep_c2
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve(globals(), _HOME, name)
 
+
+# The names in _HOME are read as attributes of this module object, never as
+# bare globals: the first read imports their module, and whatever is bound to
+# the name when it is read (a test's stub, the tracer's wrapper) is called.
+_module = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -72,17 +95,15 @@ _SCENARIO_HELP = {
 }
 
 
-def _methods() -> dict:
-    """--method name -> r-value function; the first entry is the default.
-    A feature is replicated at q iff its r-value is at most q, which is
-    the method's claim rule at q bit for bit. Built per call so that it
-    uses the module's current bindings."""
-    return {
-        "fdr": fdr_rvalues_all,
-        "fdr-general-dep": fdr_rvalues_all_general_dep,
-        "fdr-threshold-dep": fdr_rvalues_all_threshold_dep,
-        "fwer-bonferroni": bonferroni_rvalues_all,
-    }
+# --method name -> the name of its r-value function in _HOME; the first
+# entry is the default. A feature is replicated at q iff its r-value is at
+# most q, which is the method's claim rule at q bit for bit.
+_METHODS = {
+    "fdr": "fdr_rvalues_all",
+    "fdr-general-dep": "fdr_rvalues_all_general_dep",
+    "fdr-threshold-dep": "fdr_rvalues_all_threshold_dep",
+    "fwer-bonferroni": "bonferroni_rvalues_all",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +141,7 @@ def build_parser() -> _Parser:
                          "(default 0.8)")
     rv.add_argument("--c2", type=float, default=0.5,
                     help="emphasis on the follow-up study (default 0.5)")
-    methods = list(_methods())
+    methods = list(_METHODS)
     rv.add_argument("--method", default=methods[0], choices=methods,
                     help=f"r-value procedure (default {methods[0]})")
     rv.add_argument("--t", type=float, default=None,
@@ -180,7 +201,6 @@ def _open_output(prog: str,
 
 
 def cmd_rvalues(args) -> int:
-    rvalues_fn = _methods()[args.method]
     if args.method == "fdr-threshold-dep" and args.t is None:
         print("repval rvalues: error: --t is required for "
               "--method fdr-threshold-dep", file=sys.stderr)
@@ -210,14 +230,18 @@ def cmd_rvalues(args) -> int:
 
     if args.refine_q is not None:
         before = len(dataset)
-        dataset = refine_for_replicability(dataset, config, args.refine_q)
+        dataset = _module.refine_for_replicability(dataset, config,
+                                                   args.refine_q)
         print(f"repval rvalues: refinement kept {len(dataset)} of {before} "
               "features (non-followed primary p-values padded with 1.0; "
               "padding can only shrink this set)", file=sys.stderr)
 
+    rvalues_fn = getattr(_module, _METHODS[args.method])
+    # the except tuple is evaluated only when an exception arrives, so only
+    # then does NoConsistentRegime load its module
     try:
         rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
-    except (ValueError, NoConsistentRegime) as exc:
+    except (ValueError, _module.NoConsistentRegime) as exc:
         print(f"repval rvalues: {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -242,7 +266,8 @@ def cmd_rvalues(args) -> int:
             cells = [row.get(col, "") or "" for col in table.fieldnames]
             cells.append(f"{rvals[rec.id]:.4f}")
             if args.meta != "none":
-                cells.append(f"{meta_p(rec.p1, rec.p2, args.meta):.6g}")
+                meta = _module.meta_p(rec.p1, rec.p2, args.meta)
+                cells.append(f"{meta:.6g}")
             if args.q is not None:
                 cells.append("yes" if rvals[rec.id] <= args.q else "no")
             writer.writerow(cells)
@@ -334,8 +359,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     # everything imported so far lives until the process exits, so the
-    # collector's passes over it, during the run and at teardown, have
-    # nothing to free: move it out of their reach
+    # collector's passes over it during the run have nothing to free: move
+    # it out of their reach
     gc.freeze()
     try:
         code = main()
@@ -343,13 +368,17 @@ def entry() -> None:
     except OSError as exc:
         # the output could not be written. A reader that stopped early
         # (``| head``; simulate rows stream, so this can happen mid-run)
-        # needs no message. Point stdout at devnull so the flush at exit
-        # does not fail again.
+        # needs no message. Point stdout at devnull so the flush below does
+        # not fail again.
         if not isinstance(exc, BrokenPipeError):
             print(f"repval: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    raise SystemExit(code)
+    # what a normal exit would still do, less freeing the heap
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -171,7 +171,7 @@ class PValueTable:
     through the CLI) plus typed records."""
 
     fieldnames: list[str]
-    rows: list[dict[str, str]]
+    rows: list[dict[str, Optional[str]]]
     records: list[FeatureRecord]
     delimiter: str
     source_lines: list[int]
@@ -203,7 +203,8 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
 
     ``source`` is a path or an open text stream. One leading byte-order
     mark is skipped; a header that names a column twice, and a row with
-    more cells than the header, are errors (:class:`DatasetError`).
+    more cells than the header, are errors (:class:`DatasetError`). The
+    columns a shorter row lacks read as None. Blank lines are skipped.
     Scientific notation is accepted; numbers are stored as float64 while
     the original strings are retained for round-tripping.
     ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
@@ -215,11 +216,11 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
         raise DatasetError("empty input table", 1)
     delim = _sniff_delimiter(first)
     stream.seek(0)
-    reader = csv.DictReader(stream, delimiter=delim, skipinitialspace=True)
-    fieldnames = [fn.strip() for fn in (reader.fieldnames or [])]
+    reader = csv.reader(stream, delimiter=delim, skipinitialspace=True)
+    fieldnames = [name.strip() for name in next(reader, [])]
     counts = Counter(fieldnames)
     repeated = ", ".join(repr(c) for c in counts if counts[c] > 1)
-    if repeated:  # DictReader would keep only the last cell of each
+    if repeated:  # a row's dict would keep only the last cell of each
         raise DatasetError(f"repeated column(s) {repeated}; header was "
                            f"{fieldnames}", 1)
     missing = [c for c in _REQUIRED_COLUMNS if c not in fieldnames]
@@ -228,17 +229,21 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
             f"missing required column(s) {', '.join(missing)}; "
             f"header was {fieldnames}", 1)
 
-    rows: list[dict[str, str]] = []
+    width = len(fieldnames)
+    rows: list[dict[str, Optional[str]]] = []
     records: list[FeatureRecord] = []
     source_lines: list[int] = []
-    for raw in reader:
+    for cells in reader:
+        if not cells:  # a blank line
+            continue
         lineno = reader.line_num  # the record's last line, blank lines counted
-        if None in raw:  # DictReader keeps cells beyond the header there
-            raise DatasetError(f"row has {len(raw[None])} cell(s) more than "
-                               "the header", lineno)
-        row = {(k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
-               for k, v in raw.items()}
-        fid = row.get("id") or ""
+        if len(cells) > width:
+            raise DatasetError(f"row has {len(cells) - width} cell(s) more "
+                               "than the header", lineno)
+        row = dict(zip(fieldnames, map(str.strip, cells)))
+        if len(cells) < width:  # the columns a short row lacks hold None
+            row.update(dict.fromkeys(fieldnames[len(cells):]))
+        fid = row["id"] or ""
         if not fid:
             raise DatasetError("empty feature id", lineno)
         try:

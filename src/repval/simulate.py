@@ -400,7 +400,8 @@ def _scenario_keys(source) -> dict[str, str]:
 # then metrics, written %.6f
 _SCENARIO_COLUMNS = ("c2", "l00", "pi1", "pi2")
 _METRIC_COLUMNS = ("fdr_hat", "se_fdr", "avg_power", "se_power",
-                   "p_at_least_one", "se_palo")
+                   "p_at_least_one", "se_palo", "fwer_hat", "se_fwer",
+                   "mean_claims", "mean_r1")
 METRICS_CSV_HEADER = ",".join(("scenario_id", *_SCENARIO_COLUMNS,
                                *_METRIC_COLUMNS))
 

@@ -1,13 +1,18 @@
 """Independent brute-force reference implementations used to pin expected
 values. Deliberately naive (plain loops, no shared code paths with the
-package) so a defect in the library cannot hide in its own oracle. The
-exception is the r-value engine's reference, which evaluates a procedure's
-own level function exactly on every cell: it pins the engine's shortcuts
-bit for bit, not the level function."""
+package) so a defect in the library cannot hide in its own oracle. Two
+exceptions: the r-value engine's reference evaluates a procedure's own
+level function exactly on every cell, so it pins the engine's shortcuts bit
+for bit, not the level function; and the table reader's reference parses
+rows its own way (``csv.DictReader``) but reads text and builds results with
+the package's helpers and types."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -240,3 +245,54 @@ def oracle_exact_rvalues(proc, p1, p2):
         best = np.minimum(best, np.maximum(a, np.partition(a, r - 1)[r - 1]))
     return oracle_smallest_reaching(proc.level, best, proc.floor)
 
+
+def oracle_read_pvalue_table(source, *, clamp_zero=None):
+    """``model.read_pvalue_table`` as it was written on ``csv.DictReader``:
+    the package's text reading and types, its own row parsing."""
+    from repval.model import (DatasetError, FeatureRecord, PValueTable,
+                              _read_text, _sniff_delimiter)
+
+    stream = io.StringIO(_read_text(source))
+    first = stream.readline()
+    if not first.strip():
+        raise DatasetError("empty input table", 1)
+    delim = _sniff_delimiter(first)
+    stream.seek(0)
+    reader = csv.DictReader(stream, delimiter=delim, skipinitialspace=True)
+    fieldnames = [fn.strip() for fn in (reader.fieldnames or [])]
+    counts = Counter(fieldnames)
+    repeated = ", ".join(repr(c) for c in counts if counts[c] > 1)
+    if repeated:
+        raise DatasetError(f"repeated column(s) {repeated}; header was "
+                           f"{fieldnames}", 1)
+    missing = [c for c in ("id", "p1", "p2") if c not in fieldnames]
+    if missing:
+        raise DatasetError(
+            f"missing required column(s) {', '.join(missing)}; "
+            f"header was {fieldnames}", 1)
+
+    rows, records, source_lines = [], [], []
+    for raw in reader:
+        lineno = reader.line_num
+        if None in raw:
+            raise DatasetError(f"row has {len(raw[None])} cell(s) more than "
+                               "the header", lineno)
+        row = {(k.strip() if k else k):
+               (v.strip() if isinstance(v, str) else v)
+               for k, v in raw.items()}
+        fid = row.get("id") or ""
+        if not fid:
+            raise DatasetError("empty feature id", lineno)
+        try:
+            p1 = float(row["p1"])
+            p2 = float(row["p2"])
+        except (TypeError, ValueError):
+            raise DatasetError(
+                f"could not parse p1/p2 for feature {fid!r}", lineno) from None
+        if clamp_zero is not None:
+            p1 = clamp_zero if p1 == 0.0 else p1
+            p2 = clamp_zero if p2 == 0.0 else p2
+        rows.append(row)
+        records.append(FeatureRecord(fid, p1, p2))
+        source_lines.append(lineno)
+    return PValueTable(fieldnames, rows, records, delim, source_lines)

@@ -2,6 +2,7 @@
 on the bundled published tables."""
 
 import gc
+import io
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from repval import (AnalysisConfig, cli, dependence,
                     simulate, step_up_set_threshold_dep,
                     validate_dataset)
 
+from _oracles import oracle_read_pvalue_table
 from conftest import DATA_DIR
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -353,7 +355,7 @@ def test_replicated_column_reads_the_exact_rvalue(method, tmp_path):
     table = DATA_DIR / "iga_nephropathy.tsv"
     config = AnalysisConfig(m=444882, l00=0.8, c2=0.5, t=2e-4)
     ds = validate_dataset(read_pvalue_table(table).records, config)
-    rvals = cli._methods()[method](ds, config)
+    rvals = getattr(cli, cli._METHODS[method])(ds, config)
     below_one = np.flatnonzero(rvals < 1.0)
     pick = below_one[np.argsort(rvals[below_one])[len(below_one) // 2]]
     r = float(rvals[pick])
@@ -444,9 +446,11 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
      "['id', 'p1', 'p2', 'p1']"),
     ("id,p1,p2\na,0.1,0.2\n,0.1,0.3\n", [],
      "{table}: line 3: empty feature id"),
+    ("id,p1,p2\na,0.1,0.2\n\nf1,0.1\n", [],
+     "{table}: line 4: could not parse p1/p2 for feature 'f1'"),
 ], ids=["zero", "above-one", "duplicate-id", "r1-above-m", "above-t",
         "above-t-refine-r1-2", "above-t-refine-r1-10", "above-t-fdr",
-        "column-twice", "empty-id"])
+        "column-twice", "empty-id", "short-row"])
 def test_invalid_data_exits_2_with_a_pinned_line(text, flags, message,
                                                  tmp_path, capsys):
     table = tmp_path / "bad.csv"
@@ -540,6 +544,48 @@ def test_rvalues_run_leaves_simulation_unloaded(tmp_path):
         GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
 
 
+IGA_CALL = ("rvalues", str(DATA_DIR / "iga_nephropathy.tsv"), "--m", "444882",
+            "--t", "2e-4")
+CLI_MODULES = {"repval", "repval.model", "repval.cli"}
+ENGINE_MODULES = {"repval.rvalue", "repval.selection"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, {"repval"}),
+    ((), CLI_MODULES),
+    (IGA_CALL, CLI_MODULES | ENGINE_MODULES),
+    ((*IGA_CALL, "--method", "fdr-general-dep"),
+     CLI_MODULES | ENGINE_MODULES | {"repval.dependence"}),
+    ((*IGA_CALL, "--method", "fdr-threshold-dep"),
+     CLI_MODULES | ENGINE_MODULES | {"repval.dependence"}),
+    ((*IGA_CALL, "--method", "fwer-bonferroni"),
+     CLI_MODULES | ENGINE_MODULES | {"repval.fwer"}),
+    ((*IGA_CALL, "--meta", "fisher"),
+     CLI_MODULES | ENGINE_MODULES | {"repval.baselines", "repval.normal"}),
+    (SIM_DESIGN, CLI_MODULES | ENGINE_MODULES | {
+        "repval.baselines", "repval.normal", "repval.simulate"}),
+], ids=["import-repval", "import-cli", "fdr", "general-dep", "threshold-dep",
+        "bonferroni", "meta-fisher", "simulate"])
+def test_each_call_loads_only_what_it_runs(argv, loaded, tmp_path):
+    # in a child with the benchmark's environment, where a module that is
+    # loaded is also compiled from source
+    check = "import repval\n" if argv is None else "import repval.cli\n"
+    if argv:
+        out = str(tmp_path / "out.txt")
+        check += f"assert repval.cli.main({[*argv, '--out', out]!r}) == 0\n"
+    check += textwrap.dedent("""
+        import sys
+        print(" ".join(name for name in sys.modules
+                       if name.split(".")[0] == "repval"))
+    """)
+    env = {**CHILD_ENV, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", check], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert set(result.stdout.split()) == loaded
+
+
 def test_simulation_names_resolve_on_first_use():
     # the CLI resolves sweep_c2 when first asked for; the package does not
     # mirror the harness's names
@@ -581,6 +627,31 @@ def test_process_entry_freezes_the_import_time_heap(tmp_path):
     counts = dict(line.split() for line in result.stdout.splitlines())
     assert counts["imported"] == "0" and int(counts["exiting"]) > 0
     assert out.read_bytes() == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
+
+
+def test_process_entry_writes_everything_and_skips_freeing_the_heap():
+    # an object that the run makes and that announces being freed, which a
+    # normal exit would do
+    check = textwrap.dedent(f"""
+        import os, sys
+        import repval.cli
+
+        class Held:
+            def __del__(self):
+                os.write(1, b"freed")
+
+        def main(real=repval.cli.main):
+            repval.cli.held = Held()
+            return real()
+
+        repval.cli.main = main
+        sys.argv = ["repval", *{T2D_CALL!r}]
+        repval.cli.entry()
+    """)
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
+                            capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
 
 
 def malformed_rvalues_calls(seed: int, count: int):
@@ -627,7 +698,7 @@ def malformed_rvalues_calls(seed: int, count: int):
                        for row in rows)
         if rng.random() < 0.2:
             text = "\ufeff" + text
-        method = rng.choice(list(cli._methods()))
+        method = rng.choice(list(cli._METHODS))
         flags = ["--method", method,
                  "--meta", rng.choice(["none", "fisher", "stouffer"])]
         for flag, (valid, invalid) in ranges.items():
@@ -658,3 +729,42 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys):
             assert err == "", (data, flags)
         codes.add(code)
     assert codes == {0, 2, 3}
+
+
+# tables the seeded calls above seldom or never write
+READER_EDGES = [
+    "id,p1,p2,gene\na,0.1,0.2\n",
+    "id,p1,p2,gene\na,0.1,0.2,TNF\nf1,0.1\n",
+    "id,p1,p2\n\na,0.1,0.2\n\n\nb,x,0.3\n",
+    "id,p1,p2\na,0.1,0.2\n\n\n",
+    'id,p1,p2,note\na,0.1,0.2,"two\nlines"\n"b\nc",0.3,0.4\n\n"d\ne",1,x\n',
+    "\ufeffid\tp1\tp2\na\t0.1\t0.2\n",
+    "id,p1,p2\r\na,0.1,0.2\r\n\r\nb,1e-3,0.5\r\nc,0,x\r\n",
+    "id, p1 ,p2\n a , 0.1 ,0.2 \n",
+    "id,p1,p2\na,0.1,0.2,x\n",
+    "id,p1,p2\n",
+    "",
+    "id,p1,p2\na,nan,0\n",
+]
+
+
+def _read_outcome(read, source, clamp_zero):
+    try:
+        # repr: a NaN p-value is unequal to itself
+        return repr(read(source, clamp_zero=clamp_zero))
+    except Exception as exc:
+        return repr((type(exc), str(exc), getattr(exc, "line", None)))
+
+
+def test_reader_matches_the_dictreader_reader(tmp_path):
+    table = tmp_path / "table.txt"
+    texts = [data.decode("utf-8")
+             for data, _ in malformed_rvalues_calls(seed=1, count=200)]
+    for text in texts + READER_EDGES:
+        table.write_text(text, encoding="utf-8", newline="")
+        # from a path, line endings arrive as "\n"; from a stream, as given
+        for source in (lambda: table, lambda: io.StringIO(text, newline="")):
+            for clamp_zero in (None, 1e-10):
+                assert _read_outcome(read_pvalue_table, source(), clamp_zero) \
+                    == _read_outcome(oracle_read_pvalue_table, source(),
+                                     clamp_zero), text

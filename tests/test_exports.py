@@ -3,6 +3,7 @@ package exports exactly the public surface listed here."""
 
 import importlib
 import pkgutil
+import sys
 
 import repval
 
@@ -37,7 +38,25 @@ def test_every_exported_name_resolves():
 def test_public_surface_is_pinned():
     assert len(repval.__all__) == len(PUBLIC) == 24
     assert set(repval.__all__) == PUBLIC
-    assert not hasattr(repval, "__getattr__")
+    assert PUBLIC <= set(dir(repval))
+    star: dict = {}
+    exec("from repval import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC
+
+
+def test_package_names_are_their_modules_objects():
+    # the package resolves each name on first use; what it hands out is the
+    # defining module's own object, listed in that module's __all__
+    for name in PUBLIC:
+        value = getattr(repval, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("repval.") and name in home.__all__
+        assert getattr(home, name) is value
+
+
+def test_package_does_not_mirror_the_harness():
+    for name in ("estimate", "simulate_rep", "sweep_c2"):
+        assert not hasattr(repval, name), name
 
 
 def test_simulation_surface_is_pinned():
