@@ -8,7 +8,9 @@ Two subcommands:
 * ``simulate`` -- run the Monte Carlo harness from a scenario file or
   inline flags, one per :data:`repval.simulate.SCENARIO_FIELDS` entry
   (``block_size`` is ``--block-size``), and emit a metrics CSV with one
-  row per c2 point, each written as soon as its point finishes.
+  row per c2 point. The grid is read in passes of a few points that share
+  their draws (:mod:`repval.simulate`), and each pass's rows are written
+  as soon as it finishes.
 
 Exit codes: 0 success, 1 output that cannot be written (one line on stderr,
 say on a full disk; none when the reader closed the pipe), 2 invalid input
@@ -22,12 +24,16 @@ script) freezes its import-time heap before it runs, so the garbage
 collector's passes skip the ~22 000 objects that importing numpy and this
 module creates. They live until exit, so those passes could free none of
 them; skipping them saves about 15-25 ms a call (2 vCPU, Python 3.11,
-numpy 2.4). Once its output is written and its exit handlers have run,
-it ends with :func:`os._exit`: a normal exit would then free the whole
-heap object by object, which takes ~6 ms a call and leaves nothing behind
-that the process has not already closed. :func:`main` leaves the collector
-and the interpreter's exit as they are, for callers in a long-lived
-process.
+numpy 2.4). Under ``python -m`` the collector is also off while this
+module loads, from before its first import until :func:`entry` has frozen
+the heap. That skips the passes the imports would make, about 7 ms a
+call (paired, on the t2d table), and keeps the ~0.2 MB they would have
+freed. A plain ``import repval.cli`` leaves the collector as it is. Once its output is written
+and its exit handlers have run, it ends with :func:`os._exit`: a normal
+exit would then free the whole heap object by object, which takes ~6 ms a
+call and leaves nothing behind that the process has not already closed.
+:func:`main` leaves the collector and the interpreter's exit as they are,
+for callers in a long-lived process.
 
 A call loads only the modules it runs. ``import repval.cli`` loads
 :mod:`repval.model` and this module. ``rvalues --method fdr`` adds
@@ -42,11 +48,18 @@ the freeze does not cover their objects.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # ``python -m repval.cli``: what the imports below create lives until
+    # exit, so a collector pass over it frees next to nothing. The
+    # collector stays off until entry() has frozen that heap.
+    gc.disable()
+
 import argparse
 import atexit
 import contextlib
 import csv
-import gc
 import itertools
 import math
 import os
@@ -333,8 +346,8 @@ def cmd_simulate(args) -> int:
     points = simulate.sweep_c2(scenario, grid, args.procedure)
     with output as out:
         try:
-            # the first point runs before the header is written, so a
-            # scenario too large for memory leaves no partial table
+            # the first pass of points runs before the header is written,
+            # so a scenario too large for memory leaves no partial table
             first = next(points)
         except MemoryError:
             print(f"repval simulate: bad scenario: m = {scenario.m} with "
@@ -342,6 +355,7 @@ def cmd_simulate(args) -> int:
                   file=sys.stderr)
             return EXIT_DATA
         out.write(simulate.METRICS_CSV_HEADER + "\n")
+        # the rows of a pass arrive together, as soon as it finishes
         for c2v, metrics in itertools.chain((first,), points):
             out.write(simulate.metrics_csv_row(replace(scenario, c2=c2v),
                                                metrics) + "\n")
@@ -360,8 +374,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry() -> None:
     # everything imported so far lives until the process exits, so the
     # collector's passes over it during the run have nothing to free: move
-    # it out of their reach
+    # it out of their reach, then let the collector run (it is off while a
+    # ``-m`` process loads)
     gc.freeze()
+    gc.enable()
     try:
         code = main()
         sys.stdout.flush()

@@ -198,13 +198,24 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+def _cells(reader) -> Iterable[list[str]]:
+    """The rows of a ``csv.reader``; a row it cannot parse (a cell over the
+    csv module's field size limit, a bare carriage return in a stream
+    passed in) is a :class:`DatasetError` at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"malformed row: {exc}", reader.line_num) from None
+
+
 def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTable:
     """Parse a UTF-8 TSV/CSV with header ``id, p1, p2`` (extra columns kept).
 
     ``source`` is a path or an open text stream. One leading byte-order
-    mark is skipped; a header that names a column twice, and a row with
-    more cells than the header, are errors (:class:`DatasetError`). The
-    columns a shorter row lacks read as None. Blank lines are skipped.
+    mark is skipped; a header that names a column twice, a row with more
+    cells than the header, and a row the csv module cannot parse are
+    errors (:class:`DatasetError`). The columns a shorter row lacks read
+    as None. Blank lines are skipped.
     Scientific notation is accepted; numbers are stored as float64 while
     the original strings are retained for round-tripping.
     ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
@@ -217,7 +228,8 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     delim = _sniff_delimiter(first)
     stream.seek(0)
     reader = csv.reader(stream, delimiter=delim, skipinitialspace=True)
-    fieldnames = [name.strip() for name in next(reader, [])]
+    rows_in = _cells(reader)
+    fieldnames = [name.strip() for name in next(rows_in, [])]
     counts = Counter(fieldnames)
     repeated = ", ".join(repr(c) for c in counts if counts[c] > 1)
     if repeated:  # a row's dict would keep only the last cell of each
@@ -233,7 +245,7 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     rows: list[dict[str, Optional[str]]] = []
     records: list[FeatureRecord] = []
     source_lines: list[int] = []
-    for cells in reader:
+    for cells in rows_in:
         if not cells:  # a blank line
             continue
         lineno = reader.line_num  # the record's last line, blank lines counted

@@ -20,29 +20,41 @@ Every repetition draws from its own counter-derived stream
 repetitions are scheduled, and paired procedure comparisons see identical
 data.
 
-What a scenario fixes (block masks, the mu1 shifts, c1(q) and the BH
-candidate cut) is computed once per scenario; mu2 is two scalar quantiles,
-computed per repetition. Repetitions then run in blocks of at most 2^14
-primary values, and each block makes a few numpy calls, not a few per
-repetition. Every BH bound is at most the level c1(q)*q, so below a level
-of 1/2 only primary z-scores at or above its upper quantile (less a 1e-6
-margin) can be selected; only these candidates get a p-value, from one
-``normal_sf`` call per block. BH then runs on all of the block's
-candidates in one pass, one row per repetition of a padded table sorted
-row by row, and the follow-up p-values come from one more call on the
-concatenated draws. The claim rules also take the whole block at once,
-with R1 per feature: the step-up set's R2 per repetition comes from one
-such table of the need counts. BH, max-p BH and the step-up set all
-claim through the one step-up rule of :mod:`repval.selection`, on one row
-per repetition. Each repetition keeps its own stream and draw order, and
-a row's claims depend on that row alone, so every result is the same as
-running the repetitions one at a time.
-A block keeps only its candidates, so memory is O(block + m), not
-O(reps * m).
+What a scenario fixes for every c2 (block masks and the mu1 shifts) is
+computed once, and what a c2 point fixes (c1(q), the BH level and candidate
+cut, the claim thresholds) once per point; mu2 is two scalar quantiles,
+computed once per R1 that a block holds. Repetitions run in blocks of at
+most 2^14 primary values, and each block makes a few numpy calls, not a few
+per repetition. Every BH bound is at most the level c1(q)*q, so below a
+level of 1/2 only primary z-scores at or above its upper quantile (less a
+1e-6 margin) can be selected; only these candidates get a p-value, from one
+``normal_sf`` call per block. BH then runs on all of the block's candidates
+in one pass, one row per repetition of a padded table sorted row by row,
+and the follow-up p-values come from one more call on the concatenated
+draws. The claim rules also take the whole block at once, with R1 per
+feature: the step-up set's R2 per repetition comes from one such table of
+the need counts. BH, max-p BH and the step-up set all claim through the one
+step-up rule of :mod:`repval.selection`, on one row per repetition. Each
+repetition keeps its own stream and draw order, and a row's claims depend
+on that row alone, so every result is the same as running the repetitions
+one at a time.
+
+A c2 sweep reads its grid in passes of up to 8 points, and one pass of
+draws serves every point of it: the primary noise is the same at every
+c2, so each block's generators, primary z-scores and candidates (cut at
+the pass's loosest point) are made once, and each point runs BH on the
+candidates at or above its own cut. A repetition's follow-up noise is one
+draw as long as its largest R1 over the points; each point reads the
+prefix it would have drawn alone, and gets its follow-up p-values from
+one ``normal_sf`` call. Every number is the one :func:`estimate` gives
+at that point. A block keeps its candidates and, per point, the indices
+of those selected, so memory is O(block + m), not O(reps * m), plus the
+outcome rows: 24 bytes per repetition, point and procedure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, get_type_hints
@@ -166,12 +178,13 @@ def _shift(power: float, n: int) -> float:
 
 
 class _Design:
-    """What a scenario fixes for all of its repetitions: the block masks,
-    the primary mean shifts and the claim thresholds."""
+    """What a scenario fixes for every point of its c2 grid: the block
+    masks and the primary mean shifts, m values each. c2 enters only the
+    levels of :class:`_Point`, so one copy serves a whole sweep."""
 
     def __init__(self, scenario: SimulationScenario):
         n00, n01, n10, _ = scenario.counts
-        m, q = scenario.m, scenario.q
+        m = scenario.m
         self.scenario = scenario
         self.signal2 = np.zeros(m, dtype=bool)
         self.signal2[n00:n00 + n01] = True          # follow-up-only block
@@ -182,6 +195,15 @@ class _Design:
         if n00 + n01 < m:                           # primary-signal block
             self.shift1 = np.where(np.arange(m) >= n00 + n01,
                                    _shift(scenario.pi1, m), 0.0)
+
+
+class _Point:
+    """What one point of a c2 grid fixes: the BH level and candidate cut,
+    and the claim thresholds."""
+
+    def __init__(self, scenario: SimulationScenario):
+        q = scenario.q
+        self.scenario = scenario
         self.bh_level = c1(q, scenario.l00, scenario.c2) * q
         # only p1 <= bh_level can pass BH. Below a level of 1/2 that needs
         # x1 at or above the level's upper quantile, and the margin is far
@@ -192,26 +214,26 @@ class _Design:
         self.config = scenario.analysis_config
         # both claim rules read G(q) and q* at level q (Bonferroni runs at
         # alpha = q)
-        self.procedure = _fdr_procedure(self.config, float(m))
+        self.procedure = _fdr_procedure(self.config, float(scenario.m))
         self.levels = _claim_levels(self.procedure, q)
 
 
-# procedure -> claim mask over a block's followed-up features, given each
-# one's repetition (rows, nondecreasing) and that repetition's R1.
-# Bonferroni is the count-1 case of the step-up predicate; it claims
+# procedure -> claim mask over a block's followed-up features at one point,
+# given each one's repetition (rows, nondecreasing) and that repetition's
+# R1. Bonferroni is the count-1 case of the step-up predicate; it claims
 # feature by feature, so it also takes one repetition's features alone.
-def _step_up_claims(design, p1, p2, rows, r1):
-    need = _need_counts(design.procedure, p1, p2, design.levels, r1)
+def _step_up_claims(point, p1, p2, rows, r1):
+    need = _need_counts(point.procedure, p1, p2, point.levels, r1)
     return _step_up_mask(need, 1, rows)
 
 
-def _bonferroni_claims(design, p1, p2, rows=None, r1=None):
-    return _need_counts(design.procedure, p1, p2, design.levels, r1) <= 1.0
+def _bonferroni_claims(point, p1, p2, rows=None, r1=None):
+    return _need_counts(point.procedure, p1, p2, point.levels, r1) <= 1.0
 
 
-def _max_p_bh_claims(design, p1, p2, rows, r1):
+def _max_p_bh_claims(point, p1, p2, rows, r1):
     """max_p_bh in every repetition, with n = m."""
-    return _max_p_bh_mask(p1, p2, design.config, design.scenario.q, rows)
+    return _max_p_bh_mask(p1, p2, point.config, point.scenario.q, rows)
 
 
 _CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
@@ -223,67 +245,110 @@ _CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
 # took 68-71 ms, 2^12 81-108 ms and 2^15 63-68 ms; the release that ran
 # each repetition's BH and claims apart took 162-169 ms. The simulate CLI
 # child's peak RSS was 36.6-36.7 MB at 2^14 and 37.1-37.2 MB at 2^15,
-# against 36.9 MB for that release.
+# against 36.9 MB for that release. (Both timings predate passes.)
 _BLOCK = 2**14
 
+# Points of a c2 grid per pass of draws. A pass holds every point's
+# outcome rows, 24 bytes a repetition per point and procedure, until its
+# last block is done.
+_PASS = 8
 
-def _select(design: _Design, x1: Iterable[np.ndarray]):
-    """BH at the design's level in each repetition of a block, given its
-    primary z-scores one repetition at a time: (repetition, feature, p1)
-    of the selected features, by repetition in feature order. Only the
-    candidates (z at or above ``design.cut``) get a p-value, and only they
-    are kept from each repetition's m z-scores."""
+
+def _select(points: Sequence[_Point], x1: Iterable[np.ndarray]):
+    """BH at each point's level in each repetition of a block, given its
+    primary z-scores one repetition at a time. Only the candidates at the
+    loosest point's cut get a p-value, from one ``normal_sf`` call, and
+    only they are kept from each repetition's m z-scores: (repetition,
+    feature, p1) of the candidates, by repetition in feature order, and
+    per point the indices of those it selects. Each point runs BH on the
+    candidates at or above its own cut."""
+    cut = min(point.cut for point in points)
     cols, z = [], []
     for x in x1:
-        cols.append(np.flatnonzero(x >= design.cut))
+        cols.append(np.flatnonzero(x >= cut))
         z.append(x[cols[-1]])
     rep = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
     col = np.concatenate(cols)
-    p1 = normal_sf(np.concatenate(z))
-    selected = _bh_mask(p1, design.bh_level, design.scenario.m, rep)
-    return rep[selected], col[selected], p1[selected]
+    z = np.concatenate(z)
+    p1 = normal_sf(z)
+    selected = []
+    for point in points:
+        own = np.flatnonzero(z >= point.cut)
+        selected.append(own[_bh_mask(p1[own], point.bh_level,
+                                     point.scenario.m, rep[own])])
+    return (rep, col, p1), selected
 
 
-def _outcomes(scenario: SimulationScenario, reps: range,
-              procedures: Sequence[str]) -> dict[str, np.ndarray]:
-    """Outcomes of the given repetitions under each procedure, on the same
-    draws: per procedure an int64 array with one row per repetition and
+def _outcomes(design: _Design, points: Sequence[SimulationScenario],
+              procedures: Sequence[str], reps: range
+              ) -> list[dict[str, np.ndarray]]:
+    """Outcomes of the given repetitions at each point (``design``'s
+    scenario at another c2) under each procedure, on the same draws: per
+    point and procedure an int64 array with one row per repetition and
     columns R1, claims and true claims. Repetitions run in blocks of at
     most _BLOCK primary values; each draws from its own (seed, rep) stream
     in a fixed order (primary noise, then follow-up noise), so results do
-    not depend on the block size."""
+    not depend on the block size or on the other points."""
     for proc in procedures:
         if proc not in _CLAIMS:
             raise ValueError(f"unknown procedure {proc!r}")
-    design = _Design(scenario)
-    out = {proc: np.empty((len(reps), 3), dtype=np.int64)
-           for proc in procedures}
-    rows = max(1, _BLOCK // scenario.m)
+    points = [_Point(point) for point in points]
+    out = [{proc: np.empty((len(reps), 3), dtype=np.int64)
+            for proc in procedures} for _ in points]
+    mu2 = {0: 0.0}  # by R1
+    rows = max(1, _BLOCK // design.scenario.m)
     for first in range(reps.start, reps.stop, rows):
         block = range(first, min(first + rows, reps.stop))
-        n = len(block)
-        rngs = [_rep_generator(scenario.seed, rep) for rep in block]
-        x1 = (_primary_noise(scenario, rng) for rng in rngs)
-        if design.shift1 is not None:
-            x1 = (x + design.shift1 for x in x1)
-        rep, col, p1 = _select(design, x1)
-        r1 = np.bincount(rep, minlength=n)
-
-        x2 = np.concatenate([rng.standard_normal(k)
-                             for rng, k in zip(rngs, r1.tolist())])
-        mu2 = np.array([_shift(scenario.pi2, k) if k else 0.0
-                        for k in r1.tolist()])
-        x2 += np.where(design.signal2[col], mu2[rep], 0.0)
-        p2 = normal_sf(x2)
-
-        true = design.truth11[col]
-        at = slice(first - reps.start, first - reps.start + n)
-        for proc in procedures:
-            claimed = _CLAIMS[proc](design, p1, p2, rep, r1[rep])
-            out[proc][at] = np.column_stack((
-                r1, np.bincount(rep[claimed], minlength=n),
-                np.bincount(rep[claimed & true], minlength=n)))
+        at = slice(first - reps.start, block.stop - reps.start)
+        for per_proc, block_rows in zip(
+                out, _block(design, points, procedures, block, mu2)):
+            for proc in procedures:
+                per_proc[proc][at] = block_rows[proc]
     return out
+
+
+def _block(design: _Design, points: Sequence[_Point],
+           procedures: Sequence[str], block: range,
+           mu2: dict[int, float]) -> list[dict[str, np.ndarray]]:
+    """The rows of :func:`_outcomes` for one block of repetitions, per point
+    and procedure; ``mu2`` holds the follow-up shift by R1, filled as counts
+    occur. What a block holds is freed when it returns. A repetition draws
+    its follow-up noise once, as long as its largest R1 over the points,
+    and each point reads the prefix of it that it would draw alone."""
+    scenario = design.scenario
+    n = len(block)
+    rngs = [_rep_generator(scenario.seed, rep) for rep in block]
+    x1 = (_primary_noise(scenario, rng) for rng in rngs)
+    if design.shift1 is not None:
+        x1 = (x + design.shift1 for x in x1)
+    candidates, selections = _select(points, x1)
+    # R1 per point and repetition
+    r1 = np.array([np.bincount(candidates[0][sel], minlength=n)
+                   for sel in selections])
+    for k in set(r1.ravel().tolist()) - mu2.keys():
+        mu2[k] = _shift(scenario.pi2, k)
+
+    longest = r1.max(axis=0)
+    draws = np.concatenate([rng.standard_normal(k)
+                            for rng, k in zip(rngs, longest.tolist())])
+    starts = np.cumsum(longest) - longest
+    rows = []
+    for point, selected, own in zip(points, selections, r1):
+        rep, col, p1 = (a[selected] for a in candidates)
+        # each selected feature's place among its repetition's draws
+        offset = np.arange(len(rep)) - (np.cumsum(own) - own)[rep]
+        shift = np.array([mu2[k] for k in own.tolist()])
+        p2 = normal_sf(draws[starts[rep] + offset]
+                       + np.where(design.signal2[col], shift[rep], 0.0))
+        true = design.truth11[col]
+        per_proc = {}
+        for proc in procedures:
+            claimed = _CLAIMS[proc](point, p1, p2, rep, own[rep])
+            per_proc[proc] = np.column_stack((
+                own, np.bincount(rep[claimed], minlength=n),
+                np.bincount(rep[claimed & true], minlength=n)))
+        rows.append(per_proc)
+    return rows
 
 
 def simulate_rep(scenario: SimulationScenario, rep_index: int,
@@ -291,7 +356,8 @@ def simulate_rep(scenario: SimulationScenario, rep_index: int,
     """(R1, claims, true claims) of a single repetition; deterministic in
     (seed, rep_index)."""
     reps = range(rep_index, rep_index + 1)
-    row = _outcomes(scenario, reps, (procedure,))[procedure][0]
+    row = _outcomes(_Design(scenario), [scenario], (procedure,),
+                    reps)[0][procedure][0]
     return tuple(row.tolist())
 
 
@@ -325,26 +391,36 @@ def estimate(scenario: SimulationScenario,
     """Run all repetitions, in blocks that keep each repetition's own
     stream, and aggregate; equal to aggregating :func:`simulate_rep` over
     the repetitions one by one."""
-    outcomes = _outcomes(scenario, range(scenario.reps), (procedure,))
-    return _aggregate(scenario, outcomes[procedure])
+    outcomes = _outcomes(_Design(scenario), [scenario], (procedure,),
+                         range(scenario.reps))
+    return _aggregate(scenario, outcomes[0][procedure])
 
 
 def sweep_c2(scenario: SimulationScenario, c2_grid: Iterable[float],
              procedure: str = "step-up"
              ) -> Iterator[tuple[float, SimulationMetrics]]:
-    """One metrics row per grid point, holding everything else fixed.
-    Rows are yielded as each point finishes, so the grid may be lazy."""
-    for c2v in c2_grid:
-        yield float(c2v), estimate(replace(scenario, c2=float(c2v)), procedure)
+    """One metrics row per grid point, holding everything else fixed; each
+    equal to :func:`estimate` at that point. The grid is read in passes of
+    up to _PASS points, one pass of draws serving every point of it, and a
+    pass's rows are yielded as soon as it finishes, so the grid may be
+    lazy."""
+    design = _Design(scenario)
+    grid = iter(c2_grid)
+    while points := [replace(scenario, c2=float(c2v))
+                     for c2v in itertools.islice(grid, _PASS)]:
+        outcomes = _outcomes(design, points, (procedure,),
+                             range(scenario.reps))
+        for point, per_proc in zip(points, outcomes):
+            yield point.c2, _aggregate(point, per_proc[procedure])
 
 
 def compare_baseline(scenario: SimulationScenario) -> dict[str, SimulationMetrics]:
     """Step-up r-value procedure vs BH on maximum p-values, on identical
     draws (paired repetition by repetition)."""
-    outcomes = _outcomes(scenario, range(scenario.reps),
-                         ("step-up", "max-p-bh"))
+    outcomes = _outcomes(_Design(scenario), [scenario],
+                         ("step-up", "max-p-bh"), range(scenario.reps))
     return {proc: _aggregate(scenario, per_rep)
-            for proc, per_rep in outcomes.items()}
+            for proc, per_rep in outcomes[0].items()}
 
 
 # --- scenario files and metrics CSV ----------------------------------------

@@ -248,9 +248,9 @@ def oracle_exact_rvalues(proc, p1, p2):
 
 def oracle_read_pvalue_table(source, *, clamp_zero=None):
     """``model.read_pvalue_table`` as it was written on ``csv.DictReader``:
-    the package's text reading and types, its own row parsing."""
-    from repval.model import (DatasetError, FeatureRecord, PValueTable,
-                              _read_text, _sniff_delimiter)
+    the package's text reading and types, its own row parsing. A row the
+    csv module cannot parse is a ``DatasetError`` at the reader's line."""
+    from repval.model import DatasetError, _read_text, _sniff_delimiter
 
     stream = io.StringIO(_read_text(source))
     first = stream.readline()
@@ -259,6 +259,16 @@ def oracle_read_pvalue_table(source, *, clamp_zero=None):
     delim = _sniff_delimiter(first)
     stream.seek(0)
     reader = csv.DictReader(stream, delimiter=delim, skipinitialspace=True)
+    try:
+        return _oracle_table(reader, delim, clamp_zero)
+    except csv.Error as exc:  # DictReader counts only the rows it read
+        raise DatasetError(f"malformed row: {exc}",
+                           reader.reader.line_num) from None
+
+
+def _oracle_table(reader, delim, clamp_zero):
+    from repval.model import DatasetError, FeatureRecord, PValueTable
+
     fieldnames = [fn.strip() for fn in (reader.fieldnames or [])]
     counts = Counter(fieldnames)
     repeated = ", ".join(repr(c) for c in counts if counts[c] > 1)

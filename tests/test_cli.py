@@ -176,25 +176,31 @@ def test_c2_grid_matches_listed_points():
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_grid_rows_are_written_as_they_finish(to_file, tmp_path,
                                               monkeypatch, capsys):
-    real = simulate.estimate
+    # passes of two points over a grid of five: the second pass fails
+    # after the header and the first pass's rows are written
+    real = simulate._outcomes
     calls = []
 
-    def estimate(scenario, procedure="step-up"):
-        calls.append(scenario.c2)
-        if len(calls) == 3:
-            raise RuntimeError("third point failed")
-        return real(scenario, procedure)
+    def outcomes(design, points, procedures, reps):
+        calls.append(len(points))
+        if len(calls) == 2:
+            raise RuntimeError("second pass failed")
+        return real(design, points, procedures, reps)
 
-    monkeypatch.setattr(simulate, "estimate", estimate)
+    monkeypatch.setattr(simulate, "_PASS", 2)
+    monkeypatch.setattr(simulate, "_outcomes", outcomes)
     out = tmp_path / "out.csv"
-    argv = [*SIM_DESIGN, "--c2-grid", "0.1:0.9:0.2"]
+    # the golden's call, so the rows written can be compared with it
+    argv = [*SIM_DESIGN, "--reps", "20", "--c2-grid", "0.1:0.9:0.2"]
     with pytest.raises(RuntimeError):
         cli.main(argv + (["--out", str(out)] if to_file else []))
+    assert calls == [2, 2]
     text = out.read_text() if to_file else capsys.readouterr().out
     golden = (GOLDEN_DIR / "simulate-paper.csv").read_text().splitlines()
     lines = text.splitlines()
     assert len(lines) == 3 and lines[0] == golden[0]
     assert [line.split(",")[1] for line in lines[1:]] == ["0.1", "0.3"]
+    assert lines == golden[:3]
 
 
 def test_reader_closing_the_pipe_stops_without_traceback():
@@ -627,6 +633,54 @@ def test_process_entry_freezes_the_import_time_heap(tmp_path):
     counts = dict(line.split() for line in result.stdout.splitlines())
     assert counts["imported"] == "0" and int(counts["exiting"]) > 0
     assert out.read_bytes() == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
+
+
+def test_module_process_collects_nothing_before_the_freeze(tmp_path):
+    # ``python -m repval.cli`` keeps the collector off while it loads:
+    # from its first import (repval.model, which loads numpy) to the
+    # freeze no collection starts, and after it the collector is back on
+    out = tmp_path / "out.tsv"
+    check = textwrap.dedent(f"""
+        import atexit, gc, runpy, sys
+        import repval  # loads no module
+        log = []
+        freeze = gc.freeze
+
+        def logged_freeze():
+            log.append("freeze")
+            freeze()
+
+        def on_collect(phase, info):
+            if phase == "start" and "repval.model" in sys.modules:
+                log.append("collect")
+
+        gc.freeze = logged_freeze
+        gc.callbacks.append(on_collect)
+        atexit.register(lambda: print(*log, gc.isenabled()))
+        sys.argv = ["repval", *{T2D_CALL!r}, "--out", {str(out)!r}]
+        runpy.run_module("repval.cli", run_name="__main__", alter_sys=True)
+    """)
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    log = result.stdout.split()
+    assert log[0] == "freeze" and log[-1] == "True", log
+    assert out.read_bytes() == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_it_was(enabled):
+    check = textwrap.dedent(f"""
+        import gc
+        if not {enabled}:
+            gc.disable()
+        import repval.cli
+        print(gc.isenabled())
+    """)
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"{enabled}\n"
 
 
 def test_process_entry_writes_everything_and_skips_freeing_the_heap():

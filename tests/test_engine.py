@@ -47,13 +47,13 @@ def _bisected(method, ds, config):
 
 def _claimed(method, ds, config, q):
     """Ids claimed at level q: the step-up set, or for Bonferroni the
-    simulation's claim rule on a design with the same m, l00, c2 and q."""
+    simulation's claim rule at a point with the same m, l00, c2 and q."""
     if method != "fwer-bonferroni":
         return STEP_UP[method](ds, config, q)
-    design = simulate._Design(SimulationScenario(
+    point = simulate._Point(SimulationScenario(
         pi1=0.5, pi2=0.5, seed=0, m=config.m, f00=1.0, f01=0.0, f10=0.0,
         f11=0.0, l00=config.l00, c2=config.c2, q=q))
-    mask = simulate._CLAIMS["bonferroni"](design, ds.p1, ds.p2)
+    mask = simulate._CLAIMS["bonferroni"](point, ds.p1, ds.p2)
     return {fid for fid, hit in zip(ds.ids, mask) if hit}
 
 
@@ -129,6 +129,36 @@ def test_no_rvalue_falls_when_one_pvalue_rises(instance):
     before = ENGINE[method](ds, config)
     after = ENGINE[method](raised, config)
     assert (after >= before).all(), np.flatnonzero(after < before)
+
+
+@st.composite
+def permuted_tables(draw):
+    """A table of up to 40 features, some tied with the first, and the same
+    records in another order."""
+    method = draw(st.sampled_from(METHODS))
+    t = (draw(st.floats(1e-6, 0.5)) if method == "fdr-threshold-dep"
+         else None)
+    r1 = draw(st.integers(1, 39))
+    exponents = st.lists(st.floats(-16.0, 0.0), min_size=r1, max_size=r1)
+    p1 = (t or 1.0) * 10.0 ** np.array(draw(exponents))
+    p2 = 10.0 ** np.array(draw(exponents))
+    tied = draw(st.lists(st.integers(0, r1 - 1), max_size=r1))
+    p1[tied], p2[tied] = p1[0], p2[0]
+    ds, config = dataset_from_arrays(
+        p1, p2, m=max(r1, draw(st.integers(1, 10**7))),
+        l00=draw(st.floats(0.0, 0.95)), c2=draw(st.floats(0.05, 0.95)), t=t)
+    order = draw(st.permutations(range(r1)))
+    return method, config, ds, order
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(permuted_tables())
+def test_rvalues_do_not_depend_on_record_order(instance):
+    # each feature keeps its r-value bit for bit
+    method, config, ds, order = instance
+    before = ENGINE[method](ds, config)
+    after = ENGINE[method](ds.subset(order), config)
+    assert after.tobytes() == before[order].tobytes()
 
 
 @pytest.mark.parametrize("method", METHODS)

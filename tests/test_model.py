@@ -134,6 +134,27 @@ def test_read_rejects_rows_longer_than_the_header(tmp_path, capsys):
     assert out == "" and "line 3: row has 1 cell(s) more" in err
 
 
+def test_rows_the_csv_module_cannot_parse_are_data_errors(tmp_path, capsys):
+    # a cell over the csv module's field size limit, on line 3
+    path = tmp_path / "big.csv"
+    path.write_text("id,p1,p2\na,0.1,0.2\n" + "x" * 200_000 + ",0.1,0.2\n")
+    with pytest.raises(DatasetError) as exc:
+        read_pvalue_table(path)
+    assert exc.value.line == 3
+    assert main(["rvalues", str(path), "--m", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == (f"repval rvalues: {path}: line 3: malformed row: field "
+                   "larger than field limit (131072)\n")
+    # a bare carriage return inside a row of a stream passed in (a file is
+    # read with universal newlines, which turn it into a line break)
+    stream = io.StringIO("id,p1,p2\na,0.1,0.2\nb\rc,0.1,0.2\n", newline="")
+    with pytest.raises(DatasetError, match="line 3: malformed row: "
+                                           "new-line character") as exc:
+        read_pvalue_table(stream)
+    assert exc.value.line == 3
+
+
 def test_read_requires_columns():
     with pytest.raises(DatasetError):
         read_pvalue_table(io.StringIO("id\tpv1\tpv2\na\t0.1\t0.2\n"))

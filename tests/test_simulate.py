@@ -276,6 +276,54 @@ def test_sweep_equals_rep_by_rep(procedure):
         assert metrics == _rep_by_rep(replace(sc, c2=c2v), procedure)
 
 
+@pytest.mark.parametrize("procedure", ["step-up", "bonferroni"])
+@pytest.mark.parametrize("case", ["rho", "one-rep-blocks"])
+def test_sweep_equals_pointwise_estimate_across_passes(monkeypatch, case,
+                                                       procedure):
+    # 5 points in passes of 3 and 2; the loosest and the strictest cut
+    # fall in different passes, and the grid is read lazily
+    monkeypatch.setattr(simulate, "_PASS", 3)
+    sc = BLOCK_CASES[case]
+    grid = [0.5, 0.1, 0.9, 0.3, 0.7]
+    rows = list(sweep_c2(sc, iter(grid), procedure))
+    assert [c2v for c2v, _ in rows] == grid
+    for c2v, metrics in rows:
+        assert metrics == estimate(replace(sc, c2=c2v), procedure)
+
+
+def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
+    # one copy of the scenario's m-sized arrays serves every point of
+    # every pass; each pass draws each repetition's generator once
+    designs, generators = [], []
+    real_design, real_generator = simulate._Design, simulate._rep_generator
+
+    def design(scenario):
+        designs.append(real_design(scenario))
+        return designs[-1]
+
+    def generator(seed, rep):
+        generators.append(rep)
+        return real_generator(seed, rep)
+
+    monkeypatch.setattr(simulate, "_Design", design)
+    monkeypatch.setattr(simulate, "_rep_generator", generator)
+    monkeypatch.setattr(simulate, "_PASS", 2)
+    sc = SimulationScenario(seed=5, reps=20, **PAPER)
+    seen = []
+    real_outcomes = simulate._outcomes
+
+    def outcomes(design, points, procedures, reps):
+        seen.append((design, [point.c2 for point in points]))
+        return real_outcomes(design, points, procedures, reps)
+
+    monkeypatch.setattr(simulate, "_outcomes", outcomes)
+    rows = list(sweep_c2(sc, [0.1, 0.3, 0.5, 0.7, 0.9]))
+    assert len(rows) == 5 and len(designs) == 1
+    assert seen == [(designs[0], [0.1, 0.3]), (designs[0], [0.5, 0.7]),
+                    (designs[0], [0.9])]
+    assert generators == list(range(sc.reps)) * 3
+
+
 def test_block_size_never_changes_results(monkeypatch):
     # against one repetition per block; 40 repetitions at m = 1000 make
     # 3 blocks at the default size
@@ -292,7 +340,8 @@ def test_block_size_never_changes_results(monkeypatch):
 @pytest.mark.parametrize("block", [1000, 2**12, DEFAULT_BLOCK, 2**20])
 def test_normal_sf_is_called_at_most_twice_per_block(monkeypatch, block):
     # one call for the block's primary candidates, one for its follow-up
-    # draws, however many repetitions the block holds
+    # draws, however many repetitions the block holds; in a pass of several
+    # points, still one for the candidates and one per point
     calls = []
     real = simulate.normal_sf
 
@@ -306,10 +355,15 @@ def test_normal_sf_is_called_at_most_twice_per_block(monkeypatch, block):
     compare_baseline(sc)
     blocks = -(-sc.reps // max(1, block // sc.m))
     assert 0 < len(calls) <= 2 * blocks
+    calls.clear()
+    grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+    assert len(grid) <= simulate._PASS  # one pass
+    list(sweep_c2(sc, grid))
+    assert 0 < len(calls) <= (1 + len(grid)) * blocks
 
 
-def _design(m, l00, c2, q):
-    return simulate._Design(SimulationScenario(
+def _point(m, l00, c2, q):
+    return simulate._Point(SimulationScenario(
         pi1=0.5, pi2=0.5, seed=0, m=m, f00=1.0, f01=0.0, f10=0.0, f11=0.0,
         l00=l00, c2=c2, q=q))
 
@@ -359,49 +413,54 @@ def test_block_bh_equals_oracle_row_by_row(block):
 
 @st.composite
 def primary_blocks(draw):
-    """(design, rows of primary z-scores): ties, z-scores within 1e-6 of
-    the candidate cut, and z-scores whose p-values sit near the BH
-    bounds."""
+    """(points of one pass, rows of primary z-scores): ties, z-scores
+    within 1e-6 of each point's candidate cut, and z-scores whose p-values
+    sit near each point's BH bounds."""
     m = draw(st.integers(1, 20))
-    design = _design(m, draw(st.sampled_from([0.0, 0.8])),
-                     draw(st.sampled_from([0.3, 0.5])),
-                     draw(st.sampled_from([0.01, 0.05, 0.3])))
-    level = design.bh_level
-    near_cut = [design.cut + d for d in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7,
-                                         1e-6, 2e-6)]
-    near_cut += [float(np.nextafter(design.cut, v))
-                 for v in (-np.inf, np.inf)]
-    on_bounds = [-normal_quantile(min(k * level / m, 1.0))
-                 for k in range(1, m + 1)]
+    l00 = draw(st.sampled_from([0.0, 0.8]))
+    q = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    points = [_point(m, l00, c2, q) for c2 in draw(st.lists(
+        st.sampled_from([0.1, 0.3, 0.5, 0.9]), min_size=1, max_size=3))]
+    near_cut, on_bounds = [], []
+    for point in points:
+        near_cut += [point.cut + d for d in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7,
+                                             1e-6, 2e-6)]
+        near_cut += [float(np.nextafter(point.cut, v))
+                     for v in (-np.inf, np.inf)]
+        on_bounds += [-normal_quantile(min(k * point.bh_level / m, 1.0))
+                      for k in range(1, m + 1)]
     pool = st.one_of(st.sampled_from(near_cut), st.sampled_from(on_bounds),
                      st.floats(-4.0, 12.0), st.sampled_from([40.0, -40.0]))
     reps = draw(st.integers(1, 4))
-    return design, [np.array(draw(st.lists(pool, min_size=m, max_size=m)))
+    return points, [np.array(draw(st.lists(pool, min_size=m, max_size=m)))
                     for _ in range(reps)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(primary_blocks())
 def test_block_selection_equals_bh_reject_row_by_row(block):
-    design, x1 = block
-    rep, col, p1 = simulate._select(design, iter(x1))
-    for i, x in enumerate(x1):
-        p = normal_sf(x)
-        expected = bh_reject(p, design.bh_level)
-        assert np.array_equal(col[rep == i], expected)
-        assert np.array_equal(p1[rep == i], p[expected])
+    points, x1 = block
+    candidates, selections = simulate._select(points, iter(x1))
+    assert len(selections) == len(points)
+    for point, selected in zip(points, selections):
+        rep, col, p1 = (a[selected] for a in candidates)
+        for i, x in enumerate(x1):
+            p = normal_sf(x)
+            expected = bh_reject(p, point.bh_level)
+            assert np.array_equal(col[rep == i], expected)
+            assert np.array_equal(p1[rep == i], p[expected])
 
 
 @st.composite
 def claim_blocks(draw):
-    """(design, rows, p1, p2): the followed-up features of a few
+    """(point, rows, p1, p2): the followed-up features of a few
     repetitions, with ties and p-values exactly on the claim bounds."""
     m = draw(st.sampled_from([20, 1000]))
-    design = _design(m, draw(st.sampled_from([0.0, 0.8])),
-                     draw(st.sampled_from([0.3, 0.5])),
-                     draw(st.sampled_from([0.01, 0.05])))
-    g, q_star = design.levels
-    c2 = design.config.c2
+    point = _point(m, draw(st.sampled_from([0.0, 0.8])),
+                   draw(st.sampled_from([0.3, 0.5])),
+                   draw(st.sampled_from([0.01, 0.05])))
+    g, q_star = point.levels
+    c2 = point.config.c2
     sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=5))
     p1, p2 = [], []
     for r1 in sizes:
@@ -411,25 +470,25 @@ def claim_blocks(draw):
             values = st.one_of(st.floats(1e-12, 1.0), st.sampled_from(
                 pool + [1e-9, 0.5]))
             out.extend(draw(st.lists(values, min_size=r1, max_size=r1)))
-    return (design, np.repeat(np.arange(len(sizes)), sizes),
+    return (point, np.repeat(np.arange(len(sizes)), sizes),
             np.array(p1, dtype=float), np.array(p2, dtype=float))
 
 
 @settings(max_examples=300, deadline=None)
 @given(claim_blocks())
 def test_block_claims_equal_oracles_row_by_row(block):
-    design, rows, p1, p2 = block
+    point, rows, p1, p2 = block
     r1 = np.bincount(rows)[rows]
     nrows = rows.max(initial=-1) + 1
     per_rep = list(zip(_by_row(rows, p1, nrows), _by_row(rows, p2, nrows)))
-    needs = [_need_counts(design.procedure, a, b, design.levels)
+    needs = [_need_counts(point.procedure, a, b, point.levels)
              for a, b in per_rep]
-    max_p_level = design.scenario.q / (1.0 - design.config.l00)
+    max_p_level = point.scenario.q / (1.0 - point.config.l00)
 
     def max_p_bh(a, b):
         mask = np.zeros(len(a), dtype=bool)
         mask[list(oracle_bh(np.maximum(a, b).tolist(), max_p_level,
-                            design.config.m))] = True
+                            point.config.m))] = True
         return mask
 
     expected = {
@@ -439,7 +498,7 @@ def test_block_claims_equal_oracles_row_by_row(block):
         "max-p-bh": [max_p_bh(a, b) for a, b in per_rep],
     }
     for proc, masks in expected.items():
-        got = simulate._CLAIMS[proc](design, p1, p2, rows, r1)
+        got = simulate._CLAIMS[proc](point, p1, p2, rows, r1)
         assert np.array_equal(got, np.concatenate(masks + [[]]).astype(bool))
 
 
