@@ -11,13 +11,11 @@ primary-study p-values, an optional BH refinement of the follow-up set and
 the usual comparison baselines.
 
 Importing the package loads none of its modules. Each public name resolves
-on first use, from the module that defines it, and stays bound here after
-that (:pep:`562`); ``from repval import *`` loads every module that defines
-one. The ``repval`` command loads only what its call runs (details in
-:mod:`repval.cli`): ``repval rvalues`` loads ``model``, ``rvalue`` and
-``selection``, plus ``dependence`` or ``fwer`` for the methods defined
-there and ``baselines`` and ``normal`` for ``--meta``; ``repval simulate``
-loads :mod:`repval.simulate` and what it imports.
+on first use, from the module that defines it (``_HOME``), and stays bound
+here after that (:pep:`562`); ``from repval import *`` loads every module
+that defines one. The ``repval`` command resolves its names through the
+same table and loads only what its call runs; :mod:`repval.cli` says
+which modules each call loads.
 
 The seeded Monte Carlo harness for verifying error control and power is
 its own module, :mod:`repval.simulate`, with its own ``__all__``. None of
@@ -48,22 +46,21 @@ _HOME = {name: module for module, names in _SOURCES.items() for name in names}
 __all__ = sorted(_HOME)
 
 
-def _resolve(namespace: dict, home: dict, name: str):
-    """``name`` from the module of this package that ``home`` maps it to,
-    imported now if it is not yet, and bound in ``namespace`` so that the
-    next lookup finds it there."""
-    try:
-        module = home[name]
-    except KeyError:
+def _resolve(namespace: dict, name: str, module: str | None = None):
+    """``name`` from ``module`` of this package, by default the one
+    ``_HOME`` maps it to, imported now if it is not yet, and bound in
+    ``namespace`` so that the next lookup finds it there."""
+    module = module or _HOME.get(name)
+    if module is None:
         raise AttributeError(f"module {namespace['__name__']!r} has no "
-                             f"attribute {name!r}") from None
+                             f"attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     namespace[name] = value
     return value
 
 
 def __getattr__(name: str):
-    return _resolve(globals(), _HOME, name)
+    return _resolve(globals(), name)
 
 
 def __dir__() -> list:

@@ -41,9 +41,11 @@ A call loads only the modules it runs. ``import repval.cli`` loads
 ``dependence``, ``fwer-bonferroni`` adds ``fwer``, and ``--meta`` adds
 ``baselines`` and ``normal``. ``simulate`` adds :mod:`repval.simulate` and
 what it imports, never ``dependence`` or ``fwer``. The names this module
-uses from those modules resolve on first use (``_HOME``, :pep:`562`).
-Modules loaded that way arrive after :func:`entry` has frozen the heap, so
-the freeze does not cover their objects.
+uses from those modules resolve on first use (:pep:`562`), through the
+package's own table of where each public name lives; the one name here
+that the package does not export, ``sweep_c2``, comes from
+:mod:`repval.simulate`. Modules loaded that way arrive after :func:`entry`
+has frozen the heap, so the freeze does not cover their objects.
 """
 
 from __future__ import annotations
@@ -72,30 +74,19 @@ from . import _resolve
 from .model import (AnalysisConfig, DatasetError, _check_unit,
                     read_pvalue_table, validate_dataset)
 
-# name -> the module that defines it, for the names this module resolves on
-# first use. The step-up functions are not called here: the perfbench
-# tracer wraps them, with the rest, under this module's name.
-_HOME = {
-    "fdr_rvalues_all": "rvalue", "step_up_set": "rvalue",
-    "NoConsistentRegime": "dependence",
-    "fdr_rvalues_all_general_dep": "dependence",
-    "step_up_set_general_dep": "dependence",
-    "fdr_rvalues_all_threshold_dep": "dependence",
-    "step_up_set_threshold_dep": "dependence",
-    "bonferroni_rvalues_all": "fwer",
-    "refine_for_replicability": "selection",
-    "meta_p": "baselines",
-    "sweep_c2": "simulate",
-}
-
 
 def __getattr__(name: str):
-    return _resolve(globals(), _HOME, name)
+    # every name of repval.__all__, and the harness's sweep_c2, which the
+    # package does not export. The step-up functions and sweep_c2 are not
+    # called here: the perfbench tracer wraps them under this module's name.
+    return _resolve(globals(), name,
+                    "simulate" if name == "sweep_c2" else None)
 
 
-# The names in _HOME are read as attributes of this module object, never as
-# bare globals: the first read imports their module, and whatever is bound to
-# the name when it is read (a test's stub, the tracer's wrapper) is called.
+# The names resolved on first use are read as attributes of this module
+# object, never as bare globals: the first read imports their module, and
+# whatever is bound to the name when it is read (a test's stub, the tracer's
+# wrapper) is called.
 _module = sys.modules[__name__]
 
 EXIT_OK = 0
@@ -108,9 +99,9 @@ _SCENARIO_HELP = {
 }
 
 
-# --method name -> the name of its r-value function in _HOME; the first
-# entry is the default. A feature is replicated at q iff its r-value is at
-# most q, which is the method's claim rule at q bit for bit.
+# --method name -> the name of its r-value function, read from _module; the
+# first entry is the default. A feature is replicated at q iff its r-value is
+# at most q, which is the method's claim rule at q bit for bit.
 _METHODS = {
     "fdr": "fdr_rvalues_all",
     "fdr-general-dep": "fdr_rvalues_all_general_dep",

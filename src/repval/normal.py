@@ -62,16 +62,11 @@ def normal_sf(x):
 _EDGES = {0.0: -math.inf, 1.0: math.inf}  # inv_cdf raises on these
 
 
-def _inv_cdf(p: float) -> float:
-    """Rebinds itself to NormalDist().inv_cdf; statistics is slow to import."""
-    global _inv_cdf
-    from statistics import NormalDist
-    _inv_cdf = NormalDist().inv_cdf
-    return _inv_cdf(p)
-
-
 def _quantile(p: float) -> float:
-    return _inv_cdf(p) if 0.0 < p < 1.0 else _EDGES.get(p, math.nan)
+    if not 0.0 < p < 1.0:
+        return _EDGES.get(p, math.nan)
+    import statistics  # slow to import, so only on the first call
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def normal_quantile(p):

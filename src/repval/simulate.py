@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
@@ -473,11 +473,10 @@ def _scenario_keys(source) -> dict[str, str]:
 
 
 # metrics CSV columns after scenario_id: scenario fields, written %.6g,
-# then metrics, written %.6f
+# then every SimulationMetrics field after reps, in order, written %.6f
 _SCENARIO_COLUMNS = ("c2", "l00", "pi1", "pi2")
-_METRIC_COLUMNS = ("fdr_hat", "se_fdr", "avg_power", "se_power",
-                   "p_at_least_one", "se_palo", "fwer_hat", "se_fwer",
-                   "mean_claims", "mean_r1")
+_METRIC_COLUMNS = tuple(field.name for field in fields(SimulationMetrics)
+                        if field.name != "reps")
 METRICS_CSV_HEADER = ",".join(("scenario_id", *_SCENARIO_COLUMNS,
                                *_METRIC_COLUMNS))
 

@@ -2,6 +2,7 @@
 on the bundled published tables."""
 
 import gc
+import importlib
 import io
 import os
 import random
@@ -593,15 +594,21 @@ def test_each_call_loads_only_what_it_runs(argv, loaded, tmp_path):
 
 
 def test_simulation_names_resolve_on_first_use():
-    # the CLI resolves sweep_c2 when first asked for; the package does not
+    # the CLI resolves the package's names and sweep_c2 when first asked
+    # for, each to its defining module's own object; the package does not
     # mirror the harness's names
+    import repval
     from repval import simulate as module
     assert cli.sweep_c2 is module.sweep_c2
-    import repval
+    for name in repval.__all__:
+        home = importlib.import_module(f"repval.{repval._HOME[name]}")
+        assert getattr(cli, name) is getattr(home, name), name
     with pytest.raises(AttributeError):
         cli.no_such_name
     with pytest.raises(AttributeError):
         repval.estimate
+    with pytest.raises(AttributeError):
+        repval.sweep_c2
 
 
 T2D_CALL = ("rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68", "--l00", "0.0",

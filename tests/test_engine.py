@@ -2,6 +2,7 @@
 for all four procedures."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,10 +133,10 @@ def test_no_rvalue_falls_when_one_pvalue_rises(instance):
 
 
 @st.composite
-def permuted_tables(draw):
-    """A table of up to 40 features, some tied with the first, and the same
-    records in another order."""
-    method = draw(st.sampled_from(METHODS))
+def random_tables(draw, methods=METHODS):
+    """A table of up to 39 features, some tied with the first, at random m
+    up to 1e7, l00, c2 and, for the threshold variant, t."""
+    method = draw(st.sampled_from(methods))
     t = (draw(st.floats(1e-6, 0.5)) if method == "fdr-threshold-dep"
          else None)
     r1 = draw(st.integers(1, 39))
@@ -147,8 +148,14 @@ def permuted_tables(draw):
     ds, config = dataset_from_arrays(
         p1, p2, m=max(r1, draw(st.integers(1, 10**7))),
         l00=draw(st.floats(0.0, 0.95)), c2=draw(st.floats(0.05, 0.95)), t=t)
-    order = draw(st.permutations(range(r1)))
-    return method, config, ds, order
+    return method, config, ds
+
+
+@st.composite
+def permuted_tables(draw):
+    """A random table and the same records in another order."""
+    method, config, ds = draw(random_tables())
+    return method, config, ds, draw(st.permutations(range(len(ds))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -159,6 +166,43 @@ def test_rvalues_do_not_depend_on_record_order(instance):
     before = ENGINE[method](ds, config)
     after = ENGINE[method](ds.subset(order), config)
     assert after.tobytes() == before[order].tobytes()
+
+
+def _claimed_by_rule(method, ds, config, q):
+    """Ids claimed at level q: the step-up set, or for Bonferroni the
+    features that enter at count 1."""
+    if method != "fwer-bonferroni":
+        return _claimed(method, ds, config, q)
+    proc = rvalue._fdr_procedure(config, float(config.m))
+    need = rvalue._need_counts(proc, ds.p1, ds.p2,
+                               rvalue._claim_levels(proc, q))
+    return {fid for fid, count in zip(ds.ids, need) if count <= 1}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_tables(), st.lists(st.integers(0, 38), min_size=1, max_size=3))
+def test_claimed_exactly_from_the_rvalue_on_random_tables(instance, picks):
+    # the knife edge on a few features of each table: claimed at q = r_i
+    # and not one double below
+    method, config, ds = instance
+    values = ENGINE[method](ds, config)
+    for i in {j % len(ds) for j in picks}:
+        r = float(values[i])
+        if 0.0 < r < 1.0:
+            assert ds.ids[i] in _claimed_by_rule(method, ds, config, r)
+            assert ds.ids[i] not in _claimed_by_rule(
+                method, ds, config, float(np.nextafter(r, 0.0)))
+
+
+# Not fdr-threshold-dep: there doubling m lowered r-values by up to 5e-16
+# relative in 1 500 random tables (ROADMAP item 6).
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_tables(("fdr", "fdr-general-dep", "fwer-bonferroni")))
+def test_no_rvalue_falls_when_m_doubles(instance):
+    method, config, ds = instance
+    before = ENGINE[method](ds, config)
+    after = ENGINE[method](ds, replace(config, m=2 * config.m))
+    assert (after >= before).all(), np.flatnonzero(after < before)
 
 
 @pytest.mark.parametrize("method", METHODS)
