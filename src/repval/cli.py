@@ -8,9 +8,9 @@ Two subcommands:
 * ``simulate`` -- run the Monte Carlo harness from a scenario file or
   inline flags, one per :data:`repval.simulate.SCENARIO_FIELDS` entry
   (``block_size`` is ``--block-size``), and emit a metrics CSV with one
-  row per c2 point. The grid is read in passes of a few points that share
-  their draws (:mod:`repval.simulate`), and each pass's rows are written
-  as soon as it finishes.
+  row per c2 point. Every point of the grid runs on one pass of draws
+  (:mod:`repval.simulate`), and the CSV is written once the sweep is done,
+  so a sweep that fails leaves no partial table.
 
 Exit codes: 0 success, 1 output that cannot be written (one line on stderr,
 say on a full disk; none when the reader closed the pipe), 2 invalid input
@@ -62,13 +62,14 @@ import argparse
 import atexit
 import contextlib
 import csv
-import itertools
 import math
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
 from typing import Callable, ContextManager, Optional, TextIO
+
+import numpy as np
 
 from . import _resolve
 from .model import (AnalysisConfig, DatasetError, _check_unit,
@@ -278,21 +279,9 @@ def cmd_rvalues(args) -> int:
     return EXIT_OK
 
 
-class _Grid(Sequence):
-    """The points lo + i * step for i in range(n), made on demand."""
-
-    def __init__(self, lo: float, step: float, n: int):
-        self.lo, self.step, self._index = lo, step, range(n)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __getitem__(self, i: int) -> float:
-        return self.lo + self._index[i] * self.step
-
-
-def _parse_grid(spec: str) -> _Grid:
-    """LO, LO + STEP, ... up to HI (within 1e-12), without listing them."""
+def _parse_grid(spec: str) -> np.ndarray:
+    """LO, LO + STEP, ... up to HI (within 1e-12), as float64: the doubles
+    lo + i * step."""
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
@@ -306,7 +295,11 @@ def _parse_grid(spec: str) -> _Grid:
     # the points increase with i, so only a tail can lie above HI
     while lo + (n - 1) * step > hi + 1e-12:
         n -= 1
-    return _Grid(lo, step, n)
+    try:
+        return lo + np.arange(n) * step
+    except (MemoryError, ValueError):
+        raise ValueError(f"bad grid {spec!r}, too many points "
+                         f"({n:.3g})") from None
 
 
 def cmd_simulate(args) -> int:
@@ -322,11 +315,11 @@ def cmd_simulate(args) -> int:
         print(f"repval simulate: bad scenario: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    grid: Sequence[float] = (scenario.c2,)
+    grid = [scenario.c2]
     if args.c2_grid:
         try:
             grid = _parse_grid(args.c2_grid)
-            for c2v in (grid[0], grid[-1]):  # monotone: the ends bound it
+            for c2v in grid[[0, -1]].tolist():  # monotone: the ends bound it
                 replace(scenario, c2=c2v)
         except ValueError as exc:
             print(f"repval simulate: --c2-grid: {exc}", file=sys.stderr)
@@ -334,23 +327,18 @@ def cmd_simulate(args) -> int:
     output = _open_output("simulate", args.out)
     if output is None:
         return EXIT_FLAGS
-    points = simulate.sweep_c2(scenario, grid, args.procedure)
     with output as out:
         try:
-            # the first pass of points runs before the header is written,
-            # so a scenario too large for memory leaves no partial table
-            first = next(points)
+            rows = simulate.sweep_c2(scenario, grid, args.procedure)
         except MemoryError:
             print(f"repval simulate: bad scenario: m = {scenario.m} with "
-                  f"reps = {scenario.reps} does not fit in memory",
-                  file=sys.stderr)
+                  f"reps = {scenario.reps} at {len(grid)} c2 points does "
+                  "not fit in memory", file=sys.stderr)
             return EXIT_DATA
         out.write(simulate.METRICS_CSV_HEADER + "\n")
-        # the rows of a pass arrive together, as soon as it finishes
-        for c2v, metrics in itertools.chain((first,), points):
+        for c2v, metrics in rows:
             out.write(simulate.metrics_csv_row(replace(scenario, c2=c2v),
                                                metrics) + "\n")
-            out.flush()
     return EXIT_OK
 
 
@@ -374,9 +362,8 @@ def entry() -> None:
         sys.stdout.flush()
     except OSError as exc:
         # the output could not be written. A reader that stopped early
-        # (``| head``; simulate rows stream, so this can happen mid-run)
-        # needs no message. Point stdout at devnull so the flush below does
-        # not fail again.
+        # (``| head``) needs no message. Point stdout at devnull so the
+        # flush below does not fail again.
         if not isinstance(exc, BrokenPipeError):
             print(f"repval: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -28,7 +28,8 @@ agree bit for bit, as in the independent case:
   a bracket cannot decide. The factor 1 + H_k depends on x only through
   g = x * c1(x) and does not increase with g, so its exact values at the
   doubles that keep the top 6 mantissa bits of g, tabled once per call,
-  bracket G(x) to about 1 / (64 * (1 + H_k)) relative.
+  bracket G(x) to about 1 / (64 * (1 + H_k)) relative. At or below the
+  floor the bracket is exact: G(floor), also computed once per call.
 
 Both return r-values as a float64 array in ``dataset.ids`` order, no
 smaller than the baseline's. The threshold variant raises ValueError
@@ -225,15 +226,19 @@ def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
         return np.maximum(y, g)
 
     def bounds(x, y):
-        # g * lower <= g / F <= g * upper in reals, so also as rounded
+        # g * lower <= g / F <= g * upper in reals, so also as rounded; at
+        # or below the floor the level is G(floor) exactly
         nonlocal table
         if table is None:
-            table = _factor_table(t, m, g_floor)
-        first, lower, upper = table
+            table = (*_factor_table(t, m, g_floor),
+                     level(np.array([floor]))[0])
+        first, lower, upper, at_floor = table
         g = _level(np.maximum(x, floor), l00, c2)
         cell = (g.view(np.int64) >> _CELL_SHIFT) - first
         lo = np.take(lower, cell, mode="clip") * g
         hi = np.take(upper, cell, mode="clip") * g
+        low = x <= floor
+        lo[low] = hi[low] = at_floor
         return np.maximum(lo, y, out=lo), np.maximum(hi, y, out=hi)
 
     def guess(b):

@@ -39,25 +39,24 @@ repetition keeps its own stream and draw order, and a row's claims depend
 on that row alone, so every result is the same as running the repetitions
 one at a time.
 
-A c2 sweep reads its grid in passes of up to 8 points, and one pass of
-draws serves every point of it: the primary noise is the same at every
-c2, so each block's generators, primary z-scores and candidates (cut at
-the pass's loosest point) are made once, and each point runs BH on the
-candidates at or above its own cut. A repetition's follow-up noise is one
-draw as long as its largest R1 over the points; each point reads the
-prefix it would have drawn alone, and gets its follow-up p-values from
-one ``normal_sf`` call. Every number is the one :func:`estimate` gives
-at that point. A block keeps its candidates and, per point, the indices
-of those selected, so memory is O(block + m), not O(reps * m), plus the
-outcome rows: 24 bytes per repetition, point and procedure.
+A c2 sweep makes one pass of draws for its whole grid: the primary noise
+is the same at every c2, so each block's generators, primary z-scores and
+candidates (cut at the grid's loosest point) are made once, and each point
+runs BH on the candidates at or above its own cut. A repetition's
+follow-up noise is one draw as long as its largest R1 over the points;
+each point reads the prefix it would have drawn alone, and gets its
+follow-up p-values from one ``normal_sf`` call. Every number is the one
+:func:`estimate` gives at that point. A block keeps its candidates and,
+per point, the indices of those selected, so memory is O(block + m), not
+O(reps * m), plus the outcome rows: 24 bytes per repetition, point and
+procedure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -245,13 +244,9 @@ _CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
 # took 68-71 ms, 2^12 81-108 ms and 2^15 63-68 ms; the release that ran
 # each repetition's BH and claims apart took 162-169 ms. The simulate CLI
 # child's peak RSS was 36.6-36.7 MB at 2^14 and 37.1-37.2 MB at 2^15,
-# against 36.9 MB for that release. (Both timings predate passes.)
+# against 36.9 MB for that release. (Both timings predate the shared
+# draws of a sweep.)
 _BLOCK = 2**14
-
-# Points of a c2 grid per pass of draws. A pass holds every point's
-# outcome rows, 24 bytes a repetition per point and procedure, until its
-# last block is done.
-_PASS = 8
 
 
 def _select(points: Sequence[_Point], x1: Iterable[np.ndarray]):
@@ -398,20 +393,17 @@ def estimate(scenario: SimulationScenario,
 
 def sweep_c2(scenario: SimulationScenario, c2_grid: Iterable[float],
              procedure: str = "step-up"
-             ) -> Iterator[tuple[float, SimulationMetrics]]:
-    """One metrics row per grid point, holding everything else fixed; each
-    equal to :func:`estimate` at that point. The grid is read in passes of
-    up to _PASS points, one pass of draws serving every point of it, and a
-    pass's rows are yielded as soon as it finishes, so the grid may be
-    lazy."""
-    design = _Design(scenario)
-    grid = iter(c2_grid)
-    while points := [replace(scenario, c2=float(c2v))
-                     for c2v in itertools.islice(grid, _PASS)]:
-        outcomes = _outcomes(design, points, (procedure,),
-                             range(scenario.reps))
-        for point, per_proc in zip(points, outcomes):
-            yield point.c2, _aggregate(point, per_proc[procedure])
+             ) -> list[tuple[float, SimulationMetrics]]:
+    """One (c2, metrics) row per grid point, holding everything else
+    fixed; each equal to :func:`estimate` at that point. One pass of draws
+    serves the whole grid."""
+    points = [replace(scenario, c2=float(c2v)) for c2v in c2_grid]
+    if not points:
+        return []
+    outcomes = _outcomes(_Design(scenario), points, (procedure,),
+                         range(scenario.reps))
+    return [(point.c2, _aggregate(point, per_proc[procedure]))
+            for point, per_proc in zip(points, outcomes)]
 
 
 def compare_baseline(scenario: SimulationScenario) -> dict[str, SimulationMetrics]:

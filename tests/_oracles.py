@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -244,6 +245,36 @@ def oracle_exact_rvalues(proc, p1, p2):
         a = proc.level(v / float(r), u / float(r))
         best = np.minimum(best, np.maximum(a, np.partition(a, r - 1)[r - 1]))
     return oracle_smallest_reaching(proc.level, best, proc.floor)
+
+
+def oracle_fdr_rvalues_rational(p1, p2, m, l00, c2):
+    """``fdr`` r-values in exact rational arithmetic on the given doubles,
+    each rounded up to a double: with u = p1 * m, v = p2 * R1 / c2 and
+    G(x) = (1 - c2) x / ((1 - l00) + l00 c2 x) below 1 (inf from 1 on),
+    A_j(r) = max(u_j / r, G(v_j / r)), T(r) the r-th smallest A(r),
+    b_i = min over r of max(A_i(r), T(r)) and r_i = G^-1(b_i); 1 where no
+    x below 1 reaches b_i. O(R1^3) Fraction operations."""
+    l00, c2 = Fraction(l00), Fraction(c2)
+    r1 = len(p1)
+    u = [Fraction(a) * m for a in p1]
+    v = [Fraction(b) * r1 / c2 for b in p2]
+
+    def level(x):
+        return (1 - c2) * x / ((1 - l00) + l00 * c2 * x)
+
+    entry = [[max(u[j] / r, level(v[j] / r) if v[j] < r else math.inf)
+              for j in range(r1)] for r in range(1, r1 + 1)]
+    kth = [sorted(row)[r] for r, row in enumerate(entry)]
+    out = []
+    for i in range(r1):
+        b = min(max(row[i], t) for row, t in zip(entry, kth))
+        if b >= level(Fraction(1)):
+            out.append(1.0)
+            continue
+        x = (1 - l00) * b / ((1 - c2) - l00 * c2 * b)
+        up = float(x)  # correctly rounded; step up where it fell below
+        out.append(up if Fraction(up) >= x else math.nextafter(up, 2.0))
+    return out
 
 
 def oracle_read_pvalue_table(source, *, clamp_zero=None):

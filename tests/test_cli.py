@@ -125,26 +125,30 @@ def test_block_size_beyond_m_makes_one_block():
                    check=True)
 
 
-def test_c2_grid_is_lazy():
-    # in a child capped at 512 MB of address space, so that a materialised
-    # grid (~8e11 floats) fails with MemoryError instead of filling the host
+def test_absurd_c2_grid_exits_3_with_one_line():
+    # in a child capped at 512 MB of address space: the grid's ~8e11
+    # points fail their allocation at once instead of filling the host
     check = textwrap.dedent("""
-        import resource
+        import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
         from repval import cli
-        grid = cli._parse_grid("0.1:0.9:1e-12")
-        assert len(grid) == 800_000_000_001
-        assert grid[0] == 0.1
-        assert grid[-1] == 0.1 + 800_000_000_000 * 1e-12
+        sys.argv = ["repval", "simulate", "--pi1", ".8", "--pi2", ".8",
+                    "--seed", "1", "--c2-grid", "0.1:0.9:1e-12"]
+        cli.entry()
     """)
-    subprocess.run([sys.executable, "-c", check], env=CHILD_ENV, timeout=60,
-                   check=True)
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
+                            timeout=60, capture_output=True)
+    assert result.returncode == cli.EXIT_FLAGS
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == [
+        "repval simulate: --c2-grid: bad grid '0.1:0.9:1e-12', too many "
+        "points (8e+11)"]
 
 
 @pytest.mark.parametrize("flag", ["--m", "--reps"])
 def test_scenario_too_large_for_memory_exits_2(flag):
     # in a child capped at 512 MB of address space, so that no run can fill
-    # the host: the first grid point fails before the CSV header is written
+    # the host: the sweep fails before the CSV header is written
     check = textwrap.dedent(f"""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
@@ -171,43 +175,37 @@ def test_c2_grid_matches_listed_points():
         n = round((hi - lo) / step) + 1
         listed = [lo + i * step for i in range(n)
                   if lo + i * step <= hi + 1e-12]
-        assert list(cli._parse_grid(spec)) == listed
+        assert cli._parse_grid(spec).tolist() == listed
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-def test_grid_rows_are_written_as_they_finish(to_file, tmp_path,
-                                              monkeypatch, capsys):
-    # passes of two points over a grid of five: the second pass fails
-    # after the header and the first pass's rows are written
-    real = simulate._outcomes
-    calls = []
+def test_failing_sweep_writes_no_rows(to_file, tmp_path, monkeypatch,
+                                      capsys):
+    # the last of nine points fails: the CSV is written only once the
+    # whole sweep is done, so not even the header appears
+    real, calls = simulate._aggregate, []
 
-    def outcomes(design, points, procedures, reps):
-        calls.append(len(points))
-        if len(calls) == 2:
-            raise RuntimeError("second pass failed")
-        return real(design, points, procedures, reps)
+    def aggregate(scenario, outcomes):
+        calls.append(scenario.c2)
+        if len(calls) == 9:
+            raise RuntimeError("sweep failed")
+        return real(scenario, outcomes)
 
-    monkeypatch.setattr(simulate, "_PASS", 2)
-    monkeypatch.setattr(simulate, "_outcomes", outcomes)
+    monkeypatch.setattr(simulate, "_aggregate", aggregate)
     out = tmp_path / "out.csv"
-    # the golden's call, so the rows written can be compared with it
-    argv = [*SIM_DESIGN, "--reps", "20", "--c2-grid", "0.1:0.9:0.2"]
+    argv = [*SIM_DESIGN, "--c2-grid", "0.1:0.9:0.1"]
     with pytest.raises(RuntimeError):
         cli.main(argv + (["--out", str(out)] if to_file else []))
-    assert calls == [2, 2]
-    text = out.read_text() if to_file else capsys.readouterr().out
-    golden = (GOLDEN_DIR / "simulate-paper.csv").read_text().splitlines()
-    lines = text.splitlines()
-    assert len(lines) == 3 and lines[0] == golden[0]
-    assert [line.split(",")[1] for line in lines[1:]] == ["0.1", "0.3"]
-    assert lines == golden[:3]
+    assert len(calls) == 9
+    assert (out.read_text() if to_file else capsys.readouterr().out) == ""
 
 
 def test_reader_closing_the_pipe_stops_without_traceback():
+    # 1 999 rows, ~220 KB: more than a pipe and both ends' buffers hold, so
+    # the child is still writing when the reader closes
     child = subprocess.Popen(
         [sys.executable, "-m", "repval.cli", *SIM_DESIGN, "--reps", "1",
-         "--c2-grid", "0.01:0.99:0.01"],
+         "--c2-grid", "0.0005:0.9995:0.0005"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     assert child.stdout.readline().startswith(b"scenario_id,")
     child.stdout.close()

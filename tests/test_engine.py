@@ -18,8 +18,9 @@ from repval.simulate import SimulationScenario
 
 from conftest import dataset_from_arrays
 from _oracles import (oracle_bonferroni, oracle_bonferroni_bisect, oracle_c1,
-                      oracle_exact_rvalues, oracle_rvalues_bisect,
-                      oracle_smallest_reaching, oracle_step_up_count)
+                      oracle_exact_rvalues, oracle_fdr_rvalues_rational,
+                      oracle_rvalues_bisect, oracle_smallest_reaching,
+                      oracle_step_up_count)
 
 QS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9)
 METHODS = ("fdr", "fdr-general-dep", "fdr-threshold-dep", "fwer-bonferroni")
@@ -273,6 +274,30 @@ def test_block_split_never_changes_results(method, monkeypatch):
         assert np.array_equal(ENGINE[method](ds, config), values)
 
 
+def test_fdr_rvalues_are_near_the_rational_ones():
+    # 200 seeded tables, R1 <= 12, m < 60, p-values over five decades:
+    # every r-value within 8 ulps of the exact one rounded up to a double
+    # (ROADMAP item 9 tightens this to equality); most lie below 1
+    rng = np.random.default_rng(3)
+    ulps, below_one, total = [], 0, 0
+    for _ in range(200):
+        r1 = int(rng.integers(1, 13))
+        m = int(rng.integers(r1, 60))
+        l00 = float(rng.choice([0.0, 0.5, 0.8, rng.uniform(0.0, 0.95)]))
+        c2 = float(rng.uniform(0.05, 0.95))
+        ds, config = dataset_from_arrays(10.0 ** rng.uniform(-5, 0, r1),
+                                         10.0 ** rng.uniform(-5, 0, r1),
+                                         m=m, l00=l00, c2=c2)
+        exact = np.array(oracle_fdr_rvalues_rational(
+            ds.p1.tolist(), ds.p2.tolist(), m, l00, c2))
+        got = fdr_rvalues_all(ds, config)
+        ulps += (got.view(np.int64) - exact.view(np.int64)).tolist()
+        below_one += int((exact < 1.0).sum())
+        total += r1
+    assert max(map(abs, ulps)) <= 8
+    assert below_one > total // 2
+
+
 def test_live_prefix_is_the_values_below_the_count():
     # _live_counts takes the finite entries at count r to be the v_j < r,
     # which needs v / r < 1 after rounding for every double v below r;
@@ -413,24 +438,64 @@ def test_inverse_takes_few_level_evaluations(method, monkeypatch):
     assert 1 <= len(calls) <= 12
 
 
+def _wide_table(r1, low, t=1e-4):
+    """p1 and 35% of p2 log-uniform from 10^low up to t, the rest of p2
+    uniform. At low = -300 many entries sit at or below the threshold-dep
+    floor, where every level is G(floor)."""
+    rng = np.random.default_rng(2)
+    p1 = 10.0 ** rng.uniform(low, np.log10(t), r1)
+    p2 = np.where(rng.random(r1) < 0.35,
+                  10.0 ** rng.uniform(low, np.log10(t), r1),
+                  1.0 - rng.random(r1))
+    return dataset_from_arrays(p1, p2, m=10**7, l00=0.8, t=t)
+
+
+def _walked(monkeypatch, ds, config):
+    """Regime-factor evaluations of one threshold-dep engine call."""
+    walked = []
+    walk = dependence._regime_factor
+    monkeypatch.setattr(dependence, "_regime_factor",
+                        lambda g, t, m: walked.append(len(g)) or walk(g, t, m))
+    fdr_rvalues_all_threshold_dep(ds, config)
+    return sum(walked)
+
+
 def test_threshold_engine_walks_few_cells(monkeypatch):
     # the regime walk runs only on the edges of the factor table, on the
     # cells whose brackets straddle T(r), and on the crossing search's
     # probes whose brackets straddle S(r): <= 1% of the R1^2 cells (every
     # cell with x * c1(x) above u / r before)
     ds, config = _seeded_table()
-    walked = []
-    walk = dependence._regime_factor
-    monkeypatch.setattr(dependence, "_regime_factor",
-                        lambda g, t, m: walked.append(len(g)) or walk(g, t, m))
-    fdr_rvalues_all_threshold_dep(ds, config)
-    assert 0 < sum(walked) <= 0.01 * len(ds) ** 2
+    assert 0 < _walked(monkeypatch, ds, config) <= 0.01 * len(ds) ** 2
 
 
-@pytest.mark.parametrize("method", ("fdr", "fdr-threshold-dep"))
-def test_engine_memory_stays_linear(method):
+@pytest.mark.parametrize("low", [-30, -300])
+def test_threshold_engine_walks_few_cells_on_wide_tables(monkeypatch, low):
+    # brackets at or below the floor are exact, so the entries tied there
+    # are never walked; with cell-wide brackets these tables walked 1.4%
+    # and 10% of R1^2
+    ds, config = _wide_table(1000, low)
+    assert 0 < _walked(monkeypatch, ds, config) <= 0.01 * len(ds) ** 2
+
+
+@pytest.mark.parametrize("low", [-30, -300])
+def test_threshold_brackets_never_change_rvalues(low):
+    # the bracketed engine against the one that evaluates every level
+    # exactly, bit for bit, on tables that reach the floor
+    ds, config = _wide_table(300, low)
+    proc = dependence._threshold_procedure(config)
+    exact = rvalue._exact_rvalues(replace(proc, bounds=None), ds.p1, ds.p2)
+    assert np.array_equal(fdr_rvalues_all_threshold_dep(ds, config), exact)
+    assert (exact == proc.floor).any()
+
+
+@pytest.mark.parametrize("method, wide", [
+    pytest.param("fdr", False, id="fdr"),
+    pytest.param("fdr-threshold-dep", False, id="fdr-threshold-dep"),
+    pytest.param("fdr-threshold-dep", True, id="fdr-threshold-dep-wide")])
+def test_engine_memory_stays_linear(method, wide):
     # O(R1) memory: one R1^2 array of float64 at R1 = 3000 would be 69 MB
-    ds, config = _seeded_table(r1=3000)
+    ds, config = _wide_table(3000, -300) if wide else _seeded_table(r1=3000)
     ds.p1, ds.p2  # cached on the dataset, so not counted below
     tracemalloc.start()
     try:

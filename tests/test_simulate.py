@@ -136,9 +136,10 @@ def test_claims_never_exceed_selection():
 
 def test_sweep_matches_pointwise_estimate():
     sc = _scenario(reps=25)
-    rows = list(sweep_c2(sc, [0.3, 0.5]))
+    rows = sweep_c2(sc, [0.3, 0.5])
     assert len(rows) == 2
     assert rows[1][1] == estimate(replace(sc, c2=0.5))
+    assert sweep_c2(sc, []) == []
 
 
 def test_equicorrelated_blocks_smoke():
@@ -276,24 +277,26 @@ def test_sweep_equals_rep_by_rep(procedure):
         assert metrics == _rep_by_rep(replace(sc, c2=c2v), procedure)
 
 
+# the paper's grid 0.1:0.9:0.1, out of order: the loosest and the
+# strictest cut are neither first nor last
+GRID9 = [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6]
+
+
 @pytest.mark.parametrize("procedure", ["step-up", "bonferroni"])
 @pytest.mark.parametrize("case", ["rho", "one-rep-blocks"])
-def test_sweep_equals_pointwise_estimate_across_passes(monkeypatch, case,
-                                                       procedure):
-    # 5 points in passes of 3 and 2; the loosest and the strictest cut
-    # fall in different passes, and the grid is read lazily
-    monkeypatch.setattr(simulate, "_PASS", 3)
+def test_sweep_equals_pointwise_estimate_across_passes(case, procedure):
+    # nine points, more than the eight a pass of draws once held: one pass
+    # serves them all, and the grid may be an iterator
     sc = BLOCK_CASES[case]
-    grid = [0.5, 0.1, 0.9, 0.3, 0.7]
-    rows = list(sweep_c2(sc, iter(grid), procedure))
-    assert [c2v for c2v, _ in rows] == grid
+    rows = sweep_c2(sc, iter(GRID9), procedure)
+    assert [c2v for c2v, _ in rows] == GRID9
     for c2v, metrics in rows:
         assert metrics == estimate(replace(sc, c2=c2v), procedure)
 
 
 def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
-    # one copy of the scenario's m-sized arrays serves every point of
-    # every pass; each pass draws each repetition's generator once
+    # one _outcomes call and one copy of the scenario's m-sized arrays
+    # serve every point, and each repetition's generator is made once
     designs, generators = [], []
     real_design, real_generator = simulate._Design, simulate._rep_generator
 
@@ -307,7 +310,6 @@ def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
 
     monkeypatch.setattr(simulate, "_Design", design)
     monkeypatch.setattr(simulate, "_rep_generator", generator)
-    monkeypatch.setattr(simulate, "_PASS", 2)
     sc = SimulationScenario(seed=5, reps=20, **PAPER)
     seen = []
     real_outcomes = simulate._outcomes
@@ -317,11 +319,10 @@ def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
         return real_outcomes(design, points, procedures, reps)
 
     monkeypatch.setattr(simulate, "_outcomes", outcomes)
-    rows = list(sweep_c2(sc, [0.1, 0.3, 0.5, 0.7, 0.9]))
-    assert len(rows) == 5 and len(designs) == 1
-    assert seen == [(designs[0], [0.1, 0.3]), (designs[0], [0.5, 0.7]),
-                    (designs[0], [0.9])]
-    assert generators == list(range(sc.reps)) * 3
+    rows = sweep_c2(sc, GRID9)
+    assert len(rows) == 9 and len(designs) == 1
+    assert seen == [(designs[0], GRID9)]
+    assert generators == list(range(sc.reps))
 
 
 def test_block_size_never_changes_results(monkeypatch):
@@ -340,8 +341,8 @@ def test_block_size_never_changes_results(monkeypatch):
 @pytest.mark.parametrize("block", [1000, 2**12, DEFAULT_BLOCK, 2**20])
 def test_normal_sf_is_called_at_most_twice_per_block(monkeypatch, block):
     # one call for the block's primary candidates, one for its follow-up
-    # draws, however many repetitions the block holds; in a pass of several
-    # points, still one for the candidates and one per point
+    # draws, however many repetitions the block holds; in a sweep, still
+    # one for the candidates and one per point
     calls = []
     real = simulate.normal_sf
 
@@ -356,10 +357,8 @@ def test_normal_sf_is_called_at_most_twice_per_block(monkeypatch, block):
     blocks = -(-sc.reps // max(1, block // sc.m))
     assert 0 < len(calls) <= 2 * blocks
     calls.clear()
-    grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-    assert len(grid) <= simulate._PASS  # one pass
-    list(sweep_c2(sc, grid))
-    assert 0 < len(calls) <= (1 + len(grid)) * blocks
+    sweep_c2(sc, GRID9)
+    assert 0 < len(calls) <= (1 + len(GRID9)) * blocks
 
 
 def _point(m, l00, c2, q):
@@ -413,7 +412,7 @@ def test_block_bh_equals_oracle_row_by_row(block):
 
 @st.composite
 def primary_blocks(draw):
-    """(points of one pass, rows of primary z-scores): ties, z-scores
+    """(points of a sweep, rows of primary z-scores): ties, z-scores
     within 1e-6 of each point's candidate cut, and z-scores whose p-values
     sit near each point's BH bounds."""
     m = draw(st.integers(1, 20))
