@@ -320,7 +320,7 @@ def cmd_simulate(args) -> int:
         try:
             grid = _parse_grid(args.c2_grid)
             for c2v in grid[[0, -1]].tolist():  # monotone: the ends bound it
-                replace(scenario, c2=c2v)
+                _check_unit("c2", c2v)
         except ValueError as exc:
             print(f"repval simulate: --c2-grid: {exc}", file=sys.stderr)
             return EXIT_FLAGS

@@ -20,9 +20,10 @@ Every repetition draws from its own counter-derived stream
 repetitions are scheduled, and paired procedure comparisons see identical
 data.
 
-What a scenario fixes for every c2 (block masks and the mu1 shifts) is
-computed once, and what a c2 point fixes (c1(q), the BH level and candidate
-cut, the claim thresholds) once per point; mu2 is two scalar quantiles,
+The features run through the four blocks in column order, so a scenario's
+blocks are its three counts n00, n01 and n10, and mu1 is computed once per
+run. What a c2 point fixes (c1(q), the BH level and candidate cut, the
+claim thresholds) is computed once per point; mu2 is two scalar quantiles,
 computed once per R1 that a block holds. Repetitions run in blocks of at
 most 2^14 primary values, and each block makes a few numpy calls, not a few
 per repetition. Every BH bound is at most the level c1(q)*q, so below a
@@ -47,15 +48,17 @@ follow-up noise is one draw as long as its largest R1 over the points;
 each point reads the prefix it would have drawn alone, and gets its
 follow-up p-values from one ``normal_sf`` call. Every number is the one
 :func:`estimate` gives at that point. A block keeps its candidates and,
-per point, the indices of those selected, so memory is O(block + m), not
-O(reps * m), plus the outcome rows: 24 bytes per repetition, point and
-procedure.
+per point, the indices of those selected. Its repetitions draw one at a
+time, and each one's m z-scores are freed once its candidates are taken,
+so what is live is one repetition's m values (for rho > 0, the few arrays
+that make them) plus the candidates, not O(reps * m); and the outcome
+rows: 24 bytes per repetition, point and procedure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
@@ -157,16 +160,22 @@ def _rep_generator(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _primary_noise(scenario: SimulationScenario,
-                   rng: np.random.Generator) -> np.ndarray:
+def _primary_z(scenario: SimulationScenario, rng: np.random.Generator,
+               start: int, mu1: float) -> np.ndarray:
+    """One repetition's primary z-scores: fresh noise, with ``mu1`` added
+    in place to the primary-signal columns, ``start`` on."""
     m = scenario.m
     if scenario.rho == 0.0 or scenario.block_size == 1:
-        return rng.standard_normal(m)
-    # a block longer than m is one block of m; no more cells are made
-    block = min(scenario.block_size, m)
-    shared = rng.standard_normal(-(-m // block))[np.arange(m) // block]
-    own = rng.standard_normal(m)
-    return math.sqrt(scenario.rho) * shared + math.sqrt(1.0 - scenario.rho) * own
+        x = rng.standard_normal(m)
+    else:
+        # a block longer than m is one block of m; no more cells are made
+        block = min(scenario.block_size, m)
+        shared = rng.standard_normal(-(-m // block))[np.arange(m) // block]
+        own = rng.standard_normal(m)
+        x = (math.sqrt(scenario.rho) * shared
+             + math.sqrt(1.0 - scenario.rho) * own)
+    x[start:] += mu1
+    return x
 
 
 def _shift(power: float, n: int) -> float:
@@ -176,41 +185,21 @@ def _shift(power: float, n: int) -> float:
             - normal_quantile(1.0 - power))
 
 
-class _Design:
-    """What a scenario fixes for every point of its c2 grid: the block
-    masks and the primary mean shifts, m values each. c2 enters only the
-    levels of :class:`_Point`, so one copy serves a whole sweep."""
-
-    def __init__(self, scenario: SimulationScenario):
-        n00, n01, n10, _ = scenario.counts
-        m = scenario.m
-        self.scenario = scenario
-        self.signal2 = np.zeros(m, dtype=bool)
-        self.signal2[n00:n00 + n01] = True          # follow-up-only block
-        self.signal2[n00 + n01 + n10:] = True       # both-studies block
-        self.truth11 = np.zeros(m, dtype=bool)
-        self.truth11[n00 + n01 + n10:] = True
-        self.shift1 = None
-        if n00 + n01 < m:                           # primary-signal block
-            self.shift1 = np.where(np.arange(m) >= n00 + n01,
-                                   _shift(scenario.pi1, m), 0.0)
-
-
 class _Point:
-    """What one point of a c2 grid fixes: the BH level and candidate cut,
-    and the claim thresholds."""
+    """What ``scenario`` at one c2 of its grid fixes: the BH level and
+    candidate cut, and the claim thresholds."""
 
-    def __init__(self, scenario: SimulationScenario):
+    def __init__(self, scenario: SimulationScenario, c2: float):
         q = scenario.q
         self.scenario = scenario
-        self.bh_level = c1(q, scenario.l00, scenario.c2) * q
+        self.config = AnalysisConfig(m=scenario.m, l00=scenario.l00, c2=c2)
+        self.bh_level = c1(q, scenario.l00, c2) * q
         # only p1 <= bh_level can pass BH. Below a level of 1/2 that needs
         # x1 at or above the level's upper quantile, and the margin is far
         # wider than the error of either function; the floor of 1e-300
         # keeps a level that rounds to 0 (p1 = 0 passes) finite.
         self.cut = (-normal_quantile(max(self.bh_level, 1e-300)) - 1e-6
                     if self.bh_level < 0.5 else -math.inf)
-        self.config = scenario.analysis_config
         # both claim rules read G(q) and q* at level q (Bonferroni runs at
         # alpha = q)
         self.procedure = _fdr_procedure(self.config, float(scenario.m))
@@ -240,12 +229,11 @@ _CLAIMS = {"step-up": _step_up_claims, "bonferroni": _bonferroni_claims,
 
 # Primary values per block of repetitions: 16 repetitions at m = 1000, of
 # which a block keeps only the candidates (about 18% at the paper design).
-# On the paper-design sweep (5 points x 100 reps, in-process, 2 vCPU) 2^14
-# took 68-71 ms, 2^12 81-108 ms and 2^15 63-68 ms; the release that ran
-# each repetition's BH and claims apart took 162-169 ms. The simulate CLI
-# child's peak RSS was 36.6-36.7 MB at 2^14 and 37.1-37.2 MB at 2^15,
-# against 36.9 MB for that release. (Both timings predate the shared
-# draws of a sweep.)
+# On the paper-design sweep over 5 c2 points (in-process, 2 vCPU, medians
+# of 21 and 7 alternating rounds) 2^12 took 31.1 ms, 2^14 18.5 ms and 2^15
+# 17.2 ms at 100 reps, and 306, 172 and 160 ms at 1 000 reps. A process
+# running the simulate CLI on the 100-rep sweep peaked at 36.4-36.5 MB RSS
+# at 2^12, 36.8 MB at 2^14 and 37.1 MB at 2^15.
 _BLOCK = 2**14
 
 
@@ -262,6 +250,7 @@ def _select(points: Sequence[_Point], x1: Iterable[np.ndarray]):
     for x in x1:
         cols.append(np.flatnonzero(x >= cut))
         z.append(x[cols[-1]])
+        del x  # so one repetition's m values are live at a time
     rep = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
     col = np.concatenate(cols)
     z = np.concatenate(z)
@@ -274,49 +263,48 @@ def _select(points: Sequence[_Point], x1: Iterable[np.ndarray]):
     return (rep, col, p1), selected
 
 
-def _outcomes(design: _Design, points: Sequence[SimulationScenario],
+def _outcomes(scenario: SimulationScenario, c2s: Sequence[float],
               procedures: Sequence[str], reps: range
               ) -> list[dict[str, np.ndarray]]:
-    """Outcomes of the given repetitions at each point (``design``'s
-    scenario at another c2) under each procedure, on the same draws: per
-    point and procedure an int64 array with one row per repetition and
-    columns R1, claims and true claims. Repetitions run in blocks of at
-    most _BLOCK primary values; each draws from its own (seed, rep) stream
-    in a fixed order (primary noise, then follow-up noise), so results do
-    not depend on the block size or on the other points."""
+    """Outcomes of the given repetitions at each c2 in ``c2s`` (``scenario``
+    with that c2) under each procedure, on the same draws: per point and
+    procedure an int64 array with one row per repetition and columns R1,
+    claims and true claims. Repetitions run in blocks of at most _BLOCK
+    primary values; each draws from its own (seed, rep) stream in a fixed
+    order (primary noise, then follow-up noise), so results do not depend
+    on the block size or on the other points."""
     for proc in procedures:
         if proc not in _CLAIMS:
             raise ValueError(f"unknown procedure {proc!r}")
-    points = [_Point(point) for point in points]
+    points = [_Point(scenario, c2) for c2 in c2s]
     out = [{proc: np.empty((len(reps), 3), dtype=np.int64)
             for proc in procedures} for _ in points]
+    mu1 = _shift(scenario.pi1, scenario.m)
     mu2 = {0: 0.0}  # by R1
-    rows = max(1, _BLOCK // design.scenario.m)
+    rows = max(1, _BLOCK // scenario.m)
     for first in range(reps.start, reps.stop, rows):
         block = range(first, min(first + rows, reps.stop))
         at = slice(first - reps.start, block.stop - reps.start)
         for per_proc, block_rows in zip(
-                out, _block(design, points, procedures, block, mu2)):
+                out, _block(scenario, points, procedures, block, mu1, mu2)):
             for proc in procedures:
                 per_proc[proc][at] = block_rows[proc]
     return out
 
 
-def _block(design: _Design, points: Sequence[_Point],
-           procedures: Sequence[str], block: range,
+def _block(scenario: SimulationScenario, points: Sequence[_Point],
+           procedures: Sequence[str], block: range, mu1: float,
            mu2: dict[int, float]) -> list[dict[str, np.ndarray]]:
     """The rows of :func:`_outcomes` for one block of repetitions, per point
     and procedure; ``mu2`` holds the follow-up shift by R1, filled as counts
     occur. What a block holds is freed when it returns. A repetition draws
     its follow-up noise once, as long as its largest R1 over the points,
     and each point reads the prefix of it that it would draw alone."""
-    scenario = design.scenario
+    n00, n01, n10, _ = scenario.counts
     n = len(block)
     rngs = [_rep_generator(scenario.seed, rep) for rep in block]
-    x1 = (_primary_noise(scenario, rng) for rng in rngs)
-    if design.shift1 is not None:
-        x1 = (x + design.shift1 for x in x1)
-    candidates, selections = _select(points, x1)
+    candidates, selections = _select(points, (
+        _primary_z(scenario, rng, n00 + n01, mu1) for rng in rngs))
     # R1 per point and repetition
     r1 = np.array([np.bincount(candidates[0][sel], minlength=n)
                    for sel in selections])
@@ -333,9 +321,11 @@ def _block(design: _Design, points: Sequence[_Point],
         # each selected feature's place among its repetition's draws
         offset = np.arange(len(rep)) - (np.cumsum(own) - own)[rep]
         shift = np.array([mu2[k] for k in own.tolist()])
+        # signal in both studies, and in the follow-up study
+        true = col >= n00 + n01 + n10
+        signal2 = true | ((col >= n00) & (col < n00 + n01))
         p2 = normal_sf(draws[starts[rep] + offset]
-                       + np.where(design.signal2[col], shift[rep], 0.0))
-        true = design.truth11[col]
+                       + np.where(signal2, shift[rep], 0.0))
         per_proc = {}
         for proc in procedures:
             claimed = _CLAIMS[proc](point, p1, p2, rep, own[rep])
@@ -351,7 +341,7 @@ def simulate_rep(scenario: SimulationScenario, rep_index: int,
     """(R1, claims, true claims) of a single repetition; deterministic in
     (seed, rep_index)."""
     reps = range(rep_index, rep_index + 1)
-    row = _outcomes(_Design(scenario), [scenario], (procedure,),
+    row = _outcomes(scenario, [scenario.c2], (procedure,),
                     reps)[0][procedure][0]
     return tuple(row.tolist())
 
@@ -386,7 +376,7 @@ def estimate(scenario: SimulationScenario,
     """Run all repetitions, in blocks that keep each repetition's own
     stream, and aggregate; equal to aggregating :func:`simulate_rep` over
     the repetitions one by one."""
-    outcomes = _outcomes(_Design(scenario), [scenario], (procedure,),
+    outcomes = _outcomes(scenario, [scenario.c2], (procedure,),
                          range(scenario.reps))
     return _aggregate(scenario, outcomes[0][procedure])
 
@@ -397,20 +387,19 @@ def sweep_c2(scenario: SimulationScenario, c2_grid: Iterable[float],
     """One (c2, metrics) row per grid point, holding everything else
     fixed; each equal to :func:`estimate` at that point. One pass of draws
     serves the whole grid."""
-    points = [replace(scenario, c2=float(c2v)) for c2v in c2_grid]
-    if not points:
+    c2s = [float(c2v) for c2v in c2_grid]
+    if not c2s:
         return []
-    outcomes = _outcomes(_Design(scenario), points, (procedure,),
-                         range(scenario.reps))
-    return [(point.c2, _aggregate(point, per_proc[procedure]))
-            for point, per_proc in zip(points, outcomes)]
+    outcomes = _outcomes(scenario, c2s, (procedure,), range(scenario.reps))
+    return [(c2v, _aggregate(scenario, per_proc[procedure]))
+            for c2v, per_proc in zip(c2s, outcomes)]
 
 
 def compare_baseline(scenario: SimulationScenario) -> dict[str, SimulationMetrics]:
     """Step-up r-value procedure vs BH on maximum p-values, on identical
     draws (paired repetition by repetition)."""
-    outcomes = _outcomes(_Design(scenario), [scenario],
-                         ("step-up", "max-p-bh"), range(scenario.reps))
+    outcomes = _outcomes(scenario, [scenario.c2], ("step-up", "max-p-bh"),
+                         range(scenario.reps))
     return {proc: _aggregate(scenario, per_rep)
             for proc, per_rep in outcomes[0].items()}
 

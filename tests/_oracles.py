@@ -247,33 +247,54 @@ def oracle_exact_rvalues(proc, p1, p2):
     return oracle_smallest_reaching(proc.level, best, proc.floor)
 
 
+def _rational_level(l00, c2):
+    """G(x) = (1 - c2) x / ((1 - l00) + l00 c2 x) below 1 in Fractions, and
+    its inverse rounded up to a double (1 where no x below 1 reaches b)."""
+    l00, c2 = Fraction(l00), Fraction(c2)
+
+    def level(x):
+        return (1 - c2) * x / ((1 - l00) + l00 * c2 * x)
+
+    def rvalue(b):
+        if b >= level(Fraction(1)):
+            return 1.0
+        x = (1 - l00) * b / ((1 - c2) - l00 * c2 * b)
+        up = float(x)  # correctly rounded; step up where it fell below
+        return up if Fraction(up) >= x else math.nextafter(up, 2.0)
+
+    return level, rvalue
+
+
 def oracle_fdr_rvalues_rational(p1, p2, m, l00, c2):
     """``fdr`` r-values in exact rational arithmetic on the given doubles,
     each rounded up to a double: with u = p1 * m, v = p2 * R1 / c2 and
     G(x) = (1 - c2) x / ((1 - l00) + l00 c2 x) below 1 (inf from 1 on),
     A_j(r) = max(u_j / r, G(v_j / r)), T(r) the r-th smallest A(r),
     b_i = min over r of max(A_i(r), T(r)) and r_i = G^-1(b_i); 1 where no
-    x below 1 reaches b_i. O(R1^3) Fraction operations."""
-    l00, c2 = Fraction(l00), Fraction(c2)
+    x below 1 reaches b_i. O(R1^3) Fraction operations. General-dep is the
+    same with m = m * H_m, given as the engine's double."""
+    level, rvalue = _rational_level(l00, c2)
     r1 = len(p1)
     u = [Fraction(a) * m for a in p1]
-    v = [Fraction(b) * r1 / c2 for b in p2]
-
-    def level(x):
-        return (1 - c2) * x / ((1 - l00) + l00 * c2 * x)
-
+    v = [Fraction(b) * r1 / Fraction(c2) for b in p2]
     entry = [[max(u[j] / r, level(v[j] / r) if v[j] < r else math.inf)
               for j in range(r1)] for r in range(1, r1 + 1)]
     kth = [sorted(row)[r] for r, row in enumerate(entry)]
+    return [rvalue(min(max(row[i], t) for row, t in zip(entry, kth)))
+            for i in range(r1)]
+
+
+def oracle_bonferroni_rvalues_rational(p1, p2, m, l00, c2):
+    """Bonferroni r-values in exact rational arithmetic, the count-1 case
+    of :func:`oracle_fdr_rvalues_rational`: b_j = max(u_j, G(v_j)), each
+    r_j = G^-1(b_j) rounded up to a double."""
+    level, rvalue = _rational_level(l00, c2)
+    r1 = len(p1)
     out = []
-    for i in range(r1):
-        b = min(max(row[i], t) for row, t in zip(entry, kth))
-        if b >= level(Fraction(1)):
-            out.append(1.0)
-            continue
-        x = (1 - l00) * b / ((1 - c2) - l00 * c2 * b)
-        up = float(x)  # correctly rounded; step up where it fell below
-        out.append(up if Fraction(up) >= x else math.nextafter(up, 2.0))
+    for a, b in zip(p1, p2):
+        v = Fraction(b) * r1 / Fraction(c2)
+        out.append(rvalue(max(Fraction(a) * m, level(v) if v < 1
+                              else math.inf)))
     return out
 
 

@@ -3,6 +3,7 @@ for all four procedures."""
 
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from repval import (AnalysisConfig, bonferroni_rvalues_all, c1_tilde,
 from repval.simulate import SimulationScenario
 
 from conftest import dataset_from_arrays
-from _oracles import (oracle_bonferroni, oracle_bonferroni_bisect, oracle_c1,
+from _oracles import (oracle_bonferroni, oracle_bonferroni_bisect,
+                      oracle_bonferroni_rvalues_rational, oracle_c1,
                       oracle_exact_rvalues, oracle_fdr_rvalues_rational,
                       oracle_rvalues_bisect, oracle_smallest_reaching,
                       oracle_step_up_count)
@@ -54,7 +56,7 @@ def _claimed(method, ds, config, q):
         return STEP_UP[method](ds, config, q)
     point = simulate._Point(SimulationScenario(
         pi1=0.5, pi2=0.5, seed=0, m=config.m, f00=1.0, f01=0.0, f10=0.0,
-        f11=0.0, l00=config.l00, c2=config.c2, q=q))
+        f11=0.0, l00=config.l00, q=q), config.c2)
     mask = simulate._CLAIMS["bonferroni"](point, ds.p1, ds.p2)
     return {fid for fid, hit in zip(ds.ids, mask) if hit}
 
@@ -274,10 +276,10 @@ def test_block_split_never_changes_results(method, monkeypatch):
         assert np.array_equal(ENGINE[method](ds, config), values)
 
 
-def test_fdr_rvalues_are_near_the_rational_ones():
-    # 200 seeded tables, R1 <= 12, m < 60, p-values over five decades:
-    # every r-value within 8 ulps of the exact one rounded up to a double
-    # (ROADMAP item 9 tightens this to equality); most lie below 1
+def _ulps_from_rational(engine, oracle, m_eff=lambda m: m):
+    """Every r-value's distance in ulps from the exact one rounded up to a
+    double, over 200 seeded tables (R1 <= 12, m < 60, p-values over five
+    decades), and the share of exact r-values below 1."""
     rng = np.random.default_rng(3)
     ulps, below_one, total = [], 0, 0
     for _ in range(200):
@@ -288,14 +290,38 @@ def test_fdr_rvalues_are_near_the_rational_ones():
         ds, config = dataset_from_arrays(10.0 ** rng.uniform(-5, 0, r1),
                                          10.0 ** rng.uniform(-5, 0, r1),
                                          m=m, l00=l00, c2=c2)
-        exact = np.array(oracle_fdr_rvalues_rational(
-            ds.p1.tolist(), ds.p2.tolist(), m, l00, c2))
-        got = fdr_rvalues_all(ds, config)
+        exact = np.array(oracle(ds.p1.tolist(), ds.p2.tolist(), m_eff(m),
+                                l00, c2))
+        got = engine(ds, config)
         ulps += (got.view(np.int64) - exact.view(np.int64)).tolist()
         below_one += int((exact < 1.0).sum())
         total += r1
+    return ulps, below_one / total
+
+
+def test_fdr_rvalues_are_near_the_rational_ones():
+    # every r-value within 8 ulps of the exact one rounded up to a double
+    # (ROADMAP item 9 tightens this to equality); most lie below 1
+    ulps, below_one = _ulps_from_rational(fdr_rvalues_all,
+                                          oracle_fdr_rvalues_rational)
     assert max(map(abs, ulps)) <= 8
-    assert below_one > total // 2
+    assert below_one > 0.5
+
+
+@pytest.mark.parametrize("method", ["fdr-general-dep", "fwer-bonferroni"])
+def test_rvalues_are_near_the_rational_ones(method):
+    # general-dep is fdr at m_eff = m * H_m, the engine's double taken
+    # exactly; Bonferroni is the count-1 case. Same tables and bound as
+    # the fdr test
+    if method == "fdr-general-dep":
+        ulps, below_one = _ulps_from_rational(
+            ENGINE[method], oracle_fdr_rvalues_rational,
+            lambda m: Fraction(m_star(m)))
+    else:
+        ulps, below_one = _ulps_from_rational(
+            ENGINE[method], oracle_bonferroni_rvalues_rational)
+    assert max(map(abs, ulps)) <= 8
+    assert below_one > 0.4
 
 
 def test_live_prefix_is_the_values_below_the_count():

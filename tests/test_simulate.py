@@ -295,33 +295,28 @@ def test_sweep_equals_pointwise_estimate_across_passes(case, procedure):
 
 
 def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
-    # one _outcomes call and one copy of the scenario's m-sized arrays
-    # serve every point, and each repetition's generator is made once
-    designs, generators = [], []
-    real_design, real_generator = simulate._Design, simulate._rep_generator
-
-    def design(scenario):
-        designs.append(real_design(scenario))
-        return designs[-1]
+    # one _outcomes call serves every point, each a c2 of the one scenario,
+    # and each repetition's generator is made once
+    generators = []
+    real_generator = simulate._rep_generator
 
     def generator(seed, rep):
         generators.append(rep)
         return real_generator(seed, rep)
 
-    monkeypatch.setattr(simulate, "_Design", design)
     monkeypatch.setattr(simulate, "_rep_generator", generator)
     sc = SimulationScenario(seed=5, reps=20, **PAPER)
     seen = []
     real_outcomes = simulate._outcomes
 
-    def outcomes(design, points, procedures, reps):
-        seen.append((design, [point.c2 for point in points]))
-        return real_outcomes(design, points, procedures, reps)
+    def outcomes(scenario, c2s, procedures, reps):
+        seen.append((scenario, list(c2s)))
+        return real_outcomes(scenario, c2s, procedures, reps)
 
     monkeypatch.setattr(simulate, "_outcomes", outcomes)
     rows = sweep_c2(sc, GRID9)
-    assert len(rows) == 9 and len(designs) == 1
-    assert seen == [(designs[0], GRID9)]
+    assert len(rows) == 9
+    assert seen == [(sc, GRID9)]
     assert generators == list(range(sc.reps))
 
 
@@ -364,7 +359,7 @@ def test_normal_sf_is_called_at_most_twice_per_block(monkeypatch, block):
 def _point(m, l00, c2, q):
     return simulate._Point(SimulationScenario(
         pi1=0.5, pi2=0.5, seed=0, m=m, f00=1.0, f01=0.0, f10=0.0, f11=0.0,
-        l00=l00, c2=c2, q=q))
+        l00=l00, q=q), c2)
 
 
 def _by_row(rows, values, nrows):
@@ -511,3 +506,22 @@ def test_estimate_memory_is_bounded_by_block_not_reps():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("rho, block_size, bound",
+                         [(0.0, 1, 2.5), (0.5, 1000, 4.5)])
+def test_estimate_keeps_one_repetitions_noise_at_a_time(rho, block_size,
+                                                        bound):
+    # at m = 1e6 a block is one repetition. Its m z-scores (and, for
+    # rho > 0, the arrays that make them) are the only m-sized arrays: no
+    # shift or block mask is stored, and a repetition's z-scores are freed
+    # before the next repetition draws. The rest is R1-sized.
+    sc = SimulationScenario(seed=12, reps=2, rho=rho, block_size=block_size,
+                            **{**PAPER, "m": 10**6})
+    tracemalloc.start()
+    try:
+        estimate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * sc.m
