@@ -206,11 +206,9 @@ def _open_output(prog: str,
 
 
 def cmd_rvalues(args) -> int:
-    if args.method == "fdr-threshold-dep" and args.t is None:
-        print("repval rvalues: error: --t is required for "
-              "--method fdr-threshold-dep", file=sys.stderr)
-        return EXIT_FLAGS
     try:
+        if args.method == "fdr-threshold-dep" and args.t is None:
+            raise ValueError("--t is required for --method fdr-threshold-dep")
         config = AnalysisConfig(m=args.m, l00=args.l00, c2=args.c2, t=args.t)
         for flag, q in (("--q", args.q), ("--refine-q", args.refine_q)):
             if q is not None:

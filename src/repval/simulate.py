@@ -50,9 +50,9 @@ follow-up p-values from one ``normal_sf`` call. Every number is the one
 :func:`estimate` gives at that point. A block keeps its candidates and,
 per point, the indices of those selected. Its repetitions draw one at a
 time, and each one's m z-scores are freed once its candidates are taken,
-so what is live is one repetition's m values (for rho > 0, the few arrays
+so what is live is one repetition's m values (for rho > 0, the two arrays
 that make them) plus the candidates, not O(reps * m); and the outcome
-rows: 24 bytes per repetition, point and procedure.
+array: 24 bytes per repetition, point and procedure.
 """
 
 from __future__ import annotations
@@ -170,10 +170,11 @@ def _primary_z(scenario: SimulationScenario, rng: np.random.Generator,
     else:
         # a block longer than m is one block of m; no more cells are made
         block = min(scenario.block_size, m)
-        shared = rng.standard_normal(-(-m // block))[np.arange(m) // block]
+        x = np.repeat(rng.standard_normal(-(-m // block)), block)[:m]
         own = rng.standard_normal(m)
-        x = (math.sqrt(scenario.rho) * shared
-             + math.sqrt(1.0 - scenario.rho) * own)
+        x *= math.sqrt(scenario.rho)
+        own *= math.sqrt(1.0 - scenario.rho)
+        x += own
     x[start:] += mu1
     return x
 
@@ -208,14 +209,13 @@ class _Point:
 
 # procedure -> claim mask over a block's followed-up features at one point,
 # given each one's repetition (rows, nondecreasing) and that repetition's
-# R1. Bonferroni is the count-1 case of the step-up predicate; it claims
-# feature by feature, so it also takes one repetition's features alone.
+# R1. Bonferroni is the count-1 case of the step-up predicate.
 def _step_up_claims(point, p1, p2, rows, r1):
     need = _need_counts(point.procedure, p1, p2, point.levels, r1)
     return _step_up_mask(need, 1, rows)
 
 
-def _bonferroni_claims(point, p1, p2, rows=None, r1=None):
+def _bonferroni_claims(point, p1, p2, rows, r1):
     return _need_counts(point.procedure, p1, p2, point.levels, r1) <= 1.0
 
 
@@ -264,42 +264,39 @@ def _select(points: Sequence[_Point], x1: Iterable[np.ndarray]):
 
 
 def _outcomes(scenario: SimulationScenario, c2s: Sequence[float],
-              procedures: Sequence[str], reps: range
-              ) -> list[dict[str, np.ndarray]]:
+              procedures: Sequence[str], reps: range) -> np.ndarray:
     """Outcomes of the given repetitions at each c2 in ``c2s`` (``scenario``
-    with that c2) under each procedure, on the same draws: per point and
-    procedure an int64 array with one row per repetition and columns R1,
-    claims and true claims. Repetitions run in blocks of at most _BLOCK
-    primary values; each draws from its own (seed, rep) stream in a fixed
-    order (primary noise, then follow-up noise), so results do not depend
-    on the block size or on the other points."""
+    with that c2) under each procedure, on the same draws: an int64 array
+    indexed [point, procedure, repetition] whose last axis holds R1, claims
+    and true claims. Repetitions run in blocks of at most _BLOCK primary
+    values; each draws from its own (seed, rep) stream in a fixed order
+    (primary noise, then follow-up noise), so results do not depend on the
+    block size or on the other points."""
     for proc in procedures:
         if proc not in _CLAIMS:
             raise ValueError(f"unknown procedure {proc!r}")
     points = [_Point(scenario, c2) for c2 in c2s]
-    out = [{proc: np.empty((len(reps), 3), dtype=np.int64)
-            for proc in procedures} for _ in points]
+    out = np.empty((len(points), len(procedures), len(reps), 3),
+                   dtype=np.int64)
     mu1 = _shift(scenario.pi1, scenario.m)
     mu2 = {0: 0.0}  # by R1
     rows = max(1, _BLOCK // scenario.m)
     for first in range(reps.start, reps.stop, rows):
         block = range(first, min(first + rows, reps.stop))
-        at = slice(first - reps.start, block.stop - reps.start)
-        for per_proc, block_rows in zip(
-                out, _block(scenario, points, procedures, block, mu1, mu2)):
-            for proc in procedures:
-                per_proc[proc][at] = block_rows[proc]
+        _block(scenario, points, procedures, block, mu1, mu2,
+               out[:, :, first - reps.start:block.stop - reps.start])
     return out
 
 
 def _block(scenario: SimulationScenario, points: Sequence[_Point],
            procedures: Sequence[str], block: range, mu1: float,
-           mu2: dict[int, float]) -> list[dict[str, np.ndarray]]:
-    """The rows of :func:`_outcomes` for one block of repetitions, per point
-    and procedure; ``mu2`` holds the follow-up shift by R1, filled as counts
-    occur. What a block holds is freed when it returns. A repetition draws
-    its follow-up noise once, as long as its largest R1 over the points,
-    and each point reads the prefix of it that it would draw alone."""
+           mu2: dict[int, float], out: np.ndarray) -> None:
+    """Write the outcomes of one block of repetitions into ``out``, its
+    slice of the array of :func:`_outcomes`; ``mu2`` holds the follow-up
+    shift by R1, filled as counts occur. What a block holds is freed when
+    it returns. A repetition draws its follow-up noise once, as long as its
+    largest R1 over the points, and each point reads the prefix of it that
+    it would draw alone."""
     n00, n01, n10, _ = scenario.counts
     n = len(block)
     rngs = [_rep_generator(scenario.seed, rep) for rep in block]
@@ -315,8 +312,7 @@ def _block(scenario: SimulationScenario, points: Sequence[_Point],
     draws = np.concatenate([rng.standard_normal(k)
                             for rng, k in zip(rngs, longest.tolist())])
     starts = np.cumsum(longest) - longest
-    rows = []
-    for point, selected, own in zip(points, selections, r1):
+    for point, selected, own, at_point in zip(points, selections, r1, out):
         rep, col, p1 = (a[selected] for a in candidates)
         # each selected feature's place among its repetition's draws
         offset = np.arange(len(rep)) - (np.cumsum(own) - own)[rep]
@@ -326,14 +322,11 @@ def _block(scenario: SimulationScenario, points: Sequence[_Point],
         signal2 = true | ((col >= n00) & (col < n00 + n01))
         p2 = normal_sf(draws[starts[rep] + offset]
                        + np.where(signal2, shift[rep], 0.0))
-        per_proc = {}
-        for proc in procedures:
+        for proc, at in zip(procedures, at_point):
             claimed = _CLAIMS[proc](point, p1, p2, rep, own[rep])
-            per_proc[proc] = np.column_stack((
-                own, np.bincount(rep[claimed], minlength=n),
-                np.bincount(rep[claimed & true], minlength=n)))
-        rows.append(per_proc)
-    return rows
+            at[:, 0] = own
+            at[:, 1] = np.bincount(rep[claimed], minlength=n)
+            at[:, 2] = np.bincount(rep[claimed & true], minlength=n)
 
 
 def simulate_rep(scenario: SimulationScenario, rep_index: int,
@@ -341,14 +334,14 @@ def simulate_rep(scenario: SimulationScenario, rep_index: int,
     """(R1, claims, true claims) of a single repetition; deterministic in
     (seed, rep_index)."""
     reps = range(rep_index, rep_index + 1)
-    row = _outcomes(scenario, [scenario.c2], (procedure,),
-                    reps)[0][procedure][0]
-    return tuple(row.tolist())
+    return tuple(_outcomes(scenario, [scenario.c2], (procedure,),
+                           reps)[0, 0, 0].tolist())
 
 
 def _aggregate(scenario: SimulationScenario,
                outcomes: np.ndarray) -> SimulationMetrics:
-    """Metrics from the (reps, 3) outcome array of :func:`_outcomes`."""
+    """Metrics from one point and procedure's (reps, 3) rows of
+    :func:`_outcomes`."""
     reps = len(outcomes)
     n11 = scenario.counts[3]
     r1s, claims, true = outcomes.T
@@ -376,9 +369,7 @@ def estimate(scenario: SimulationScenario,
     """Run all repetitions, in blocks that keep each repetition's own
     stream, and aggregate; equal to aggregating :func:`simulate_rep` over
     the repetitions one by one."""
-    outcomes = _outcomes(scenario, [scenario.c2], (procedure,),
-                         range(scenario.reps))
-    return _aggregate(scenario, outcomes[0][procedure])
+    return sweep_c2(scenario, [scenario.c2], procedure)[0][1]
 
 
 def sweep_c2(scenario: SimulationScenario, c2_grid: Iterable[float],
@@ -391,17 +382,18 @@ def sweep_c2(scenario: SimulationScenario, c2_grid: Iterable[float],
     if not c2s:
         return []
     outcomes = _outcomes(scenario, c2s, (procedure,), range(scenario.reps))
-    return [(c2v, _aggregate(scenario, per_proc[procedure]))
-            for c2v, per_proc in zip(c2s, outcomes)]
+    return [(c2v, _aggregate(scenario, rows))
+            for c2v, rows in zip(c2s, outcomes[:, 0])]
 
 
 def compare_baseline(scenario: SimulationScenario) -> dict[str, SimulationMetrics]:
     """Step-up r-value procedure vs BH on maximum p-values, on identical
     draws (paired repetition by repetition)."""
-    outcomes = _outcomes(scenario, [scenario.c2], ("step-up", "max-p-bh"),
+    procedures = ("step-up", "max-p-bh")
+    outcomes = _outcomes(scenario, [scenario.c2], procedures,
                          range(scenario.reps))
-    return {proc: _aggregate(scenario, per_rep)
-            for proc, per_rep in outcomes[0].items()}
+    return {proc: _aggregate(scenario, rows)
+            for proc, rows in zip(procedures, outcomes[0])}
 
 
 # --- scenario files and metrics CSV ----------------------------------------

@@ -258,7 +258,9 @@ def test_threshold_dep_without_t_exits_3_before_reading(capsys):
     code = cli.main(["rvalues", "no-such-file.tsv", "--m", "68", "--method",
                      "fdr-threshold-dep"])
     assert code == cli.EXIT_FLAGS
-    assert "--t is required" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "repval rvalues: error: --t is required for --method "
+        "fdr-threshold-dep\n")
 
 
 def test_c2_grid_outside_unit_interval_exits_3(capsys):

@@ -57,7 +57,8 @@ def _claimed(method, ds, config, q):
     point = simulate._Point(SimulationScenario(
         pi1=0.5, pi2=0.5, seed=0, m=config.m, f00=1.0, f01=0.0, f10=0.0,
         f11=0.0, l00=config.l00, q=q), config.c2)
-    mask = simulate._CLAIMS["bonferroni"](point, ds.p1, ds.p2)
+    mask = simulate._CLAIMS["bonferroni"](point, ds.p1, ds.p2, None,
+                                           len(ds))
     return {fid for fid, hit in zip(ds.ids, mask) if hit}
 
 

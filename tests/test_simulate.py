@@ -277,6 +277,18 @@ def test_sweep_equals_rep_by_rep(procedure):
         assert metrics == _rep_by_rep(replace(sc, c2=c2v), procedure)
 
 
+def test_outcomes_of_a_range_that_starts_mid_block():
+    # repetitions 5 to 39 at m = 1000 run in blocks of 16 from repetition
+    # 5, so each block writes its rows at an offset from the range's start
+    sc = SimulationScenario(seed=13, reps=40, rho=0.5, block_size=7, **PAPER)
+    procedures = ("step-up", "max-p-bh")
+    outcomes = simulate._outcomes(sc, [0.2, sc.c2], procedures, range(5, 40))
+    assert outcomes.shape == (2, 2, 35, 3)
+    for proc, rows in zip(procedures, outcomes[1]):
+        assert [tuple(row) for row in rows.tolist()] == [
+            simulate_rep(sc, 5 + i, proc) for i in range(35)]
+
+
 # the paper's grid 0.1:0.9:0.1, out of order: the loosest and the
 # strictest cut are neither first nor last
 GRID9 = [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6]
@@ -509,7 +521,7 @@ def test_estimate_memory_is_bounded_by_block_not_reps():
 
 
 @pytest.mark.parametrize("rho, block_size, bound",
-                         [(0.0, 1, 2.5), (0.5, 1000, 4.5)])
+                         [(0.0, 1, 2.5), (0.5, 1000, 2.5), (0.5, 7, 2.5)])
 def test_estimate_keeps_one_repetitions_noise_at_a_time(rho, block_size,
                                                         bound):
     # at m = 1e6 a block is one repetition. Its m z-scores (and, for
