@@ -46,9 +46,7 @@ def max_p_bh(dataset: ValidatedDataset, config: AnalysisConfig,
 
 
 def _chi2_sf_4(x: float) -> float:
-    """Survival of chi-square with 4 degrees of freedom (Erlang-2)."""
-    if x <= 0.0:
-        return 1.0
+    """Survival of chi-square with 4 degrees of freedom (Erlang-2), x >= 0."""
     return math.exp(-0.5 * x) * (1.0 + 0.5 * x)
 
 

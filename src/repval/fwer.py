@@ -24,5 +24,5 @@ def bonferroni_rvalues_all(dataset: ValidatedDataset,
                            config: AnalysisConfig) -> np.ndarray:
     """FWER r-values for every followed-up feature."""
     proc = _fdr_procedure(config, float(config.m))
-    u, v = _scaled(proc, dataset.p1, dataset.p2)
+    u, v = _scaled(proc, dataset.p1, dataset.p2, len(dataset))
     return _invert(proc, proc.level(v, u))

@@ -128,7 +128,6 @@ def validate_dataset(
     ``source_lines`` attaches file line numbers to error messages.
     """
     seen: set[str] = set()
-    cleaned: list[FeatureRecord] = []
     for idx, rec in enumerate(records):
         line = source_lines[idx] if source_lines is not None else None
         for name, p in (("p1", rec.p1), ("p2", rec.p2)):
@@ -144,15 +143,14 @@ def validate_dataset(
         if rec.id in seen:
             raise DatasetError(f"feature id {rec.id!r} appears twice", line)
         seen.add(rec.id)
-        cleaned.append(rec)
 
-    if len(cleaned) > config.m:
+    if len(records) > config.m:
         raise DatasetError(
-            f"{len(cleaned)} features followed up but m={config.m}")
-    dataset = ValidatedDataset(tuple(cleaned))
+            f"{len(records)} features followed up but m={config.m}")
+    dataset = ValidatedDataset(tuple(records))
     above = [] if config.t is None else np.flatnonzero(dataset.p1 > config.t)
     if len(above):
-        rec, line = cleaned[above[0]], None
+        rec, line = records[above[0]], None
         if source_lines is not None:
             line = source_lines[above[0]]
         raise DatasetError(f"feature {rec.id!r} has p1={rec.p1} above the "

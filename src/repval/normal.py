@@ -32,22 +32,20 @@ def _upper_tail(z: np.ndarray) -> np.ndarray:
     """P(Z > z) for z >= 0."""
     out = np.empty_like(z)
     core = z < _TAIL_SPLIT
-    if np.any(core):
-        zc = z[core]
-        ex = np.exp(-0.5 * zc * zc)
-        num = 3.52624965998911e-2
-        for c in (0.700383064443688, 6.37396220353165, 33.912866078383,
-                  112.079291497871, 221.213596169931, 220.206867912376):
-            num = num * zc + c
-        den = 8.83883476483184e-2
-        for c in (1.75566716318264, 16.064177579207, 86.7807322029461,
-                  296.564248779674, 637.333633378831, 793.826512519948,
-                  440.413735824752):
-            den = den * zc + c
-        out[core] = ex * num / den
+    zc = z[core]
+    ex = np.exp(-0.5 * zc * zc)
+    num = 3.52624965998911e-2
+    for c in (0.700383064443688, 6.37396220353165, 33.912866078383,
+              112.079291497871, 221.213596169931, 220.206867912376):
+        num = num * zc + c
+    den = 8.83883476483184e-2
+    for c in (1.75566716318264, 16.064177579207, 86.7807322029461,
+              296.564248779674, 637.333633378831, 793.826512519948,
+              440.413735824752):
+        den = den * zc + c
+    out[core] = ex * num / den
     tail = ~core
-    if np.any(tail):
-        out[tail] = 0.5 * _ERFC(z[tail] / _SQRT_TWO).astype(float)
+    out[tail] = 0.5 * _ERFC(z[tail] / _SQRT_TWO).astype(float)
     return out
 
 
@@ -71,10 +69,9 @@ def _quantile(p: float) -> float:
 
 def normal_quantile(p):
     """x with P(Z <= x) = p, so normal_sf(-x) = p. Returns -inf/+inf at
-    p = 0/1, NaN outside [0, 1] or for NaN. A scalar gives a float; an
-    array is mapped element by element and keeps its shape."""
-    if isinstance(p, float):  # the simulation's scalar calls skip asarray,
-        return _quantile(p)   # which costs more than inv_cdf itself
+    p = 0/1, NaN outside [0, 1] or for NaN. Every input is mapped element
+    by element as an array: a scalar gives a float, and an array keeps its
+    shape."""
     arr = np.asarray(p, dtype=float)
     out = [_quantile(v) for v in arr.ravel().tolist()]
     return out[0] if arr.ndim == 0 else np.reshape(out, arr.shape)

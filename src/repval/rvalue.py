@@ -118,11 +118,11 @@ def _fdr_procedure(config: AnalysisConfig, m_eff: float) -> _Procedure:
                       lambda b: _inverse_level(b, l00, c2))
 
 
-def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray, r1=None):
+def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray, r1):
     """u = p1 * m_eff and v = p2 * R1 / c2: feature j's entry level at
-    count r is level(v_j / r, u_j / r). R1 is ``len(p2)`` unless given,
-    as a scalar or per feature (features of several follow-up sets)."""
-    return p1 * proc.m_eff, p2 * (len(p2) if r1 is None else r1) / proc.c2
+    count r is level(v_j / r, u_j / r). R1 is a scalar (one follow-up
+    set) or per feature (features of several follow-up sets)."""
+    return p1 * proc.m_eff, p2 * r1 / proc.c2
 
 
 def _smallest_reaching(level, a: np.ndarray, floor: float,
@@ -250,7 +250,7 @@ def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
     A_i(r) >= A_i(r* - 1). Levels are evaluated exactly only where a
     bracket cannot decide them against T or S."""
     r1 = len(p1)
-    u, v = _scaled(proc, p1, p2)
+    u, v = _scaled(proc, p1, p2, r1)
     order = np.argsort(v, kind="stable")
     u, v = u[order], v[order]
     live, finite = _live_counts(v)
@@ -309,15 +309,13 @@ def _claim_levels(proc: _Procedure,
 
 
 def _need_counts(proc: _Procedure, p1: np.ndarray, p2: np.ndarray,
-                 levels: tuple[float, float], r1=None) -> np.ndarray:
+                 levels: tuple[float, float], r1) -> np.ndarray:
     """Per feature, the smallest count r with u_j / r <= G(q) and
     v_j / r <= q* as rounded, ``levels`` being (G(q), q*); more than R1 when
     there is none. R1 is as in :func:`_scaled`. Dividing by the next
     doubles up gives counts never above that and, for normal levels, at
     most one below, so the loop ends after one check or two."""
     g, q_star = levels
-    if r1 is None:
-        r1 = len(p2)
     u, v = _scaled(proc, p1, p2, r1)
 
     def passes(r):
@@ -341,7 +339,8 @@ def _step_up(dataset: ValidatedDataset, q: float,
     levels = _claim_levels(proc, q)
     if levels is None:
         return frozenset()
-    mask = _step_up_mask(_need_counts(proc, dataset.p1, dataset.p2, levels), 1)
+    need = _need_counts(proc, dataset.p1, dataset.p2, levels, len(dataset))
+    mask = _step_up_mask(need, 1)
     return frozenset(fid for fid, hit in zip(dataset.ids, mask) if hit)
 
 

@@ -2,7 +2,8 @@
 already-followed-up set before computing r-values.
 
 Every claim in the package, by BH, max-p BH or a step-up set, goes
-through the one step-up rule, :func:`_step_up_caps`.
+through the one step-up rule, :func:`_step_up_mask`. BH is
+:func:`_bh_mask`, and :func:`bh_reject` is its index view of one row.
 
 The r-values of :mod:`repval.rvalue` assume the follow-up set was chosen by
 a *stable* selection rule: changing one selected feature's primary p-value,
@@ -23,36 +24,32 @@ from .model import AnalysisConfig, ValidatedDataset, _check_unit
 __all__ = ["bh_reject", "refine_for_replicability"]
 
 
-def _step_up_caps(table: np.ndarray, step: float) -> np.ndarray:
-    """The step-up rule on each row of ``table``, sorted row by row and
-    padded with inf: the cap x_(k), k the largest count with
-    x_(k) <= k * step, or -inf when no count passes. The rule claims the
-    row's x <= x_(k), its k smallest, since a tie with x_(k) would pass at
-    k + 1. x_(k) is the largest of the passing entries."""
-    rank = np.arange(1, table.shape[1] + 1)
-    return table.max(axis=1, where=table <= rank * step, initial=-np.inf)
-
-
 def _step_up_mask(x: np.ndarray, step: float,
                   rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """Which x the step-up rule claims, per row of ``rows`` (nondecreasing
-    row numbers; all one row when None). The rows are sorted as one
-    table, padded with inf."""
+    """The step-up rule: per row of ``rows`` (nondecreasing row numbers;
+    all one row when None), the x at most the cap x_(k), k the largest
+    count with x_(k) <= k * step: the row's k smallest, since a tie with
+    x_(k) would pass at k + 1. The rows are sorted as one table, padded
+    with inf; x_(k) is the largest passing entry, -inf when none passes."""
     if rows is None:
-        return x <= _step_up_caps(np.sort(x)[None], step)[0]
+        rows = np.zeros(len(x), dtype=np.intp)
     counts = np.bincount(rows)
     table = np.full((len(counts), counts.max(initial=0)), np.inf)
     table[rows, np.arange(len(x)) - (np.cumsum(counts) - counts)[rows]] = x
     table.sort(axis=1)
-    return x <= _step_up_caps(table, step)[rows]
+    rank = np.arange(1, table.shape[1] + 1)
+    caps = table.max(axis=1, where=table <= rank * step, initial=-np.inf)
+    return x <= caps[rows]
 
 
 def _bh_mask(p: np.ndarray, level: float, n: int,
              rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """bh_reject(p[rows == i], level, n=n) for every row i, as one mask
-    (all of p one row when ``rows`` is None), for p in [0, 1]: the entries
-    missing from a row of n are p = 1, and then all of them pass at the
-    last step or none of them does."""
+    """BH at ``level`` among n hypotheses, per row of ``rows`` as in
+    :func:`_step_up_mask`, for p in [0, 1]: the k smallest p of a row for
+    the largest k with p_(k) <= k * level / n. The entries missing from a
+    row of n are p = 1, never materialised: they pass only at the last
+    step, when n * (level / n) >= 1, and then so does every p. Otherwise
+    no 1 passes and the step-up rule runs on the row alone."""
     step = level / n
     if n * step >= 1.0:  # every p <= 1 passes at count n
         return np.ones(len(p), dtype=bool)
@@ -61,38 +58,29 @@ def _bh_mask(p: np.ndarray, level: float, n: int,
 
 def bh_reject(pvalues: Sequence[float], level: float, *,
               n: Optional[int] = None) -> np.ndarray:
-    """Indices rejected by the BH step-up procedure at the given level:
-    the k smallest p-values for the largest k with p_(k) <= k * level / n.
-    Returns a sorted index array (possibly empty). The rule itself is
-    :func:`_step_up_caps`, which every claim in the package goes through.
+    """Indices BH at the given level rejects, as a sorted array (possibly
+    empty): :func:`_bh_mask` on one row. ``n`` (default ``len(pvalues)``)
+    is the number of hypotheses; the n - len(pvalues) not given are taken
+    as p = 1.
 
-    ``n`` (default ``len(pvalues)``) is the number of hypotheses. The
-    n - len(pvalues) not given are taken as p = 1, without being
-    materialised, and only indices into ``pvalues`` are returned; the given
-    p-values must then lie in [0, 1]. A padded 1 can pass only at the last
-    step, when n * (level / n) >= 1, and then every hypothesis is rejected.
-    Otherwise no value 1 passes, the given p-values fill the first sorted
-    positions, and BH runs on them alone with denominator n.
-
-    ``level`` must be positive and finite (:class:`ValueError` otherwise);
-    a level of 1 or more is valid.
+    ``level`` must be positive and finite (1 or more is valid), and every
+    p-value in [0, 1], for every ``n``; :class:`ValueError` otherwise,
+    naming the first p-value outside, NaN included.
     """
     if not 0.0 < level < np.inf:
         raise ValueError(f"level must be positive and finite, got {level!r}")
     p = np.asarray(pvalues, dtype=float)
+    outside = np.flatnonzero(~((0.0 <= p) & (p <= 1.0)))
+    if len(outside):
+        raise ValueError(f"p-value {float(p[outside[0]])!r} at index "
+                         f"{outside[0]} is not in [0, 1]")
     if n is None:
         n = len(p)
     if n < len(p):
         raise ValueError(f"n={n} is below the {len(p)} p-values given")
     if n == 0:
         return np.zeros(0, dtype=int)
-    step = level / n
-    if n > len(p) and n * step >= 1.0:
-        return np.arange(len(p))
-    # Only p <= len(p) * step can pass at any count, so only their indices
-    # are kept and only they are sorted.
-    candidates = np.flatnonzero(p <= len(p) * step)
-    return candidates[_step_up_mask(p[candidates], step)]
+    return np.flatnonzero(_bh_mask(p, level, n))
 
 
 def refine_for_replicability(dataset: ValidatedDataset,

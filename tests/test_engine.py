@@ -179,7 +179,7 @@ def _claimed_by_rule(method, ds, config, q):
         return _claimed(method, ds, config, q)
     proc = rvalue._fdr_procedure(config, float(config.m))
     need = rvalue._need_counts(proc, ds.p1, ds.p2,
-                               rvalue._claim_levels(proc, q))
+                               rvalue._claim_levels(proc, q), len(ds))
     return {fid for fid, count in zip(ds.ids, need) if count <= 1}
 
 
@@ -556,8 +556,8 @@ def test_step_up_count_matches_downward_scan(units, q, method):
     g = levels[0]
     p1 = np.array([a for a, _ in units]) * (g / m)
     p2 = np.minimum(np.array([b for _, b in units]) * (c2 * q / r1), 1.0)
-    need = rvalue._need_counts(proc, p1, p2, levels)
-    u, v = rvalue._scaled(proc, p1, p2)
+    need = rvalue._need_counts(proc, p1, p2, levels, r1)
+    u, v = rvalue._scaled(proc, p1, p2, r1)
     counts = np.arange(1.0, r1 + 1.0)[:, None]
     entry = proc.level(v / counts, u / counts)
     scanned = [next((r for r in range(1, r1 + 1) if entry[r - 1, j] <= g),

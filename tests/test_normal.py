@@ -75,6 +75,24 @@ def test_cdf_and_sf_match_erfc():
             assert normal_sf(-x) == pytest.approx(ref_lower, rel=5e-13)
 
 
+@pytest.mark.parametrize("fn", [normal_sf, normal_quantile])
+def test_empty_array_maps_to_an_empty_float_array(fn):
+    out = fn(np.array([]))
+    assert out.dtype == np.float64 and out.shape == (0,)
+
+
+@pytest.mark.parametrize("x", [np.linspace(-3.49, 3.49, 51),
+                               np.linspace(3.5, 36.0, 51),
+                               np.linspace(-36.0, -3.5, 51)],
+                         ids=["core-only", "upper-tail-only",
+                              "lower-tail-only"])
+def test_sf_of_an_array_on_one_side_of_the_split_matches_erfc(x):
+    # |x| below 3.5 takes the rational approximation, at or above it erfc;
+    # an array wholly on one side leaves the other side's selection empty
+    ref = [0.5 * math.erfc(v / math.sqrt(2.0)) for v in x.tolist()]
+    np.testing.assert_allclose(normal_sf(x), ref, rtol=5e-13, atol=0.0)
+
+
 def test_tail_roundtrip():
     for x in np.linspace(-37.0, 0.0, 500):
         p = normal_sf(-float(x))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -101,6 +103,17 @@ def test_bh_rejects_a_level_not_positive_and_finite():
                                              "finite"):
             bh_reject([0.01, 0.5], level)
     assert list(bh_reject([0.01, 0.5], 1.5)) == [0, 1]  # above 1 is valid
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_bh_rejects_a_pvalue_outside_the_unit_interval(bad):
+    # at a level of 1.5 every p-value in [0, 1] passes, padded or not
+    for n in (None, 5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p-value {bad!r} at index 1 is not in [0, 1]")):
+            bh_reject([0.01, bad, 0.5], 1.5, n=n)
+    with pytest.raises(ValueError, match="level"):  # the level comes first
+        bh_reject([bad], 0.0)
 
 
 def test_step_up_and_refinement_reject_q_outside_the_unit_interval(

@@ -487,7 +487,7 @@ def test_block_claims_equal_oracles_row_by_row(block):
     r1 = np.bincount(rows)[rows]
     nrows = rows.max(initial=-1) + 1
     per_rep = list(zip(_by_row(rows, p1, nrows), _by_row(rows, p2, nrows)))
-    needs = [_need_counts(point.procedure, a, b, point.levels)
+    needs = [_need_counts(point.procedure, a, b, point.levels, len(a))
              for a, b in per_rep]
     max_p_level = point.scenario.q / (1.0 - point.config.l00)
 
