@@ -37,13 +37,16 @@ for callers in a long-lived process.
 
 A call loads only the modules it runs. ``import repval.cli`` loads
 :mod:`repval.model` and this module. ``rvalues --method fdr`` adds
-``rvalue`` and ``selection``; the two dependence methods add
-``dependence``, ``fwer-bonferroni`` adds ``fwer``, and ``--meta`` adds
-``baselines`` and ``normal``. ``simulate`` adds :mod:`repval.simulate` and
-what it imports, never ``dependence`` or ``fwer``. The names this module
-uses from those modules resolve on first use (:pep:`562`), through the
-package's own table of where each public name lives; the one name here
-that the package does not export, ``sweep_c2``, comes from
+``rvalue``; the two dependence methods add ``dependence``,
+``fwer-bonferroni`` adds ``fwer``, ``--refine-q`` adds ``selection``, and
+``--meta`` adds ``baselines``, ``normal`` and ``selection``. No
+``rvalues`` call imports :mod:`dataclasses`, whose class factory costs
+about 1 ms a class: the package's value classes are plain classes.
+``simulate`` adds :mod:`repval.simulate` and what it imports,
+``dataclasses`` among them, never ``dependence`` or ``fwer``. The names
+this module uses from those modules resolve on first use (:pep:`562`),
+through the package's own table of where each public name lives; the one
+name here that the package does not export, ``sweep_c2``, comes from
 :mod:`repval.simulate`. Modules loaded that way arrive after :func:`entry`
 has frozen the heap, so the freeze does not cover their objects.
 """
@@ -66,7 +69,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
 from typing import Callable, ContextManager, Optional, TextIO
 
 import numpy as np
@@ -222,8 +224,7 @@ def cmd_rvalues(args) -> int:
 
     try:
         table = read_pvalue_table(args.input, clamp_zero=args.clamp_zero)
-        dataset = validate_dataset(table.records, config,
-                                   source_lines=table.source_lines)
+        dataset = validate_dataset(table, config)
     except DatasetError as exc:
         print(f"repval rvalues: {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -263,16 +264,19 @@ def cmd_rvalues(args) -> int:
         # line break
         writer = csv.writer(out, delimiter=delim, lineterminator="\n")
         writer.writerow(header)
-        for row, rec in zip(table.rows, table.records):
-            if rec.id not in rvals:  # dropped by --refine-q
+        # each row's cells as read; the writer writes the None of a cell
+        # a short row lacks as an empty cell
+        for fid, cells, p1, p2 in zip(table.ids, table.cells,
+                                      table.p1.tolist(), table.p2.tolist()):
+            rval = rvals.get(fid)
+            if rval is None:  # dropped by --refine-q
                 continue
-            cells = [row.get(col, "") or "" for col in table.fieldnames]
-            cells.append(f"{rvals[rec.id]:.4f}")
+            cells = [*cells, f"{rval:.4f}"]
             if args.meta != "none":
-                meta = _module.meta_p(rec.p1, rec.p2, args.meta)
+                meta = _module.meta_p(p1, p2, args.meta)
                 cells.append(f"{meta:.6g}")
             if args.q is not None:
-                cells.append("yes" if rvals[rec.id] <= args.q else "no")
+                cells.append("yes" if rval <= args.q else "no")
             writer.writerow(cells)
     return EXIT_OK
 
@@ -301,6 +305,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
     from . import simulate  # only simulate needs the harness
     try:
         # inline flags override the file's keys before any value is checked

@@ -1,12 +1,19 @@
 """Domain types, validation and p-value table ingestion.
 
-A dataset is the set of features carried into the follow-up study: one row
-per feature with its primary-study and follow-up-study p-values. The number
-of features screened in the primary study (m) is typically far larger than
+A dataset is the set of features carried into the follow-up study, held as
+columns: a tuple of ids and float64 arrays of their primary-study (p1) and
+follow-up-study (p2) p-values, one entry per feature. The number of
+features screened in the primary study (m) is typically far larger than
 the number followed up (R1) and enters through :class:`AnalysisConfig`.
+A table read from a file keeps the same columns, and each row's cells for
+echoing them. The reader and the validator work on the columns and build
+no object per row; ``records`` (and a table's ``rows``), one
+:class:`FeatureRecord` (one dict) per row, are views built on first read,
+kept for the benchmark's tracer and the tests.
 
 Everything here is immutable after construction and safe to share across
-threads; computations never mutate a dataset.
+threads: no field can be set after construction, and the p-value arrays
+are read-only. Computations never mutate a dataset.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -49,17 +54,61 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
+class _Frozen:
+    """Base of the package's value classes. The constructor sets the fields
+    named in ``_fields``, and nothing can be set or deleted after it. Two
+    values are equal when they are of one class with equal fields, arrays
+    compared element by element, and are shown by their fields.
+    ``_replace(**changes)`` copies through the constructor, so a copy is
+    checked as the original was. Views built on first read live in the
+    other slots."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())),
+                             **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a is b or (np.array_equal(a, b)
+                              if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FeatureRecord(_Frozen):
     """One followed-up feature: primary (p1) and follow-up (p2) p-values."""
 
-    id: str
-    p1: float
-    p2: float
+    __slots__ = _fields = ("id", "p1", "p2")
+
+    def __init__(self, id: str, p1: float, p2: float):
+        self._set(id=id, p1=p1, p2=p2)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(_Frozen):
     """Global parameters of the analysis.
 
     m     -- number of features examined in the primary study
@@ -69,93 +118,136 @@ class AnalysisConfig:
     t     -- fixed selection threshold on primary p-values, needed by the
              threshold-dependent variant; when set, every p1 must be at
              most t (checked by :func:`validate_dataset`)
+
+    Every value is checked on construction, and so on every copy made by
+    ``_replace``.
     """
 
-    m: int
-    l00: float = 0.8
-    c2: float = 0.5
-    t: Optional[float] = None
+    __slots__ = _fields = ("m", "l00", "c2", "t")
 
-    def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if not 0.0 <= self.l00 < 1.0:
-            raise ValueError(f"l00 must lie in [0, 1), got {self.l00!r}")
-        _check_unit("c2", self.c2)
-        if self.t is not None:
-            _check_unit("t", self.t)
+    def __init__(self, m: int, l00: float = 0.8, c2: float = 0.5,
+                 t: Optional[float] = None):
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"m must be a positive integer, got {m!r}")
+        if not 0.0 <= l00 < 1.0:
+            raise ValueError(f"l00 must lie in [0, 1), got {l00!r}")
+        _check_unit("c2", c2)
+        if t is not None:
+            _check_unit("t", t)
+        self._set(m=m, l00=l00, c2=c2, t=t)
 
 
-@dataclass(frozen=True)
-class ValidatedDataset:
-    """Records that passed :func:`validate_dataset`; R1 = len(dataset)."""
+def _read_only(p) -> np.ndarray:
+    """``p`` as a float64 array (itself when it is one), made read-only."""
+    p = np.asarray(p, dtype=float)
+    p.flags.writeable = False
+    return p
 
-    records: tuple[FeatureRecord, ...]
+
+def _records(ids, p1: np.ndarray, p2: np.ndarray) -> list[FeatureRecord]:
+    return list(map(FeatureRecord, ids, p1.tolist(), p2.tolist()))
+
+
+class ValidatedDataset(_Frozen):
+    """Columns that passed :func:`validate_dataset`: ``ids`` as a tuple and
+    ``p1``, ``p2`` as float64 arrays, held as given and made read-only;
+    R1 = len(dataset). ``records``, a tuple of one :class:`FeatureRecord`
+    per feature, is a view built on first read."""
+
+    __slots__ = ("ids", "p1", "p2", "_records")
+    _fields = ("ids", "p1", "p2")
+
+    def __init__(self, ids: Iterable[str], p1, p2):
+        self._set(ids=tuple(ids), p1=_read_only(p1), p2=_read_only(p2),
+                  _records=None)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records)
+    def __hash__(self) -> int:
+        return hash(self.ids)
 
-    @cached_property
-    def p1(self) -> np.ndarray:
-        return np.array([r.p1 for r in self.records], dtype=float)
+    @property
+    def records(self) -> tuple[FeatureRecord, ...]:
+        if self._records is None:
+            self._set(_records=tuple(_records(self.ids, self.p1, self.p2)))
+        return self._records
 
-    @cached_property
-    def p2(self) -> np.ndarray:
-        return np.array([r.p2 for r in self.records], dtype=float)
+    def subset(self, keep) -> "ValidatedDataset":
+        """The features at the indices ``keep``, an integer array, in its
+        order."""
+        keep = np.asarray(keep, dtype=np.intp)
+        ids = self.ids
+        return ValidatedDataset([ids[i] for i in keep.tolist()],
+                                self.p1[keep], self.p2[keep])
 
-    def subset(self, keep: Iterable[int]) -> "ValidatedDataset":
-        return ValidatedDataset(tuple(self.records[i] for i in keep))
+
+def _row_fault(rec) -> str:
+    """Why the row ``rec`` fails, in the order the rows are checked: p1
+    (NaN, not above 0, above 1), then p2; a repeated id when neither
+    p-value fails."""
+    for name, p in (("p1", rec.p1), ("p2", rec.p2)):
+        if math.isnan(p):
+            return f"feature {rec.id!r}: {name} is NaN, not a p-value"
+        if not p > 0.0:
+            return f"feature {rec.id!r}: {name}={p} is not positive"
+        if p > 1.0:
+            return f"feature {rec.id!r}: {name}={p} exceeds 1"
+    return f"feature id {rec.id!r} appears twice"
 
 
 def validate_dataset(
-    records: Sequence[FeatureRecord],
+    records: Sequence[FeatureRecord] | PValueTable,
     config: AnalysisConfig,
     *,
     source_lines: Optional[Sequence[int]] = None,
 ) -> ValidatedDataset:
     """Check invariants and freeze the dataset.
 
-    Raises :class:`DatasetError` for a NaN, a p-value not above 0 or above
-    1, a repeated id, more records than ``config.m``, or, when ``config.t``
-    is set, the first record whose p1 is above t. p-values of
-    exactly 0 signal a corrupt export and are rejected, never clamped
-    silently; ``read_pvalue_table(clamp_zero=)`` opts in to replacing them
-    in dirty real-world exports.
-    ``source_lines`` attaches file line numbers to error messages.
+    ``records`` is a sequence of :class:`FeatureRecord`, or a
+    :class:`PValueTable`, whose columns are checked as they were read and
+    whose own source lines are used.
+    Raises :class:`DatasetError` for the first row with a NaN, a p-value
+    not above 0 or above 1, or an id seen in an earlier row (p1 is checked
+    before p2, and both before the id); then for more rows than
+    ``config.m``; then, when ``config.t`` is set, for the first row whose
+    p1 is above t. p-values of exactly 0 signal a corrupt export and are
+    rejected, never clamped silently; ``read_pvalue_table(clamp_zero=)``
+    opts in to replacing them in dirty real-world exports.
+    ``source_lines`` attaches file line numbers to error messages, which
+    quote the p-values as the records hold them.
     """
-    seen: set[str] = set()
-    for idx, rec in enumerate(records):
-        line = source_lines[idx] if source_lines is not None else None
-        for name, p in (("p1", rec.p1), ("p2", rec.p2)):
-            if math.isnan(p):
-                raise DatasetError(
-                    f"feature {rec.id!r}: {name} is NaN, not a p-value", line)
-            if not p > 0.0:
-                raise DatasetError(
-                    f"feature {rec.id!r}: {name}={p} is not positive", line)
-            if p > 1.0:
-                raise DatasetError(
-                    f"feature {rec.id!r}: {name}={p} exceeds 1", line)
-        if rec.id in seen:
-            raise DatasetError(f"feature id {rec.id!r} appears twice", line)
-        seen.add(rec.id)
+    if isinstance(records, PValueTable):
+        ids, p1, p2 = records.ids, records.p1, records.p2
+        source_lines = records.source_lines
+    else:
+        ids = tuple(rec.id for rec in records)
+        p1 = np.array([rec.p1 for rec in records], dtype=float)
+        p2 = np.array([rec.p2 for rec in records], dtype=float)
+    lines = [None] * len(ids) if source_lines is None else source_lines
 
-    if len(records) > config.m:
-        raise DatasetError(
-            f"{len(records)} features followed up but m={config.m}")
-    dataset = ValidatedDataset(tuple(records))
-    above = [] if config.t is None else np.flatnonzero(dataset.p1 > config.t)
+    # the first row with a p-value outside (0, 1] (NaN too) or a repeat
+    valid = (p1 > 0.0) & (p1 <= 1.0) & (p2 > 0.0) & (p2 <= 1.0)
+    first = len(ids) if valid.all() else int(valid.argmin())
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i, fid in enumerate(ids[:first]):
+            if fid in seen:
+                first = i
+                break
+            seen.add(fid)
+    if first < len(ids):
+        raise DatasetError(_row_fault(records[first]), lines[first])
+
+    if len(ids) > config.m:
+        raise DatasetError(f"{len(ids)} features followed up but m={config.m}")
+    above = [] if config.t is None else np.flatnonzero(p1 > config.t)
     if len(above):
-        rec, line = records[above[0]], None
-        if source_lines is not None:
-            line = source_lines[above[0]]
+        rec = records[above[0]]
         raise DatasetError(f"feature {rec.id!r} has p1={rec.p1} above the "
-                           f"selection threshold t={config.t}", line)
-    return dataset
+                           f"selection threshold t={config.t}",
+                           lines[above[0]])
+    return ValidatedDataset(ids, p1, p2)
 
 
 # --- file ingestion -------------------------------------------------------
@@ -163,16 +255,46 @@ def validate_dataset(
 _REQUIRED_COLUMNS = ("id", "p1", "p2")
 
 
-@dataclass
-class PValueTable:
-    """Raw parsed table: original header/rows (for echoing extra columns
-    through the CLI) plus typed records."""
+class PValueTable(_Frozen):
+    """A parsed table as columns: the header (``fieldnames``), each data
+    row's stripped ``cells`` (a list as wide as the header, None for the
+    columns a short row lacks) for echoing every column through the CLI,
+    the ``ids``, float64 ``p1`` and ``p2``, the delimiter and each row's
+    line in the source. ``table[i]`` is row i as a :class:`FeatureRecord`;
+    ``rows`` (one dict per row) and ``records`` (a list of
+    :class:`FeatureRecord`) are views built on first read."""
 
-    fieldnames: list[str]
-    rows: list[dict[str, Optional[str]]]
-    records: list[FeatureRecord]
-    delimiter: str
-    source_lines: list[int]
+    __slots__ = ("fieldnames", "cells", "ids", "p1", "p2", "delimiter",
+                 "source_lines", "_rows", "_records")
+    _fields = __slots__[:-2]
+    __hash__ = None
+
+    def __init__(self, fieldnames: list[str], cells: list[list],
+                 ids: tuple[str, ...], p1, p2, delimiter: str,
+                 source_lines: list[int]):
+        self._set(fieldnames=fieldnames, cells=cells, ids=ids,
+                  p1=_read_only(p1), p2=_read_only(p2), delimiter=delimiter,
+                  source_lines=source_lines, _rows=None, _records=None)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> FeatureRecord:
+        return FeatureRecord(self.ids[i], float(self.p1[i]),
+                             float(self.p2[i]))
+
+    @property
+    def rows(self) -> list[dict[str, Optional[str]]]:
+        if self._rows is None:
+            self._set(_rows=[dict(zip(self.fieldnames, row))
+                             for row in self.cells])
+        return self._rows
+
+    @property
+    def records(self) -> list[FeatureRecord]:
+        if self._records is None:
+            self._set(_records=_records(self.ids, self.p1, self.p2))
+        return self._records
 
 
 def _read_text(source) -> str:
@@ -240,32 +362,37 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
             f"header was {fieldnames}", 1)
 
     width = len(fieldnames)
-    rows: list[dict[str, Optional[str]]] = []
-    records: list[FeatureRecord] = []
+    at_id, at_p1, at_p2 = map(fieldnames.index, _REQUIRED_COLUMNS)
+    cells: list[list] = []
+    ids: list[str] = []
+    p1: list[float] = []
+    p2: list[float] = []
     source_lines: list[int] = []
-    for cells in rows_in:
-        if not cells:  # a blank line
+    for row in rows_in:
+        if not row:  # a blank line
             continue
         lineno = reader.line_num  # the record's last line, blank lines counted
-        if len(cells) > width:
-            raise DatasetError(f"row has {len(cells) - width} cell(s) more "
+        if len(row) > width:
+            raise DatasetError(f"row has {len(row) - width} cell(s) more "
                                "than the header", lineno)
-        row = dict(zip(fieldnames, map(str.strip, cells)))
-        if len(cells) < width:  # the columns a short row lacks hold None
-            row.update(dict.fromkeys(fieldnames[len(cells):]))
-        fid = row["id"] or ""
+        row = list(map(str.strip, row))
+        if len(row) < width:  # the columns a short row lacks hold None
+            row += [None] * (width - len(row))
+        fid = row[at_id] or ""
         if not fid:
             raise DatasetError("empty feature id", lineno)
         try:
-            p1 = float(row["p1"])
-            p2 = float(row["p2"])
+            p1.append(float(row[at_p1]))
+            p2.append(float(row[at_p2]))
         except (TypeError, ValueError):
             raise DatasetError(
                 f"could not parse p1/p2 for feature {fid!r}", lineno) from None
-        if clamp_zero is not None:
-            p1 = clamp_zero if p1 == 0.0 else p1
-            p2 = clamp_zero if p2 == 0.0 else p2
-        rows.append(row)
-        records.append(FeatureRecord(fid, p1, p2))
+        cells.append(row)
+        ids.append(fid)
         source_lines.append(lineno)
-    return PValueTable(fieldnames, rows, records, delim, source_lines)
+    p1_col, p2_col = np.array(p1, dtype=float), np.array(p2, dtype=float)
+    if clamp_zero is not None:
+        for p in (p1_col, p2_col):
+            p[p == 0.0] = clamp_zero
+    return PValueTable(fieldnames, cells, tuple(ids), p1_col, p2_col, delim,
+                       source_lines)

@@ -46,13 +46,11 @@ reproducible and do not depend on the order of the records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import AnalysisConfig, ValidatedDataset, _check_unit
-from .selection import _step_up_mask
+from .model import AnalysisConfig, ValidatedDataset, _check_unit, _Frozen
 
 __all__ = ["c1", "fdr_rvalues_all", "step_up_set"]
 
@@ -94,8 +92,7 @@ def _inverse_level(b, l00: float, c2: float) -> np.ndarray:
     return np.where(x < 0.0, np.inf, x)
 
 
-@dataclass(frozen=True)
-class _Procedure:
+class _Procedure(_Frozen):
     """A procedure as the claim predicate sees it: ``level(x, y)`` is
     max(y, G(x)) elementwise (G for y = 0), ``guess(b)`` a closed-form
     estimate of the smallest x with G(x) >= b, and no claim is made below
@@ -103,12 +100,13 @@ class _Procedure:
     that is dear to evaluate, gives cheap elementwise brackets lo <= level
     <= hi, equal wherever they are exact."""
 
-    m_eff: float
-    c2: float
-    level: Callable
-    guess: Callable
-    floor: float = 0.0
-    bounds: Optional[Callable] = None
+    __slots__ = _fields = ("m_eff", "c2", "level", "guess", "floor", "bounds")
+
+    def __init__(self, m_eff: float, c2: float, level: Callable,
+                 guess: Callable, floor: float = 0.0,
+                 bounds: Optional[Callable] = None):
+        self._set(m_eff=m_eff, c2=c2, level=level, guess=guess, floor=floor,
+                  bounds=bounds)
 
 
 def _fdr_procedure(config: AnalysisConfig, m_eff: float) -> _Procedure:
@@ -335,6 +333,10 @@ def _step_up(dataset: ValidatedDataset, q: float,
     """Ids of the step-up set at level q of the procedure ``proc``: the
     features whose need count is at most R2, the largest r with at least r
     need counts <= r, i.e. the step-up rule at step 1 on the need counts."""
+    # imported here, so that a call that only computes r-values (the CLI's)
+    # does not load repval.selection
+    from .selection import _step_up_mask
+
     _check_unit("q", q)
     levels = _claim_levels(proc, q)
     if levels is None:

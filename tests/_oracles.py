@@ -3,9 +3,10 @@ values. Deliberately naive (plain loops, no shared code paths with the
 package) so a defect in the library cannot hide in its own oracle. Two
 exceptions: the r-value engine's reference evaluates a procedure's own
 level function exactly on every cell, so it pins the engine's shortcuts bit
-for bit, not the level function; and the table reader's reference parses
+for bit, not the level function; the table reader's reference parses
 rows its own way (``csv.DictReader``) but reads text and builds results with
-the package's helpers and types."""
+the package's helpers and types; and the validator's reference raises the
+package's ``DatasetError``."""
 
 from __future__ import annotations
 
@@ -301,7 +302,9 @@ def oracle_bonferroni_rvalues_rational(p1, p2, m, l00, c2):
 def oracle_read_pvalue_table(source, *, clamp_zero=None):
     """``model.read_pvalue_table`` as it was written on ``csv.DictReader``:
     the package's text reading and types, its own row parsing. A row the
-    csv module cannot parse is a ``DatasetError`` at the reader's line."""
+    csv module cannot parse is a ``DatasetError`` at the reader's line.
+    Returns the table's ``(fieldnames, rows, records, delimiter,
+    source_lines)``."""
     from repval.model import DatasetError, _read_text, _sniff_delimiter
 
     stream = io.StringIO(_read_text(source))
@@ -319,7 +322,7 @@ def oracle_read_pvalue_table(source, *, clamp_zero=None):
 
 
 def _oracle_table(reader, delim, clamp_zero):
-    from repval.model import DatasetError, FeatureRecord, PValueTable
+    from repval.model import DatasetError, FeatureRecord
 
     fieldnames = [fn.strip() for fn in (reader.fieldnames or [])]
     counts = Counter(fieldnames)
@@ -357,4 +360,36 @@ def _oracle_table(reader, delim, clamp_zero):
         rows.append(row)
         records.append(FeatureRecord(fid, p1, p2))
         source_lines.append(lineno)
-    return PValueTable(fieldnames, rows, records, delim, source_lines)
+    return fieldnames, rows, records, delim, source_lines
+
+
+def oracle_validate_dataset(records, config, *, source_lines=None):
+    """``model.validate_dataset`` as it was written, one record at a time:
+    the records, as a tuple, or the ``DatasetError`` of the first fault."""
+    from repval.model import DatasetError
+
+    seen = set()
+    for idx, rec in enumerate(records):
+        line = source_lines[idx] if source_lines is not None else None
+        for name, p in (("p1", rec.p1), ("p2", rec.p2)):
+            if math.isnan(p):
+                raise DatasetError(
+                    f"feature {rec.id!r}: {name} is NaN, not a p-value", line)
+            if not p > 0.0:
+                raise DatasetError(
+                    f"feature {rec.id!r}: {name}={p} is not positive", line)
+            if p > 1.0:
+                raise DatasetError(
+                    f"feature {rec.id!r}: {name}={p} exceeds 1", line)
+        if rec.id in seen:
+            raise DatasetError(f"feature id {rec.id!r} appears twice", line)
+        seen.add(rec.id)
+    if len(records) > config.m:
+        raise DatasetError(
+            f"{len(records)} features followed up but m={config.m}")
+    for idx, rec in enumerate(records):
+        if config.t is not None and rec.p1 > config.t:
+            line = source_lines[idx] if source_lines is not None else None
+            raise DatasetError(f"feature {rec.id!r} has p1={rec.p1} above "
+                               f"the selection threshold t={config.t}", line)
+    return tuple(records)

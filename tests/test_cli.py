@@ -554,9 +554,13 @@ def test_rvalues_run_leaves_simulation_unloaded(tmp_path):
 IGA_CALL = ("rvalues", str(DATA_DIR / "iga_nephropathy.tsv"), "--m", "444882",
             "--t", "2e-4")
 CLI_MODULES = {"repval", "repval.model", "repval.cli"}
-ENGINE_MODULES = {"repval.rvalue", "repval.selection"}
+# an r-value call loads the step-up rule only to refine or to claim
+ENGINE_MODULES = {"repval.rvalue"}
+CLAIM_MODULES = ENGINE_MODULES | {"repval.selection"}
 
 
+# "dataclasses" is listed when loaded: only the simulation harness defines
+# a class with it (numpy imports inspect, so that is not checked)
 @pytest.mark.parametrize("argv, loaded", [
     (None, {"repval"}),
     ((), CLI_MODULES),
@@ -567,12 +571,14 @@ ENGINE_MODULES = {"repval.rvalue", "repval.selection"}
      CLI_MODULES | ENGINE_MODULES | {"repval.dependence"}),
     ((*IGA_CALL, "--method", "fwer-bonferroni"),
      CLI_MODULES | ENGINE_MODULES | {"repval.fwer"}),
+    ((*IGA_CALL, "--refine-q", "0.05"), CLI_MODULES | CLAIM_MODULES),
     ((*IGA_CALL, "--meta", "fisher"),
-     CLI_MODULES | ENGINE_MODULES | {"repval.baselines", "repval.normal"}),
-    (SIM_DESIGN, CLI_MODULES | ENGINE_MODULES | {
-        "repval.baselines", "repval.normal", "repval.simulate"}),
+     CLI_MODULES | CLAIM_MODULES | {"repval.baselines", "repval.normal"}),
+    (SIM_DESIGN, CLI_MODULES | CLAIM_MODULES | {
+        "repval.baselines", "repval.normal", "repval.simulate",
+        "dataclasses"}),
 ], ids=["import-repval", "import-cli", "fdr", "general-dep", "threshold-dep",
-        "bonferroni", "meta-fisher", "simulate"])
+        "bonferroni", "refine", "meta-fisher", "simulate"])
 def test_each_call_loads_only_what_it_runs(argv, loaded, tmp_path):
     # in a child with the benchmark's environment, where a module that is
     # loaded is also compiled from source
@@ -583,13 +589,18 @@ def test_each_call_loads_only_what_it_runs(argv, loaded, tmp_path):
     check += textwrap.dedent("""
         import sys
         print(" ".join(name for name in sys.modules
-                       if name.split(".")[0] == "repval"))
+                       if name.split(".")[0] == "repval"
+                       or name == "dataclasses"))
     """)
     env = {**CHILD_ENV, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-c", check], env=env,
                             capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stderr) == (0, "")
+    err = result.stderr
+    if argv and "--refine-q" in argv:  # one line says what refinement kept
+        note, _, err = err.partition("\n")
+        assert note.startswith("repval rvalues: refinement kept ")
+    assert (result.returncode, err) == (0, "")
     assert set(result.stdout.split()) == loaded
 
 
@@ -809,6 +820,12 @@ READER_EDGES = [
 ]
 
 
+def _read_table(source, *, clamp_zero):
+    table = read_pvalue_table(source, clamp_zero=clamp_zero)
+    return (table.fieldnames, table.rows, table.records, table.delimiter,
+            table.source_lines)
+
+
 def _read_outcome(read, source, clamp_zero):
     try:
         # repr: a NaN p-value is unequal to itself
@@ -826,6 +843,6 @@ def test_reader_matches_the_dictreader_reader(tmp_path):
         # from a path, line endings arrive as "\n"; from a stream, as given
         for source in (lambda: table, lambda: io.StringIO(text, newline="")):
             for clamp_zero in (None, 1e-10):
-                assert _read_outcome(read_pvalue_table, source(), clamp_zero) \
+                assert _read_outcome(_read_table, source(), clamp_zero) \
                     == _read_outcome(oracle_read_pvalue_table, source(),
                                      clamp_zero), text

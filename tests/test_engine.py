@@ -2,7 +2,6 @@
 for all four procedures."""
 
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -205,7 +204,7 @@ def test_claimed_exactly_from_the_rvalue_on_random_tables(instance, picks):
 def test_no_rvalue_falls_when_m_doubles(instance):
     method, config, ds = instance
     before = ENGINE[method](ds, config)
-    after = ENGINE[method](ds, replace(config, m=2 * config.m))
+    after = ENGINE[method](ds, config._replace(m=2 * config.m))
     assert (after >= before).all(), np.flatnonzero(after < before)
 
 
@@ -511,7 +510,7 @@ def test_threshold_brackets_never_change_rvalues(low):
     # exactly, bit for bit, on tables that reach the floor
     ds, config = _wide_table(300, low)
     proc = dependence._threshold_procedure(config)
-    exact = rvalue._exact_rvalues(replace(proc, bounds=None), ds.p1, ds.p2)
+    exact = rvalue._exact_rvalues(proc._replace(bounds=None), ds.p1, ds.p2)
     assert np.array_equal(fdr_rvalues_all_threshold_dep(ds, config), exact)
     assert (exact == proc.floor).any()
 

@@ -1,5 +1,6 @@
-import dataclasses
 import io
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repval import (AnalysisConfig, DatasetError, FeatureRecord,
                     read_pvalue_table, validate_dataset)
 from repval.cli import main
 
+from _oracles import oracle_validate_dataset
 from conftest import IGA_M
 
 
@@ -71,10 +73,35 @@ def test_validation_is_idempotent():
 def test_validated_dataset_is_immutable():
     config = AnalysisConfig(m=10)
     ds = validate_dataset(_records([(0.1, 0.2)]), config)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # AttributeError is the base of dataclasses.FrozenInstanceError
+    with pytest.raises(AttributeError):
         ds.records = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ds.records[0].p1 = 0.5
+
+
+def test_dataset_columns_cannot_change():
+    ds = validate_dataset(_records([(0.1, 0.2)]), AnalysisConfig(m=10))
+    for name in ("ids", "p1", "p2"):
+        with pytest.raises(AttributeError):
+            setattr(ds, name, None)
+        with pytest.raises(AttributeError):
+            delattr(ds, name)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.p1[0] = 0.5
+    assert ds.p1[0] == 0.1 and ds.ids == ("f0",)
+
+
+def test_a_copied_config_is_checked_too():
+    config = AnalysisConfig(m=10, l00=0.5, t=0.25)
+    assert config._replace(m=20) == AnalysisConfig(m=20, l00=0.5, t=0.25)
+    assert config._replace(m=20) != config
+    with pytest.raises(ValueError, match="l00 must lie in"):
+        config._replace(l00=1.0)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        config._replace(m=0)
+    with pytest.raises(AttributeError):
+        config.l00 = 1.0
 
 
 def test_config_bounds():
@@ -211,3 +238,66 @@ def test_validate_accepts_any_legal_pairs(pairs):
     ds = validate_dataset(_records(pairs), config)
     assert len(ds) == len(pairs)
     assert np.all(ds.p1 > 0) and np.all(ds.p2 <= 1.0)
+
+
+# p-values that fail (and two edges that pass) mixed into random tables
+_ODD_PVALUES = (float("nan"), 0.0, -0.0, -0.1, 1.5, math.inf, 1.0, 5e-324)
+
+
+def _random_records(rng):
+    r1 = int(rng.integers(0, 10))
+    pool = int(rng.integers(1, 4 * r1 + 2))  # small pools repeat ids
+
+    def p():
+        if rng.random() < 0.08:
+            return float(rng.choice(_ODD_PVALUES))
+        return float(rng.uniform(1e-6, 1.0))
+    return [FeatureRecord(f"f{rng.integers(pool)}", p(), p())
+            for _ in range(r1)]
+
+
+_FAULTS = ("is NaN", "is not positive", "exceeds 1", "appears twice",
+           "followed up but m", "above the selection threshold")
+
+
+def _outcome(validate, records, config, **kw):
+    """The validated records, or the error's text and line."""
+    try:
+        result = validate(records, config, **kw)
+    except DatasetError as exc:
+        return str(exc), exc.line
+    return "valid", tuple(getattr(result, "records", result))
+
+
+def test_validator_matches_the_record_loop():
+    # record sequences with and without source lines, and the same rows
+    # read from a table, against the reference's per-record loop
+    rng = np.random.default_rng(25)
+    kinds, two_faults = Counter(), 0
+    for _ in range(300):
+        records = _random_records(rng)
+        r1 = len(records)
+        # t is at times the largest p1 below 1: a p1 equal to t passes
+        top = max((r.p1 for r in records if 0.0 < r.p1 < 1.0), default=0.5)
+        config = AnalysisConfig(m=int(rng.integers(max(r1 - 2, 1), r1 + 4)),
+                                t=[None, 0.5, 0.99, top][rng.integers(4)])
+        lines = sorted(rng.choice(1000, r1, replace=False).tolist())
+        for kw in ({}, {"source_lines": lines}):
+            assert _outcome(validate_dataset, records, config, **kw) == \
+                _outcome(oracle_validate_dataset, records, config, **kw), \
+                (records, config, kw)
+        # the same rows as a file, with blank lines between some
+        text = "id,p1,p2\n" + "".join(
+            "\n" * int(rng.integers(2)) + f"{r.id},{r.p1!r},{r.p2!r}\n"
+            for r in records)
+        table = read_pvalue_table(io.StringIO(text))
+        want = _outcome(oracle_validate_dataset, table.records, config,
+                        source_lines=table.source_lines)
+        assert _outcome(validate_dataset, table, config) == want, text
+        kinds[next((k for k in _FAULTS if k in want[0]), want[0])] += 1
+        ids = [r.id for r in records]
+        two_faults += any(
+            (not 0.0 < r.p1 <= 1.0) + (not 0.0 < r.p2 <= 1.0)
+            + (r.id in ids[:i]) >= 2 for i, r in enumerate(records))
+    assert set(kinds) == {"valid", *_FAULTS}, kinds
+    assert two_faults >= 10
