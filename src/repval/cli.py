@@ -8,9 +8,9 @@ Two subcommands:
 * ``simulate`` -- run the Monte Carlo harness from a scenario file or
   inline flags, one per :data:`repval.simulate.SCENARIO_FIELDS` entry
   (``block_size`` is ``--block-size``), and emit a metrics CSV with one
-  row per c2 point. Every point of the grid runs on one pass of draws
-  (:mod:`repval.simulate`), and the CSV is written once the sweep is done,
-  so a sweep that fails leaves no partial table.
+  row per c2 point, at most 10 001 of them. Every point of the grid runs
+  on one pass of draws (:mod:`repval.simulate`), and the CSV is written
+  once the sweep is done, so a sweep that fails leaves no partial table.
 
 Exit codes: 0 success, 1 output that cannot be written (one line on stderr,
 say on a full disk; none when the reader closed the pipe), 2 invalid input
@@ -20,20 +20,16 @@ Output is byte-stable across runs: r-values print as fixed %.4f, input
 columns are echoed verbatim, and simulation metrics use fixed formats.
 
 A CLI process (:func:`entry`: ``python -m repval.cli`` and the ``repval``
-script) freezes its import-time heap before it runs, so the garbage
-collector's passes skip the ~22 000 objects that importing numpy and this
-module creates. They live until exit, so those passes could free none of
-them; skipping them saves about 15-25 ms a call (2 vCPU, Python 3.11,
-numpy 2.4). Under ``python -m`` the collector is also off while this
-module loads, from before its first import until :func:`entry` has frozen
-the heap. That skips the passes the imports would make, about 7 ms a
-call (paired, on the t2d table), and keeps the ~0.2 MB they would have
-freed. A plain ``import repval.cli`` leaves the collector as it is. Once its output is written
-and its exit handlers have run, it ends with :func:`os._exit`: a normal
-exit would then free the whole heap object by object, which takes ~6 ms a
-call and leaves nothing behind that the process has not already closed.
-:func:`main` leaves the collector and the interpreter's exit as they are,
-for callers in a long-lived process.
+script) runs with the garbage collector off until it exits, from before
+this module's first import under ``python -m``: a call leaves a constant
+~140 cyclic objects (~240 for ``simulate``) whatever the table size, so a
+pass has nothing to free. A plain ``import repval.cli`` leaves the
+collector as it is. Once its output is written
+and its exit handlers have run, the process ends with :func:`os._exit`: a
+normal exit would then free the whole heap object by object, which takes
+~6 ms a call and leaves nothing behind that the process has not already
+closed. :func:`main` leaves the collector and the interpreter's exit as
+they are, for callers in a long-lived process.
 
 A call loads only the modules it runs. ``import repval.cli`` loads
 :mod:`repval.model` and this module. ``rvalues --method fdr`` adds
@@ -47,8 +43,7 @@ about 1 ms a class: the package's value classes are plain classes.
 this module uses from those modules resolve on first use (:pep:`562`),
 through the package's own table of where each public name lives; the one
 name here that the package does not export, ``sweep_c2``, comes from
-:mod:`repval.simulate`. Modules loaded that way arrive after :func:`entry`
-has frozen the heap, so the freeze does not cover their objects.
+:mod:`repval.simulate`.
 """
 
 from __future__ import annotations
@@ -56,9 +51,8 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    # ``python -m repval.cli``: what the imports below create lives until
-    # exit, so a collector pass over it frees next to nothing. The
-    # collector stays off until entry() has frozen that heap.
+    # ``python -m repval.cli``: the collector is off from here to the exit
+    # (see entry)
     gc.disable()
 
 import argparse
@@ -241,11 +235,11 @@ def cmd_rvalues(args) -> int:
               "padding can only shrink this set)", file=sys.stderr)
 
     rvalues_fn = getattr(_module, _METHODS[args.method])
-    # the except tuple is evaluated only when an exception arrives, so only
+    # the except clause is evaluated only when an exception arrives, so only
     # then does NoConsistentRegime load its module
     try:
         rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
-    except (ValueError, _module.NoConsistentRegime) as exc:
+    except _module.NoConsistentRegime as exc:
         print(f"repval rvalues: {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -281,9 +275,14 @@ def cmd_rvalues(args) -> int:
     return EXIT_OK
 
 
+# A sweep point costs ~0.3 ms and ~1.9 KB even at one repetition (2 vCPU),
+# so a grid this long costs ~3 s and ~19 MB per repetition
+_MAX_GRID_POINTS = 10_001
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     """LO, LO + STEP, ... up to HI (within 1e-12), as float64: the doubles
-    lo + i * step."""
+    lo + i * step; at most _MAX_GRID_POINTS of them."""
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
@@ -297,11 +296,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     # the points increase with i, so only a tail can lie above HI
     while lo + (n - 1) * step > hi + 1e-12:
         n -= 1
-    try:
-        return lo + np.arange(n) * step
-    except (MemoryError, ValueError):
-        raise ValueError(f"bad grid {spec!r}, too many points "
-                         f"({n:.3g})") from None
+    if n > _MAX_GRID_POINTS:
+        raise ValueError(f"bad grid {spec!r}, too many points ({n:.3g})")
+    return lo + np.arange(n) * step
 
 
 def cmd_simulate(args) -> int:
@@ -355,12 +352,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    # everything imported so far lives until the process exits, so the
-    # collector's passes over it during the run have nothing to free: move
-    # it out of their reach, then let the collector run (it is off while a
-    # ``-m`` process loads)
-    gc.freeze()
-    gc.enable()
+    # a call leaves a few hundred cyclic objects whatever its input, so a
+    # collector pass has nothing to free before the exit
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()

@@ -27,9 +27,10 @@ agree bit for bit, as in the independent case:
   The walk is dear, so the r-value engine evaluates G exactly only where
   a bracket cannot decide. The factor 1 + H_k depends on x only through
   g = x * c1(x) and does not increase with g, so its exact values at the
-  doubles that keep the top 6 mantissa bits of g, tabled once per call,
-  bracket G(x) to about 1 / (64 * (1 + H_k)) relative. At or below the
-  floor the bracket is exact: G(floor), also computed once per call.
+  doubles that keep the top 6 mantissa bits of g bracket G(x) to about
+  1 / (64 * (1 + H_k)) relative. At or below the floor the bracket is
+  exact: G(floor). The table and G(floor) are built with the procedure,
+  once per call.
 
 Both return r-values as a float64 array in ``dataset.ids`` order, no
 smaller than the baseline's. The threshold variant raises ValueError
@@ -206,8 +207,9 @@ def _factor_table(t: float, m: int, g_floor: float):
 
 
 def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
-    """The threshold-dependent procedure, from the config alone; that every
-    p1 is at most t is a table rule, checked by ``validate_dataset``."""
+    """The threshold-dependent procedure, from the config alone, with its
+    bracket table built; that every p1 is at most t is a table rule,
+    checked by ``validate_dataset``."""
     if config.t is None:
         raise ValueError(
             "threshold-dependent variant needs config.t (the selection "
@@ -216,7 +218,6 @@ def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
     tm = t * m
     floor = _threshold_floor(t, m, l00, c2)
     g_floor = float(_level(np.array([floor]), l00, c2)[0])
-    table = None  # built by the first call of bounds
 
     def level(x, y=0.0):
         g = _level(np.maximum(x, floor), l00, c2)
@@ -225,14 +226,12 @@ def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
         g[need] /= _regime_factor(g[need], t, m)
         return np.maximum(y, g)
 
+    first, lower, upper = _factor_table(t, m, g_floor)
+    at_floor = level(np.array([floor]))[0]
+
     def bounds(x, y):
         # g * lower <= g / F <= g * upper in reals, so also as rounded; at
         # or below the floor the level is G(floor) exactly
-        nonlocal table
-        if table is None:
-            table = (*_factor_table(t, m, g_floor),
-                     level(np.array([floor]))[0])
-        first, lower, upper, at_floor = table
         g = _level(np.maximum(x, floor), l00, c2)
         cell = (g.view(np.int64) >> _CELL_SHIFT) - first
         lo = np.take(lower, cell, mode="clip") * g

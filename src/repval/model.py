@@ -7,9 +7,9 @@ features screened in the primary study (m) is typically far larger than
 the number followed up (R1) and enters through :class:`AnalysisConfig`.
 A table read from a file keeps the same columns, and each row's cells for
 echoing them. The reader and the validator work on the columns and build
-no object per row; ``records`` (and a table's ``rows``), one
-:class:`FeatureRecord` (one dict) per row, are views built on first read,
-kept for the benchmark's tracer and the tests.
+no object per row. ``records``, one :class:`FeatureRecord` per row, is
+the only row view: it is built on each read and never stored, and is kept
+for the benchmark's tracer and the tests.
 
 Everything here is immutable after construction and safe to share across
 threads: no field can be set after construction, and the p-value arrays
@@ -60,8 +60,7 @@ class _Frozen:
     values are equal when they are of one class with equal fields, arrays
     compared element by element, and are shown by their fields.
     ``_replace(**changes)`` copies through the constructor, so a copy is
-    checked as the original was. Views built on first read live in the
-    other slots."""
+    checked as the original was."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -152,14 +151,12 @@ class ValidatedDataset(_Frozen):
     """Columns that passed :func:`validate_dataset`: ``ids`` as a tuple and
     ``p1``, ``p2`` as float64 arrays, held as given and made read-only;
     R1 = len(dataset). ``records``, a tuple of one :class:`FeatureRecord`
-    per feature, is a view built on first read."""
+    per feature, is built from the columns on each read."""
 
-    __slots__ = ("ids", "p1", "p2", "_records")
-    _fields = ("ids", "p1", "p2")
+    __slots__ = _fields = ("ids", "p1", "p2")
 
     def __init__(self, ids: Iterable[str], p1, p2):
-        self._set(ids=tuple(ids), p1=_read_only(p1), p2=_read_only(p2),
-                  _records=None)
+        self._set(ids=tuple(ids), p1=_read_only(p1), p2=_read_only(p2))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -169,9 +166,7 @@ class ValidatedDataset(_Frozen):
 
     @property
     def records(self) -> tuple[FeatureRecord, ...]:
-        if self._records is None:
-            self._set(_records=tuple(_records(self.ids, self.p1, self.p2)))
-        return self._records
+        return tuple(_records(self.ids, self.p1, self.p2))
 
     def subset(self, keep) -> "ValidatedDataset":
         """The features at the indices ``keep``, an integer array, in its
@@ -182,18 +177,18 @@ class ValidatedDataset(_Frozen):
                                 self.p1[keep], self.p2[keep])
 
 
-def _row_fault(rec) -> str:
-    """Why the row ``rec`` fails, in the order the rows are checked: p1
-    (NaN, not above 0, above 1), then p2; a repeated id when neither
+def _row_fault(fid: str, p1: float, p2: float) -> str:
+    """Why the row (fid, p1, p2) fails, in the order the rows are checked:
+    p1 (NaN, not above 0, above 1), then p2; a repeated id when neither
     p-value fails."""
-    for name, p in (("p1", rec.p1), ("p2", rec.p2)):
+    for name, p in (("p1", p1), ("p2", p2)):
         if math.isnan(p):
-            return f"feature {rec.id!r}: {name} is NaN, not a p-value"
+            return f"feature {fid!r}: {name} is NaN, not a p-value"
         if not p > 0.0:
-            return f"feature {rec.id!r}: {name}={p} is not positive"
+            return f"feature {fid!r}: {name}={p} is not positive"
         if p > 1.0:
-            return f"feature {rec.id!r}: {name}={p} exceeds 1"
-    return f"feature id {rec.id!r} appears twice"
+            return f"feature {fid!r}: {name}={p} exceeds 1"
+    return f"feature id {fid!r} appears twice"
 
 
 def validate_dataset(
@@ -215,7 +210,7 @@ def validate_dataset(
     rejected, never clamped silently; ``read_pvalue_table(clamp_zero=)``
     opts in to replacing them in dirty real-world exports.
     ``source_lines`` attaches file line numbers to error messages, which
-    quote the p-values as the records hold them.
+    quote the p-values from the float64 columns.
     """
     if isinstance(records, PValueTable):
         ids, p1, p2 = records.ids, records.p1, records.p2
@@ -237,16 +232,16 @@ def validate_dataset(
                 break
             seen.add(fid)
     if first < len(ids):
-        raise DatasetError(_row_fault(records[first]), lines[first])
+        raise DatasetError(_row_fault(ids[first], p1[first], p2[first]),
+                           lines[first])
 
     if len(ids) > config.m:
         raise DatasetError(f"{len(ids)} features followed up but m={config.m}")
     above = [] if config.t is None else np.flatnonzero(p1 > config.t)
     if len(above):
-        rec = records[above[0]]
-        raise DatasetError(f"feature {rec.id!r} has p1={rec.p1} above the "
-                           f"selection threshold t={config.t}",
-                           lines[above[0]])
+        i = above[0]
+        raise DatasetError(f"feature {ids[i]!r} has p1={p1[i]} above the "
+                           f"selection threshold t={config.t}", lines[i])
     return ValidatedDataset(ids, p1, p2)
 
 
@@ -260,13 +255,12 @@ class PValueTable(_Frozen):
     row's stripped ``cells`` (a list as wide as the header, None for the
     columns a short row lacks) for echoing every column through the CLI,
     the ``ids``, float64 ``p1`` and ``p2``, the delimiter and each row's
-    line in the source. ``table[i]`` is row i as a :class:`FeatureRecord`;
-    ``rows`` (one dict per row) and ``records`` (a list of
-    :class:`FeatureRecord`) are views built on first read."""
+    line in the source. ``records``, a list of one :class:`FeatureRecord`
+    per row, is built from the columns on each read; there is no other row
+    view."""
 
-    __slots__ = ("fieldnames", "cells", "ids", "p1", "p2", "delimiter",
-                 "source_lines", "_rows", "_records")
-    _fields = __slots__[:-2]
+    __slots__ = _fields = ("fieldnames", "cells", "ids", "p1", "p2",
+                           "delimiter", "source_lines")
     __hash__ = None
 
     def __init__(self, fieldnames: list[str], cells: list[list],
@@ -274,27 +268,14 @@ class PValueTable(_Frozen):
                  source_lines: list[int]):
         self._set(fieldnames=fieldnames, cells=cells, ids=ids,
                   p1=_read_only(p1), p2=_read_only(p2), delimiter=delimiter,
-                  source_lines=source_lines, _rows=None, _records=None)
+                  source_lines=source_lines)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i: int) -> FeatureRecord:
-        return FeatureRecord(self.ids[i], float(self.p1[i]),
-                             float(self.p2[i]))
-
-    @property
-    def rows(self) -> list[dict[str, Optional[str]]]:
-        if self._rows is None:
-            self._set(_rows=[dict(zip(self.fieldnames, row))
-                             for row in self.cells])
-        return self._rows
-
     @property
     def records(self) -> list[FeatureRecord]:
-        if self._records is None:
-            self._set(_records=_records(self.ids, self.p1, self.p2))
-        return self._records
+        return _records(self.ids, self.p1, self.p2)
 
 
 def _read_text(source) -> str:

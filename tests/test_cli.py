@@ -145,6 +145,30 @@ def test_absurd_c2_grid_exits_3_with_one_line():
         "points (8e+11)"]
 
 
+def test_c2_grid_over_the_point_cap_exits_3_before_any_draw():
+    # 800 001 points would fit in memory but take minutes to sweep; capped
+    # at 512 MB of address space, as above, should the cap be missing
+    check = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+        from repval import cli
+        sys.argv = ["repval", "simulate", "--pi1", ".8", "--pi2", ".8",
+                    "--seed", "1", "--reps", "1", "--c2-grid",
+                    "0.1:0.9:1e-6"]
+        cli.entry()
+    """)
+    result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
+                            timeout=60, capture_output=True)
+    assert result.returncode == cli.EXIT_FLAGS
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == [
+        "repval simulate: --c2-grid: bad grid '0.1:0.9:1e-6', too many "
+        "points (8e+05)"]
+    assert len(cli._parse_grid("0:1:1e-4")) == cli._MAX_GRID_POINTS == 10_001
+    with pytest.raises(ValueError, match="too many points"):
+        cli._parse_grid("0:1.0001:1e-4")
+
+
 @pytest.mark.parametrize("flag", ["--m", "--reps"])
 def test_scenario_too_large_for_memory_exits_2(flag):
     # in a child capped at 512 MB of address space, so that no run can fill
@@ -491,8 +515,7 @@ def test_rvalues_output_round_trips_quoted_cells(tmp_path):
         assert code == cli.EXIT_OK
         given, echoed = read_pvalue_table(table), read_pvalue_table(out)
         assert echoed.fieldnames == given.fieldnames + ["r_value"]
-        assert [{k: row[k] for k in given.fieldnames} for row in echoed.rows] \
-            == given.rows
+        assert [row[:-1] for row in echoed.cells] == given.cells
 
 
 def test_missing_input_exits_2_with_one_line(tmp_path, capsys):
@@ -635,44 +658,46 @@ def test_main_leaves_the_collector_alone(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
-def test_process_entry_freezes_the_import_time_heap(tmp_path):
+def test_process_entry_runs_with_the_collector_off(tmp_path):
+    # the ``repval`` script imports with the collector on; from entry() to
+    # the exit no collection starts
     out = tmp_path / "out.tsv"
     check = textwrap.dedent(f"""
         import atexit, gc, sys
         import repval.cli
-        print("imported", gc.get_freeze_count())
-        atexit.register(lambda: print("exiting", gc.get_freeze_count()))
+        log = []
+
+        def on_collect(phase, info):
+            if phase == "start" and log:
+                log.append("collect")
+
+        gc.callbacks.append(on_collect)
+        atexit.register(lambda: print(*log, gc.isenabled()))
         sys.argv = ["repval", *{T2D_CALL!r}, "--out", {str(out)!r}]
+        log.append("entry")
         repval.cli.entry()
     """)
     result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
-    counts = dict(line.split() for line in result.stdout.splitlines())
-    assert counts["imported"] == "0" and int(counts["exiting"]) > 0
+    assert result.stdout.split() == ["entry", "False"]
     assert out.read_bytes() == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
 
 
-def test_module_process_collects_nothing_before_the_freeze(tmp_path):
-    # ``python -m repval.cli`` keeps the collector off while it loads:
-    # from its first import (repval.model, which loads numpy) to the
-    # freeze no collection starts, and after it the collector is back on
+def test_module_process_collects_nothing_from_its_first_import(tmp_path):
+    # ``python -m repval.cli`` turns the collector off before its first
+    # import (repval.model, which loads numpy): from there to the exit no
+    # collection starts
     out = tmp_path / "out.tsv"
     check = textwrap.dedent(f"""
         import atexit, gc, runpy, sys
         import repval  # loads no module
         log = []
-        freeze = gc.freeze
-
-        def logged_freeze():
-            log.append("freeze")
-            freeze()
 
         def on_collect(phase, info):
             if phase == "start" and "repval.model" in sys.modules:
                 log.append("collect")
 
-        gc.freeze = logged_freeze
         gc.callbacks.append(on_collect)
         atexit.register(lambda: print(*log, gc.isenabled()))
         sys.argv = ["repval", *{T2D_CALL!r}, "--out", {str(out)!r}]
@@ -681,8 +706,7 @@ def test_module_process_collects_nothing_before_the_freeze(tmp_path):
     result = subprocess.run([sys.executable, "-c", check], env=CHILD_ENV,
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
-    log = result.stdout.split()
-    assert log[0] == "freeze" and log[-1] == "True", log
+    assert result.stdout.split() == ["False"]
     assert out.read_bytes() == (GOLDEN_DIR / "t2d-fdr.tsv").read_bytes()
 
 
@@ -822,7 +846,8 @@ READER_EDGES = [
 
 def _read_table(source, *, clamp_zero):
     table = read_pvalue_table(source, clamp_zero=clamp_zero)
-    return (table.fieldnames, table.rows, table.records, table.delimiter,
+    rows = [dict(zip(table.fieldnames, row)) for row in table.cells]
+    return (table.fieldnames, rows, table.records, table.delimiter,
             table.source_lines)
 
 

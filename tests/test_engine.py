@@ -344,6 +344,36 @@ def test_live_prefix_is_the_values_below_the_count():
     assert np.array_equal(finite, below[below >= all_counts])
 
 
+def test_bracketed_kth_is_the_kth_smallest_level():
+    # a stub procedure whose level is x itself (y = 0): T(r) from the
+    # brackets lo <= A <= hi must be the (r-1)-th entry of the sorted A
+    proc = rvalue._Procedure(1.0, 0.5, lambda x, y=0.0: np.maximum(x, y),
+                             lambda b: b)
+
+    def kth(a, lo, hi, ranks):
+        return rvalue._bracketed_kth(proc, a, np.zeros_like(a), lo, hi,
+                                     ranks)
+
+    # one hi at or below t * (1 + 2^-8) is too few for rank 1: the upper
+    # end must come from the second smallest hi
+    a = np.array([[1.0, 1.3, 1.5]])
+    assert kth(a, np.array([[1.0, 1.2, 1.1]]), np.array([[1.0, 2.0, 2.0]]),
+               np.array([1])).tolist() == [1.3]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rows, width = rng.integers(1, 9), rng.integers(1, 40)
+        # few distinct values, so ties are common
+        a = 1.0 + rng.integers(0, 6, (rows, width)) / 4.0
+        # widths from exact to far wider than 2^-8
+        scale = rng.choice([0.0, 1e-6, 2.0**-9, 2.0**-6, 0.1, 0.9],
+                           (2, rows, width))
+        lo = a * (1.0 - scale[0] * rng.random((rows, width)))
+        hi = a * (1.0 + scale[1] * rng.random((rows, width)))
+        ranks = rng.integers(0, width, rows)
+        want = [np.partition(row, k)[k] for row, k in zip(a, ranks)]
+        assert kth(a, lo, hi, ranks).tolist() == want
+
+
 @pytest.mark.parametrize("method", METHODS[:3])
 def test_blocks_stay_within_budget_on_a_skewed_table(method, monkeypatch):
     # one very strong follow-up p-value makes the first live count's row

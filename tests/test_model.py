@@ -126,7 +126,7 @@ def test_read_tsv_and_csv_with_scientific_notation(tmp_path):
     table = read_pvalue_table(tsv)
     assert table.delimiter == "\t"
     assert table.records[0].p1 == 8.19e-08
-    assert table.rows[0]["extra"] == "keepme"
+    assert table.cells[0][table.fieldnames.index("extra")] == "keepme"
 
     csvfile = tmp_path / "x.csv"
     csvfile.write_text("id,p1,p2\na,0.5,1\n")
