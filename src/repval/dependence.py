@@ -24,13 +24,13 @@ agree bit for bit, as in the independent case:
   the floor is 8.5e-10. The reported r-value is max(r_i, floor), and
   nothing is claimed below the floor.
 
-  The walk is dear, so the r-value engine evaluates G exactly only where
-  a bracket cannot decide. The factor 1 + H_k depends on x only through
-  g = x * c1(x) and does not increase with g, so its exact values at the
-  doubles that keep the top 6 mantissa bits of g bracket G(x) to about
-  1 / (64 * (1 + H_k)) relative. At or below the floor the bracket is
-  exact: G(floor). The table and G(floor) are built with the procedure,
-  once per call.
+  The walk is dear, so the r-value engine, its inverse and the claim
+  levels evaluate G exactly only where a bracket cannot decide, all by
+  the one rule of :func:`repval.rvalue._make_exact`. The factor 1 + H_k
+  depends on x only through g = x * c1(x) and does not increase with g,
+  so its exact values at the doubles that keep the top 6 mantissa bits of
+  g bracket G(x) to about 1 / (64 * (1 + H_k)) relative; at or below the
+  floor the bracket is G(floor), built with the table and the procedure.
 
 Both return r-values as a float64 array in ``dataset.ids`` order, no
 smaller than the baseline's. The threshold variant raises ValueError
@@ -109,28 +109,26 @@ def _regime_factor(g: np.ndarray, t: float, m: int) -> np.ndarray:
     """1 + H_k elementwise, k the consistent regime of c1~ at the plain
     level g = x * c1(x); see :func:`c1_tilde`. 1 in the empty-sum regime."""
     big_c = t * m / g
-    out = np.ones(len(g))
-    idx = np.flatnonzero(big_c > 1.0)
-    c = big_c[idx]
-    # walk k <- g(k); the first step sets k to the start
-    walk = np.maximum(1.0, np.ceil(c) - 1.0)
-    k = np.zeros(len(c))
-    h = np.zeros(len(c))
-    moving = np.arange(len(c))
-    while moving.size:
-        if (walk[moving] > _EXACT_COUNT).any():
+    out = np.ones(g.shape)
+    live = big_c > 1.0
+    c = big_c[live]
+    # walk k <- g(k) until no k rises; a stopped k recomputes its h and walk
+    k = np.maximum(1.0, np.ceil(c) - 1.0)
+    while True:
+        if (k > _EXACT_COUNT).any():
             raise NoConsistentRegime(
                 f"no consistent regime below 2^53 for t={t}, m={m}")
-        k[moving] = walk[moving]
-        h[moving] = _harmonic(k[moving])
-        walk[moving] = np.ceil(c[moving] * (1.0 + h[moving]) - 1.0)
-        moving = moving[walk[moving] > k[moving]]
+        h = _harmonic(k)
+        walk = np.ceil(c * (1.0 + h) - 1.0)
+        if not (walk > k).any():
+            break
+        k = np.maximum(k, walk)
     if (walk != k).any():
         bad = int(np.argmax(walk != k))
         raise NoConsistentRegime(
             f"regime walk skipped zero at k={k[bad]} for x*c1(x)="
-            f"{g[idx[bad]]}, t={t}, m={m}")
-    out[idx] += h
+            f"{g[live][bad]}, t={t}, m={m}")
+    out[live] += h
     return out
 
 
@@ -215,16 +213,12 @@ def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
             "threshold-dependent variant needs config.t (the selection "
             "cutoff on primary p-values)")
     t, m, l00, c2 = config.t, config.m, config.l00, config.c2
-    tm = t * m
     floor = _threshold_floor(t, m, l00, c2)
     g_floor = float(_level(np.array([floor]), l00, c2)[0])
 
     def level(x, y=0.0):
         g = _level(np.maximum(x, floor), l00, c2)
-        # G(x) <= x * c1(x), so the regime matters only where that exceeds y
-        need = g > y
-        g[need] /= _regime_factor(g[need], t, m)
-        return np.maximum(y, g)
+        return np.maximum(y, g / _regime_factor(g, t, m))
 
     first, lower, upper = _factor_table(t, m, g_floor)
     at_floor = level(np.array([floor]))[0]
@@ -248,10 +242,10 @@ def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
         # g = b * F_k in regime k, or at the start of regime k - 1,
         # whichever is smaller.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k = np.maximum(np.ceil(tm / b), 1.0) - 1.0
+            k = np.maximum(np.ceil(t * m / b), 1.0) - 1.0
             f_k = 1.0 + _harmonic(k)
             f_prev = 1.0 + _harmonic(np.maximum(k - 1.0, 0.0))
-            return _inverse_level(np.minimum(b * f_k, tm * f_prev / k),
+            return _inverse_level(np.minimum(b * f_k, t * m * f_prev / k),
                                   l00, c2)
 
     return _Procedure(float(m), c2, level, guess, floor, bounds)

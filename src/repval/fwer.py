@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import AnalysisConfig, ValidatedDataset
-from .rvalue import _fdr_procedure, _invert, _scaled
+from .rvalue import _fdr_procedure, _scaled, _smallest_reaching
 
 __all__ = ["bonferroni_rvalues_all"]
 
@@ -25,4 +25,4 @@ def bonferroni_rvalues_all(dataset: ValidatedDataset,
     """FWER r-values for every followed-up feature."""
     proc = _fdr_procedure(config, float(config.m))
     u, v = _scaled(proc, dataset.p1, dataset.p2, len(dataset))
-    return _invert(proc, proc.level(v, u))
+    return _smallest_reaching(proc, proc.level(v, u))

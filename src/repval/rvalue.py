@@ -32,13 +32,13 @@ entries at count r, and counts with fewer than r finite entries, where
 T(r) is inf, are skipped. b_i is also the minimum over r of
 max(A_i(r), S(r)), S(r) the minimum of T over the counts from r up, as
 A_i(r) falls with r; S rises, so one bisection over counts finds where
-they cross for all features. A procedure whose level is dear to evaluate
-(threshold-dependent selection) also gives cheap brackets of it, and its
-level is evaluated exactly only where a bracket cannot decide T(r) or a
-step of that bisection. G is inverted by a search over doubles that
+they cross for all features. G is inverted by a search over doubles that
 starts from a closed-form guess of the inverse, gallops to a bracket a
 few ulps wide and bisects it; the smallest double reaching b_i is unique,
-so the start does not change it. All functions are pure. r-values come
+so the start does not change it. A level that is dear to evaluate
+(threshold-dependent selection) comes with cheap brackets; one rule,
+:func:`_make_exact`, makes it exact only where a bracket cannot decide a
+comparison with T(r), S(r) or b_i. All functions are pure. r-values come
 back as a float64 array in ``dataset.ids`` order; they are bitwise
 reproducible and do not depend on the order of the records.
 """
@@ -98,7 +98,7 @@ class _Procedure(_Frozen):
     estimate of the smallest x with G(x) >= b, and no claim is made below
     ``floor``, under which G is constant. ``bounds(x, y)``, for a level
     that is dear to evaluate, gives cheap elementwise brackets lo <= level
-    <= hi, equal wherever they are exact."""
+    <= hi, equal where exact; elsewhere only :func:`_make_exact` calls it."""
 
     __slots__ = _fields = ("m_eff", "c2", "level", "guess", "floor", "bounds")
 
@@ -123,28 +123,33 @@ def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray, r1):
     return p1 * proc.m_eff, p2 * r1 / proc.c2
 
 
-def _smallest_reaching(level, a: np.ndarray, floor: float,
-                       guess: np.ndarray) -> np.ndarray:
-    """Elementwise the smallest double x in [floor, 1) with level(x) >= a,
-    and 1 where there is none. The bit patterns of nonnegative doubles
-    order like their values and level is nondecreasing on them, so the
-    answer is one pattern, found by search over patterns. It starts at
-    ``guess`` (any double, clipped into the range), gallops away from it
-    in steps of 1, 2, 4, ... ulps until a probe lands on the other side,
-    then bisects the bracket: a guess within a few ulps costs a few
-    evaluations of level, a useless one about 2 * 62."""
-    below = np.float64(floor).view(np.int64) - 1  # stands for level < a
-    above = np.float64(1.0).view(np.int64)        # stands for level >= a
-    x = np.clip(np.asarray(guess, dtype=float).view(np.int64), below + 1,
-                above - 1)
-    down = level(x.view(np.float64)) >= a
+def _smallest_reaching(proc: _Procedure, a: np.ndarray,
+                       guess: Optional[np.ndarray] = None) -> np.ndarray:
+    """Elementwise the smallest double x in [floor, 1) with G(x) >= a, and
+    1 where there is none: one bit pattern, as the patterns of nonnegative
+    doubles order like their values and G is nondecreasing on them. The
+    search gallops from ``guess`` (any double, clipped into the range;
+    ``proc.guess(a)`` by default) in steps of 1, 2, 4, ... ulps until a
+    probe crosses, then bisects: a guess within a few ulps costs a few
+    probes, a useless one about 2 * 62. A probe is decided by the bracket
+    of G there, made exact only where it holds a: lo < a <= hi."""
+    below = np.float64(proc.floor).view(np.int64) - 1  # stands for G < a
+    above = np.float64(1.0).view(np.int64)             # stands for G >= a
+
+    def reaches(bits, a):
+        return _entries(proc, bits.view(np.float64), np.zeros(len(bits)),
+                        lambda lo, hi: (lo < a) & (a <= hi))[1] >= a
+
+    guess = proc.guess(a) if guess is None else guess
+    x = np.clip(np.asarray(guess, float).view(np.int64), below + 1, above - 1)
+    down = reaches(x, a)
     lo, hi = np.where(down, below, x), np.where(down, x, above)
     todo, step = np.flatnonzero(hi - lo > 1), 1
     while todo.size:
         d, at_lo, at_hi = down[todo], lo[todo], hi[todo]
         probe = np.where(d, np.maximum(at_hi - step, at_lo + 1),
                          np.minimum(at_lo + step, at_hi - 1))
-        hit = level(probe.view(np.float64)) >= a[todo]
+        hit = reaches(probe, a[todo])
         hi[todo], lo[todo] = np.where(hit, probe, at_hi), np.where(hit, at_lo,
                                                                    probe)
         todo = todo[(hit == d) & (hi[todo] - lo[todo] > 1)]
@@ -152,16 +157,11 @@ def _smallest_reaching(level, a: np.ndarray, floor: float,
     todo = np.flatnonzero(hi - lo > 1)
     while todo.size:
         mid = (lo[todo] + hi[todo]) // 2
-        hit = level(mid.view(np.float64)) >= a[todo]
+        hit = reaches(mid, a[todo])
         hi[todo], lo[todo] = (np.where(hit, mid, hi[todo]),
                               np.where(hit, lo[todo], mid))
         todo = todo[hi[todo] - lo[todo] > 1]
     return hi.view(np.float64)
-
-
-def _invert(proc: _Procedure, b: np.ndarray) -> np.ndarray:
-    """r-values from the levels b: the smallest doubles x with G(x) >= b."""
-    return _smallest_reaching(proc.level, b, proc.floor, proc.guess(b))
 
 
 def _live_counts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +202,7 @@ def _bracketed_kth(proc: _Procedure, x: np.ndarray, y: np.ndarray,
     A = level(x, y). T(r) is at least t, the r-th smallest lo, and at most
     any u with at least r of the hi at or below it: t * (1 + 2^-8) in most
     rows, as brackets are narrower, else the r-th smallest hi. Only the
-    entries whose brackets meet [t, u] are evaluated exactly. Every other
+    entries whose brackets meet [t, u] are made exact, in place. Every other
     entry lies strictly below or above that range, so T(r) is the
     (r - below)-th smallest of the exact ones, ``below`` counting the
     entries under it."""
@@ -214,12 +214,21 @@ def _bracketed_kth(proc: _Procedure, x: np.ndarray, y: np.ndarray,
     reach = hi >= t[:, None]
     below = lo.shape[1] - np.count_nonzero(reach, axis=1)
     # flat indices in row-major order, so grouped by row
-    r, c = np.divmod(np.flatnonzero(reach & (lo <= u[:, None])), lo.shape[1])
-    exact, upper = lo[r, c], hi[r, c]
-    open_ = np.flatnonzero(exact < upper)
-    exact[open_] = proc.level(x[r[open_], c[open_]], y[r[open_], c[open_]])
+    at = np.flatnonzero(reach & (lo <= u[:, None]))
+    _make_exact(proc, x, y, lo, hi, at)
+    r, exact = at // lo.shape[1], np.take(lo, at)
     exact = exact[np.lexsort((exact, r))]
     return exact[np.searchsorted(r, np.arange(len(lo))) + ranks - below]
+
+
+def _make_exact(proc: _Procedure, x: np.ndarray, y: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> None:
+    """Sets the open brackets lo < hi of A = level(x, y) at the flat indices
+    ``at`` to A, in place: the one place a bracketed level is evaluated."""
+    at = at[np.take(lo, at) < np.take(hi, at)]
+    exact = proc.level(np.take(x, at), np.take(y, at))
+    np.put(lo, at, exact)
+    np.put(hi, at, exact)
 
 
 def _entries(proc: _Procedure, x: np.ndarray, y: np.ndarray,
@@ -232,8 +241,7 @@ def _entries(proc: _Procedure, x: np.ndarray, y: np.ndarray,
         return a, a
     lo, hi = proc.bounds(x, y)
     if exact_where is not None:
-        at = np.flatnonzero(exact_where(lo, hi) & (lo < hi))
-        lo[at] = hi[at] = proc.level(x[at], y[at])
+        _make_exact(proc, x, y, lo, hi, np.flatnonzero(exact_where(lo, hi)))
     return lo, hi
 
 
@@ -245,8 +253,7 @@ def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
     O(R1^2). With S(R1 + 1) = inf and r* the smallest count where
     S(r*) >= A_i(r*), b_i = min(S(r*), A_i(r* - 1)), A_i(0) = inf: from
     r* up the candidates are S(r) >= S(r*), below r* they are
-    A_i(r) >= A_i(r* - 1). Levels are evaluated exactly only where a
-    bracket cannot decide them against T or S."""
+    A_i(r) >= A_i(r* - 1)."""
     r1 = len(p1)
     u, v = _scaled(proc, p1, p2, r1)
     order = np.argsort(v, kind="stable")
@@ -281,7 +288,7 @@ def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
         low, _ = _entries(proc, v / below, u / below, lambda lo, hi: lo < best)
     np.minimum(best, low, out=best)
     values = np.empty(r1)
-    values[order] = _invert(proc, best)
+    values[order] = _smallest_reaching(proc, best)
     return values
 
 
@@ -297,12 +304,11 @@ def _claim_levels(proc: _Procedure,
                   q: float) -> Optional[tuple[float, float]]:
     """(G(q), q*), q* the largest double where G(q*) <= G(q); None below the
     floor, where every r-value is larger than q. q* is one double below the
-    smallest x reaching the next double above G(q), searched from q."""
+    smallest x reaching the next double above G(q)."""
     if q < proc.floor:
         return None
     g = proc.level(np.array([q]))[0]
-    first = _smallest_reaching(proc.level, np.array([np.nextafter(g, np.inf)]),
-                               proc.floor, np.array([q]))[0]
+    first = _smallest_reaching(proc, np.array([np.nextafter(g, np.inf)]))[0]
     return float(g), float(np.nextafter(first, 0.0))
 
 

@@ -651,11 +651,19 @@ T2D_CALL = ("rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68", "--l00", "0.0",
 
 def test_main_leaves_the_collector_alone(tmp_path):
     # tests, the benchmark's tracer and library callers run main() in a
-    # long-lived process, whose heap is not theirs to freeze
-    frozen = gc.get_freeze_count()
-    out = tmp_path / "out.tsv"
-    assert cli.main([*T2D_CALL, "--out", str(out)]) == cli.EXIT_OK
-    assert gc.get_freeze_count() == frozen
+    # long-lived process, whose heap is not theirs to freeze and whose
+    # collector is not theirs to switch on or off
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            out = tmp_path / "out.tsv"
+            assert cli.main([*T2D_CALL, "--out", str(out)]) == cli.EXIT_OK
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_process_entry_runs_with_the_collector_off(tmp_path):

@@ -10,8 +10,9 @@ from repval import (AnalysisConfig, DatasetError, FeatureRecord,
                     fdr_rvalues_all_threshold_dep, m_star,
                     read_pvalue_table, step_up_set, step_up_set_general_dep,
                     step_up_set_threshold_dep, validate_dataset)
+from repval import dependence
 from repval.dependence import _harmonic
-from repval.rvalue import c1
+from repval.rvalue import _inverse_level, _level, c1
 
 from conftest import dataset_from_arrays, make_random_dataset
 from _oracles import oracle_c1_tilde, oracle_harmonic, oracle_step_up
@@ -79,6 +80,11 @@ def test_c1_tilde_empty_sum_regime():
     x, m, l00, c2 = 0.05, 100, 0.0, 0.5
     t = c1(x, l00, c2) * x / m * 0.5
     assert c1_tilde(x, t, m, l00, c2) == c1(x, l00, c2)
+    # it holds up to C = t*m / (c1(x) x) = 1 itself; just past that the
+    # smallest consistent regime is k = 2
+    t, m = 1e-4, 10**6
+    g = np.array([t * m, t * m * (1.0 - 1e-12)])
+    assert dependence._regime_factor(g, t, m).tolist() == [1.0, 2.5]
 
 
 def test_c1_tilde_never_exceeds_c1():
@@ -314,3 +320,112 @@ def test_item3_beats_item2_only_below_bound():
                      / (1.0 + oracle_harmonic(config.m - 1)))
             assert config.t < bound
     assert observed_beats >= 1  # the comparison is exercised, not vacuous
+
+
+# --- brackets of the threshold-dependent level ------------------------------
+
+# (t, m, l00) with t*m from 1 to 1e5, c2 = 0.5
+BRACKET_DESIGNS = [(1e-6, 10**6, 0.8), (1e-4, 10**5, 0.0), (1e-4, 10**6, 0.8),
+                   (1e-3, 10**6, 0.95), (0.1, 10**6, 0.8)]
+
+
+def _near(x, ulps):
+    """Each positive double of x and the doubles up to ``ulps`` either side
+    of it."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(float)
+
+
+@pytest.mark.parametrize("t, m, l00", BRACKET_DESIGNS)
+def test_threshold_brackets_hold_the_exact_level(t, m, l00):
+    # lo <= level(x, y) <= hi exactly, at the edges of the factor table's
+    # cells, at the floor and at the starts of regimes (each +-1 ulp and
+    # more), at random x, and for y just below, at and just above G(x)
+    config = AnalysisConfig(m=m, l00=l00, c2=0.5, t=t)
+    proc = dependence._threshold_procedure(config)
+    tm, shift = t * m, dependence._CELL_SHIFT
+    g_floor = _level(np.array([proc.floor]), l00, 0.5)[0]
+    first = np.float64(g_floor).view(np.int64) >> shift
+    last = np.float64(tm).view(np.int64) >> shift
+    edges = (np.arange(first, last + 2) << shift).view(float)
+    # regime k starts at the plain level t*m*(1 + H_k)/(k + 1)
+    k = np.unique(np.concatenate([np.arange(1.0, 2000.0), np.floor(
+        np.geomspace(2000.0, 2.0**52, 400))]))
+    starts = tm * (1.0 + _harmonic(k)) / (k + 1.0)
+    x = np.concatenate([
+        _near(_inverse_level(edges, l00, 0.5), 3),
+        _near(np.array([proc.floor]), 1),
+        _near(_inverse_level(starts[starts >= g_floor], l00, 0.5), 3),
+        10.0 ** np.random.default_rng(29).uniform(
+            np.log10(proc.floor) - 2.0, 0.0, 2000)])
+    x = x[(x > 0.0) & (x < 1.0)]
+    exact = proc.level(x)
+    for y in (0.0, np.nextafter(exact, 0.0), exact, np.nextafter(exact, 2.0),
+              exact * (1.0 - 2.0**-7), exact * (1.0 + 2.0**-7)):
+        y = np.broadcast_to(y, x.shape).copy()
+        lo, hi = proc.bounds(x, y)
+        level = proc.level(x, y)
+        assert (lo <= level).all() and (level <= hi).all()
+        at_floor = x <= proc.floor
+        assert at_floor.any() and (lo[at_floor] == hi[at_floor]).all()
+
+
+def _mp_regime(mp, c):
+    """The smallest consistent regime k at C = t*m / g, by integer search
+    in mpmath: 0 for C <= 1, else the smallest k with C * (1 + H_k) - k
+    <= 1. That excess rises up to k = floor(C), where it exceeds 1, and
+    falls after, so the search gallops and bisects from there."""
+    if c <= 1:
+        return 0
+
+    def reached(k):
+        return c * (1 + mp.harmonic(k)) - k <= 1
+
+    lo = int(mp.floor(c))
+    step = 1
+    while not reached(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("t, m, l00", BRACKET_DESIGNS)
+def test_regime_factor_is_the_mpmath_regime(t, m, l00):
+    # 1 + H_k for the k an exact integer search finds, at plain levels from
+    # 4 t*m down to 1e-6 t*m or the floor's, some of them 1e-8 relative
+    # from the start of a regime; points within 1e-9 relative of a start
+    # are skipped. Starts lie about 1/k apart relative, so below
+    # C = t*m / g = 1e6 (k < 2e7) few points are skipped
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    floor = dependence._threshold_floor(t, m, l00, 0.5)
+    low = max(_level(np.array([floor]), l00, 0.5)[0], 1e-6 * t * m)
+    k = np.floor(np.geomspace(1.0, 1e6, 20))
+    starts = t * m * (1.0 + _harmonic(k)) / (k + 1.0)
+    g = np.concatenate([
+        10.0 ** rng.uniform(np.log10(low), np.log10(4.0 * t * m), 100),
+        starts * (1.0 - 1e-8), starts * (1.0 + 1e-8)])
+    g = g[g >= low]
+    factor = dependence._regime_factor(g, t, m)
+    checked = 0
+    with mp.workdps(40):
+        for gi, fi in zip(g.tolist(), factor.tolist()):
+            c = mp.mpf(t) * m / mp.mpf(gi)
+            k = _mp_regime(mp, c)
+            f_k = 1 + mp.harmonic(k)
+            # the smallest consistent k is k from the start of regime k,
+            # where C * F_k passes k + 1, to that of k - 1, where
+            # C * F_(k-1) passes k
+            edges = [abs(c * f_k / (k + 1) - 1)]
+            if k:
+                edges.append(abs(c * (f_k - mp.mpf(1) / k) / k - 1))
+            if min(edges) < 1e-9:
+                continue
+            checked += 1
+            with np.errstate(divide="ignore", invalid="ignore"):  # H_0 = 0
+                assert fi == 1.0 + _harmonic(np.array([float(k)]))[0]
+            assert abs(fi - f_k) <= 1e-13 * f_k
+    assert checked >= 0.9 * len(g)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import dependence, rvalue, selection, simulate
+from repval import dependence, fwer, rvalue, selection, simulate
 from repval import (AnalysisConfig, bonferroni_rvalues_all, c1_tilde,
                     fdr_rvalues_all, fdr_rvalues_all_general_dep,
                     fdr_rvalues_all_threshold_dep, m_star, step_up_set,
@@ -464,8 +464,15 @@ def test_guess_started_search_matches_full_range(method, l00):
     assert (ref[b <= g_floor] == proc.floor).all()
     for guess in (proc.guess(b), np.full(len(b), np.nan), np.zeros(len(b)),
                   np.full(len(b), np.inf), np.full(len(b), -1.0), b):
-        got = rvalue._smallest_reaching(proc.level, b, proc.floor, guess)
+        got = rvalue._smallest_reaching(proc, b, guess)
         assert np.array_equal(got, ref)
+    if proc.bounds is not None:
+        # started where the upper end of the level's bracket is the target
+        # itself, the first probe must be evaluated exactly
+        x = 10.0 ** rng.uniform(np.log10(proc.floor), 0.0, 400)
+        _, hi = proc.bounds(x, np.zeros(len(x)))
+        ref = oracle_smallest_reaching(proc.level, hi, proc.floor)
+        assert np.array_equal(rvalue._smallest_reaching(proc, hi, x), ref)
 
 
 def _seeded_table(r1=1000, t=1e-4):
@@ -481,20 +488,26 @@ def _seeded_table(r1=1000, t=1e-4):
 @pytest.mark.parametrize("method", METHODS)
 def test_inverse_takes_few_level_evaluations(method, monkeypatch):
     # the closed-form guess lands within a few ulps; a search over the
-    # whole range took 62 evaluations
+    # whole range took 62 probes. A probe evaluates the procedure's
+    # brackets once, or its level where it has none
     ds, config = _seeded_table()
     calls = []
     search = rvalue._smallest_reaching
 
-    def counted(level, a, floor, guess):
-        return search(lambda x: calls.append(x) or level(x), a, floor, guess)
+    def counted(proc, a, guess=None):
+        name = "level" if proc.bounds is None else "bounds"
+        probe = getattr(proc, name)
+        counting = proc._replace(
+            **{name: lambda *args: calls.append(args) or probe(*args)})
+        return search(counting, a, guess)
 
     monkeypatch.setattr(rvalue, "_smallest_reaching", counted)
+    monkeypatch.setattr(fwer, "_smallest_reaching", counted)
     ENGINE[method](ds, config)
     assert 1 <= len(calls) <= 12
 
 
-def _wide_table(r1, low, t=1e-4):
+def _wide_table(r1, low, t=1e-4, m=10**7):
     """p1 and 35% of p2 log-uniform from 10^low up to t, the rest of p2
     uniform. At low = -300 many entries sit at or below the threshold-dep
     floor, where every level is G(floor)."""
@@ -503,7 +516,25 @@ def _wide_table(r1, low, t=1e-4):
     p2 = np.where(rng.random(r1) < 0.35,
                   10.0 ** rng.uniform(low, np.log10(t), r1),
                   1.0 - rng.random(r1))
-    return dataset_from_arrays(p1, p2, m=10**7, l00=0.8, t=t)
+    return dataset_from_arrays(p1, p2, m=m, l00=0.8, t=t)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_invariants_hold_at_the_north_star_scale(method):
+    # R1 = 1e4 and m = 1e8, with p-values down to 1e-300: each of 40
+    # sampled features is claimed at q = r_i and not one double below, and
+    # the records in another order give the same r-values bit for bit
+    ds, config = _wide_table(10**4, -300, m=10**8)
+    values = ENGINE[method](ds, config)
+    rng = np.random.default_rng(19)
+    order = rng.permutation(len(ds))
+    permuted = ENGINE[method](ds.subset(order), config)
+    assert permuted.tobytes() == values[order].tobytes()
+    for i in rng.choice(np.flatnonzero(values < 1.0), 40, replace=False):
+        r = float(values[i])
+        assert ds.ids[i] in _claimed_by_rule(method, ds, config, r)
+        assert ds.ids[i] not in _claimed_by_rule(
+            method, ds, config, float(np.nextafter(r, 0.0)))
 
 
 def _walked(monkeypatch, ds, config):
