@@ -35,14 +35,14 @@ A call loads only the modules it runs. ``import repval.cli`` loads
 :mod:`repval.model` and this module. ``rvalues --method fdr`` adds
 ``rvalue``; the two dependence methods add ``dependence``,
 ``fwer-bonferroni`` adds ``fwer``, ``--refine-q`` adds ``selection``, and
-``--meta`` adds ``baselines``, ``normal`` and ``selection``. No
-``rvalues`` call imports :mod:`dataclasses`, whose class factory costs
-about 1 ms a class: the package's value classes are plain classes.
-``simulate`` adds :mod:`repval.simulate` and what it imports,
-``dataclasses`` among them, never ``dependence`` or ``fwer``. The names
-this module uses from those modules resolve on first use (:pep:`562`),
-through the package's own table of where each public name lives; the one
-name here that the package does not export, ``sweep_c2``, comes from
+``--meta`` adds ``baselines``, ``normal`` and ``selection``. ``simulate``
+adds :mod:`repval.simulate` and what it imports, never ``dependence`` or
+``fwer``. No call imports :mod:`dataclasses`, whose class factory costs
+about 1 ms a class: every value class of the package is a plain
+``__slots__`` class (:class:`repval.model._Frozen`). The names this
+module uses from those modules resolve on first use (:pep:`562`), through
+the package's own table of where each public name lives; the one name
+here that the package does not export, ``sweep_c2``, comes from
 :mod:`repval.simulate`.
 """
 
@@ -302,8 +302,6 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     from . import simulate  # only simulate needs the harness
     try:
         # inline flags override the file's keys before any value is checked
@@ -338,7 +336,7 @@ def cmd_simulate(args) -> int:
             return EXIT_DATA
         out.write(simulate.METRICS_CSV_HEADER + "\n")
         for c2v, metrics in rows:
-            out.write(simulate.metrics_csv_row(replace(scenario, c2=c2v),
+            out.write(simulate.metrics_csv_row(scenario._replace(c2=c2v),
                                                metrics) + "\n")
     return EXIT_OK
 

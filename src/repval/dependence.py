@@ -74,19 +74,16 @@ _PREFIX = np.concatenate(
     [[0.0], np.cumsum(1.0 / np.arange(1, _EXACT_TABLE_SIZE + 1))])
 
 
-def _harmonic_tail(n):
-    """Asymptotic expansion of H_n for a float or float array n; relative
-    error < 1e-14 past the exact table."""
-    return (np.log(n) + _EULER_GAMMA + 1.0 / (2.0 * n)
-            - 1.0 / (12.0 * n * n) + 1.0 / (120.0 * n**4))
-
-
 def _harmonic(k: np.ndarray) -> np.ndarray:
     """H_k = sum_{i=1}^{k} 1/i elementwise for an array of integral doubles
-    k >= 0: exact table lookup up to 1024, asymptotic expansion above."""
-    out = _harmonic_tail(k)
+    k >= 0: exact table lookup up to 1024, and only above it the asymptotic
+    expansion, with relative error < 1e-14."""
+    out = np.empty(k.shape)
     small = k <= _EXACT_TABLE_SIZE
     out[small] = _PREFIX[k[small].astype(np.int64)]
+    n = k[~small]
+    out[~small] = (np.log(n) + _EULER_GAMMA + 1.0 / (2.0 * n)
+                   - 1.0 / (12.0 * n * n) + 1.0 / (120.0 * n**4))
     return out
 
 
@@ -241,6 +238,8 @@ def _threshold_procedure(config: AnalysisConfig) -> _Procedure:
         # G = t*m/k. With k = ceil(t*m/b) - 1, b is first reached at
         # g = b * F_k in regime k, or at the start of regime k - 1,
         # whichever is smaller.
+        # k = 0 (b >= t*m) divides by 0; a tiny b overflows t*m/b or the
+        # expansion of H_k, and k = inf makes inf/inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             k = np.maximum(np.ceil(t * m / b), 1.0) - 1.0
             f_k = 1.0 + _harmonic(k)

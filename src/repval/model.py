@@ -55,12 +55,13 @@ def _check_unit(name: str, value: float) -> None:
 
 
 class _Frozen:
-    """Base of the package's value classes. The constructor sets the fields
-    named in ``_fields``, and nothing can be set or deleted after it. Two
-    values are equal when they are of one class with equal fields, arrays
-    compared element by element, and are shown by their fields.
-    ``_replace(**changes)`` copies through the constructor, so a copy is
-    checked as the original was."""
+    """Base of every value class of the package. The constructor sets the
+    fields named in ``_fields``, and nothing can be set or deleted after
+    it. Two values are equal when they are of one class with equal fields,
+    arrays compared element by element, and are shown by their fields.
+    ``_replace(**changes)``, :mod:`pickle` and :mod:`copy` (shallow or
+    deep) rebuild a value through its constructor from its fields, so
+    every copy is checked as the original was."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -75,6 +76,9 @@ class _Frozen:
     def _replace(self, **changes):
         return type(self)(**{**dict(zip(self._fields, self._values())),
                              **changes})
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -119,7 +123,7 @@ class AnalysisConfig(_Frozen):
              most t (checked by :func:`validate_dataset`)
 
     Every value is checked on construction, and so on every copy made by
-    ``_replace``.
+    ``_replace``, :mod:`pickle` or :mod:`copy`.
     """
 
     __slots__ = _fields = ("m", "l00", "c2", "t")

@@ -58,13 +58,12 @@ array: 24 bytes per repetition, point and procedure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
 from .baselines import _max_p_bh_mask
-from .model import AnalysisConfig, _check_unit, _read_text
+from .model import AnalysisConfig, _check_unit, _Frozen, _read_text
 from .normal import normal_quantile, normal_sf
 from .rvalue import _claim_levels, _fdr_procedure, _need_counts, c1
 from .selection import _bh_mask, _step_up_mask
@@ -80,52 +79,49 @@ __all__ = [
 _POWER_CALIBRATION_ALPHA = 0.05  # Bonferroni level defining pi1/pi2
 
 
-@dataclass(frozen=True)
-class SimulationScenario:
-    """Generative model plus analysis parameters for one simulation cell."""
+class SimulationScenario(_Frozen):
+    """Generative model plus analysis parameters for one simulation cell;
+    ``rho`` is the equicorrelation within primary-study blocks of
+    ``block_size`` features. Every value is checked on construction, and so
+    on every copy (``_replace``, :mod:`pickle`, :mod:`copy`). The
+    constructor's annotations give :data:`SCENARIO_FIELDS`."""
 
-    pi1: float
-    pi2: float
-    seed: int
-    m: int = 1000
-    f00: float = 0.9
-    f01: float = 0.025
-    f10: float = 0.025
-    f11: float = 0.05
-    l00: float = 0.8
-    c2: float = 0.5
-    q: float = 0.05
-    reps: int = 10000
-    rho: float = 0.0       # equicorrelation within primary-study blocks
-    block_size: int = 1
-    scenario_id: str = ""
+    __slots__ = _fields = ("pi1", "pi2", "seed", "m", "f00", "f01", "f10",
+                           "f11", "l00", "c2", "q", "reps", "rho",
+                           "block_size", "scenario_id")
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+    def __init__(self, pi1: float, pi2: float, seed: int, m: int = 1000,
+                 f00: float = 0.9, f01: float = 0.025, f10: float = 0.025,
+                 f11: float = 0.05, l00: float = 0.8, c2: float = 0.5,
+                 q: float = 0.05, reps: int = 10000, rho: float = 0.0,
+                 block_size: int = 1, scenario_id: str = ""):
+        self._set(pi1=pi1, pi2=pi2, seed=seed, m=m, f00=f00, f01=f01,
+                  f10=f10, f11=f11, l00=l00, c2=c2, q=q, reps=reps, rho=rho,
+                  block_size=block_size, scenario_id=scenario_id)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
         self.analysis_config  # checks m, l00 and c2
         for name in ("f00", "f01", "f10", "f11"):
             frac = getattr(self, name)
             if not 0.0 <= frac <= 1.0:  # NaN too, before round() sees it
                 raise ValueError(f"{name} must lie in [0, 1], got {frac!r}")
-            count = frac * self.m
+            count = frac * m
             if abs(count - round(count)) > 1e-9:
                 raise ValueError(f"{name} * m = {count} is not an integer")
-        total = self.f00 + self.f01 + self.f10 + self.f11
+        total = f00 + f01 + f10 + f11
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"fractions sum to {total!r}, not 1")
         for name in ("pi1", "pi2", "q"):
             _check_unit(name, getattr(self, name))
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps!r}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho!r}")
-        if self.block_size < 1:
-            raise ValueError(
-                f"block_size must be >= 1, got {self.block_size!r}")
+        if reps < 1:
+            raise ValueError(f"reps must be >= 1, got {reps!r}")
+        if not 0.0 <= rho < 1.0:
+            raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size!r}")
         # the id is written unquoted as the first metrics CSV cell
-        if any(ch in self.scenario_id for ch in ',"\r\n'):
-            raise ValueError(f"scenario_id {self.scenario_id!r} contains a "
+        if any(ch in scenario_id for ch in ',"\r\n'):
+            raise ValueError(f"scenario_id {scenario_id!r} contains a "
                              "comma, quote or line break")
 
     @property
@@ -138,21 +134,22 @@ class SimulationScenario:
         return AnalysisConfig(m=self.m, l00=self.l00, c2=self.c2)
 
 
-@dataclass(frozen=True)
-class SimulationMetrics:
-    """Aggregated estimates; SE = sample SD / sqrt(reps)."""
+class SimulationMetrics(_Frozen):
+    """Aggregated estimates (all required); SE = sample SD / sqrt(reps)."""
 
-    reps: int
-    fdr_hat: float
-    se_fdr: float
-    avg_power: float
-    se_power: float
-    p_at_least_one: float
-    se_palo: float
-    fwer_hat: float
-    se_fwer: float
-    mean_claims: float
-    mean_r1: float
+    __slots__ = _fields = ("reps", "fdr_hat", "se_fdr", "avg_power",
+                           "se_power", "p_at_least_one", "se_palo",
+                           "fwer_hat", "se_fwer", "mean_claims", "mean_r1")
+
+    def __init__(self, reps: int, fdr_hat: float, se_fdr: float,
+                 avg_power: float, se_power: float, p_at_least_one: float,
+                 se_palo: float, fwer_hat: float, se_fwer: float,
+                 mean_claims: float, mean_r1: float):
+        self._set(reps=reps, fdr_hat=fdr_hat, se_fdr=se_fdr,
+                  avg_power=avg_power, se_power=se_power,
+                  p_at_least_one=p_at_least_one, se_palo=se_palo,
+                  fwer_hat=fwer_hat, se_fwer=se_fwer,
+                  mean_claims=mean_claims, mean_r1=mean_r1)
 
 
 def _rep_generator(seed: int, rep_index: int) -> np.random.Generator:
@@ -398,9 +395,9 @@ def compare_baseline(scenario: SimulationScenario) -> dict[str, SimulationMetric
 
 # --- scenario files and metrics CSV ----------------------------------------
 
-# field name -> type, in declaration order: the keys of scenario files and
-# the inline flags of ``repval simulate``
-SCENARIO_FIELDS = get_type_hints(SimulationScenario)
+# field name -> type, in the constructor's order: the keys of scenario
+# files and the inline flags of ``repval simulate``
+SCENARIO_FIELDS = get_type_hints(SimulationScenario.__init__)
 
 
 def scenario_from_mapping(mapping: dict) -> SimulationScenario:
@@ -448,8 +445,7 @@ def _scenario_keys(source) -> dict[str, str]:
 # metrics CSV columns after scenario_id: scenario fields, written %.6g,
 # then every SimulationMetrics field after reps, in order, written %.6f
 _SCENARIO_COLUMNS = ("c2", "l00", "pi1", "pi2")
-_METRIC_COLUMNS = tuple(field.name for field in fields(SimulationMetrics)
-                        if field.name != "reps")
+_METRIC_COLUMNS = SimulationMetrics._fields[1:]
 METRICS_CSV_HEADER = ",".join(("scenario_id", *_SCENARIO_COLUMNS,
                                *_METRIC_COLUMNS))
 

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -33,6 +34,30 @@ TPP_PRINTED = ("0.00012", "0.00059", "0.00058", "0.00360")
 TPP_M = 486782
 
 REFINED_IGA_SIGNIFICANT = (0.005, 0.008, 0.005, 0.008, 0.005, 0.041, 0.017)
+
+# Seconds a test call may run before it fails, so that a search loop that
+# spins fails its test instead of hanging the run; the slowest test takes a
+# few seconds
+TIME_LIMIT_S = 60.0
+
+
+class TimeLimitExceeded(BaseException):
+    """A test call ran past TIME_LIMIT_S. Not an Exception, so neither the
+    test nor Hypothesis takes it for a failing example to retry."""
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -582,8 +582,9 @@ ENGINE_MODULES = {"repval.rvalue"}
 CLAIM_MODULES = ENGINE_MODULES | {"repval.selection"}
 
 
-# "dataclasses" is listed when loaded: only the simulation harness defines
-# a class with it (numpy imports inspect, so that is not checked)
+# "dataclasses" is listed when loaded, and no call may load it: every
+# value class of the package is a plain class (numpy imports inspect, so
+# that is not checked)
 @pytest.mark.parametrize("argv, loaded", [
     (None, {"repval"}),
     ((), CLI_MODULES),
@@ -598,8 +599,7 @@ CLAIM_MODULES = ENGINE_MODULES | {"repval.selection"}
     ((*IGA_CALL, "--meta", "fisher"),
      CLI_MODULES | CLAIM_MODULES | {"repval.baselines", "repval.normal"}),
     (SIM_DESIGN, CLI_MODULES | CLAIM_MODULES | {
-        "repval.baselines", "repval.normal", "repval.simulate",
-        "dataclasses"}),
+        "repval.baselines", "repval.normal", "repval.simulate"}),
 ], ids=["import-repval", "import-cli", "fdr", "general-dep", "threshold-dep",
         "bonferroni", "refine", "meta-fisher", "simulate"])
 def test_each_call_loads_only_what_it_runs(argv, loaded, tmp_path):

@@ -44,6 +44,18 @@ def test_harmonic_against_direct_summation():
         assert h == pytest.approx(oracle_harmonic(n), rel=1e-12)
 
 
+def test_harmonic_at_the_table_edges_raises_no_warning():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    k = np.array([0.0, 1.0, 1024.0, 1025.0])
+    with np.errstate(all="raise"):
+        h = _harmonic(k)
+    assert h[:3].tolist() == dependence._PREFIX[[0, 1, 1024]].tolist()
+    assert h[:2].tolist() == [0.0, 1.0]
+    for n, got in zip(k.tolist(), h.tolist()):
+        assert got == pytest.approx(float(mp.harmonic(int(n))), rel=1e-14)
+
+
 def test_m_star_matches_direct_summation_at_scan_sizes():
     # the asymptotic expansion replaces direct summation from m = 1025 on
     for m in (1025, 68 * 7919, 444882, 10**6):

@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from repval import (AnalysisConfig, DatasetError, FeatureRecord,
                     read_pvalue_table, validate_dataset)
 from repval.cli import main
+from repval.simulate import (SimulationMetrics, SimulationScenario,
+                             estimate)
 
 from _oracles import oracle_validate_dataset
 from conftest import IGA_M
@@ -73,7 +77,7 @@ def test_validation_is_idempotent():
 def test_validated_dataset_is_immutable():
     config = AnalysisConfig(m=10)
     ds = validate_dataset(_records([(0.1, 0.2)]), config)
-    # AttributeError is the base of dataclasses.FrozenInstanceError
+    # a field of a value class cannot be set: AttributeError
     with pytest.raises(AttributeError):
         ds.records = ()
     with pytest.raises(AttributeError):
@@ -102,6 +106,48 @@ def test_a_copied_config_is_checked_too():
         config._replace(m=0)
     with pytest.raises(AttributeError):
         config.l00 = 1.0
+
+
+def _values():
+    """One value of each value class whose fields all pickle (not
+    ``rvalue._Procedure``, whose fields are closures)."""
+    table = read_pvalue_table(io.StringIO("id,p1,p2,note\na,0.01,0.2,x\n"
+                                          "b,0.02,0.3\n"))
+    scenario = SimulationScenario(pi1=0.8, pi2=0.8, seed=3, reps=4,
+                                  scenario_id="cell")
+    return {
+        "config": AnalysisConfig(m=10, l00=0.5, c2=0.25, t=0.5),
+        "record": FeatureRecord("f0", 0.1, 0.2),
+        "dataset": validate_dataset(table, AnalysisConfig(m=10)),
+        "table": table,
+        "scenario": scenario,
+        "metrics": estimate(scenario),
+    }
+
+
+@pytest.mark.parametrize("name", list(_values()))
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_every_value_class_pickles_and_copies(name, how):
+    value = _values()[name]
+    copied = {"pickle": lambda v: pickle.loads(pickle.dumps(v)),
+              "copy": copy.copy, "deepcopy": copy.deepcopy}[how](value)
+    assert type(copied) is type(value)
+    assert copied == value
+    assert repr(copied) == repr(value)
+    # rebuilt through the constructor: the columns are read-only again
+    for column in ("p1", "p2"):
+        if isinstance(getattr(value, column, None), np.ndarray):
+            assert not getattr(copied, column).flags.writeable
+
+
+def test_a_copy_that_breaks_a_check_raises_the_constructors_error():
+    scenario = _values()["scenario"]
+    with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+        scenario._replace(reps=0)
+    with pytest.raises(ValueError, match="scenario_id"):
+        scenario._replace(scenario_id="a,b")
+    with pytest.raises(AttributeError):
+        scenario.reps = 0
 
 
 def test_config_bounds():

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +137,7 @@ def test_sweep_matches_pointwise_estimate():
     sc = _scenario(reps=25)
     rows = sweep_c2(sc, [0.3, 0.5])
     assert len(rows) == 2
-    assert rows[1][1] == estimate(replace(sc, c2=0.5))
+    assert rows[1][1] == estimate(sc._replace(c2=0.5))
     assert sweep_c2(sc, []) == []
 
 
@@ -166,7 +165,7 @@ def test_both_procedures_gain_from_l00():
                               f01=0.001, f10=0.001, f11=0.002, reps=400)
     claims = {"step-up": [], "max-p-bh": []}
     for l00 in (0.0, 0.8, 0.9):
-        result = compare_baseline(replace(base, l00=l00))
+        result = compare_baseline(base._replace(l00=l00))
         for key in claims:
             claims[key].append(result[key].mean_claims)
     for key, series in claims.items():
@@ -190,6 +189,27 @@ def test_scenario_mapping_errors():
     whole = scenario_from_mapping({"pi1": 0.8, "pi2": 0.8, "seed": 1,
                                    "m": 1000.0})
     assert whole.m == 1000 and type(whole.m) is int
+
+
+def test_a_count_at_the_whole_number_tolerance_is_accepted():
+    # f00 * m is the tolerance, 1e-9, exactly; f11 * m lies a little less
+    # than 1e-9 below 1
+    sc = SimulationScenario(pi1=0.8, pi2=0.8, seed=1, m=1, f00=1e-9,
+                            f01=0.0, f10=0.0, f11=1.0 - 1e-9)
+    assert sc.counts == (0, 0, 0, 1)
+    with pytest.raises(ValueError, match=r"f00 \* m = 1\.1e-09"):
+        sc._replace(f00=1.1e-9, f11=1.0 - 1.1e-9)
+
+
+def test_metrics_need_every_field_and_no_other():
+    fields = estimate(_scenario(reps=3))._fields
+    values = dict.fromkeys(fields, 0.0)
+    assert SimulationMetrics(**values)._fields == fields
+    with pytest.raises(TypeError, match="mean_r1"):
+        SimulationMetrics(**{k: v for k, v in values.items()
+                             if k != "mean_r1"})
+    with pytest.raises(TypeError, match="bogus"):
+        SimulationMetrics(**values, bogus=1.0)
 
 
 def test_metrics_csv_layout():
@@ -274,7 +294,7 @@ def test_compare_baseline_equals_rep_by_rep(case):
 def test_sweep_equals_rep_by_rep(procedure):
     sc = BLOCK_CASES["paper"]
     for c2v, metrics in sweep_c2(sc, [0.2, 0.6], procedure):
-        assert metrics == _rep_by_rep(replace(sc, c2=c2v), procedure)
+        assert metrics == _rep_by_rep(sc._replace(c2=c2v), procedure)
 
 
 def test_outcomes_of_a_range_that_starts_mid_block():
@@ -303,7 +323,7 @@ def test_sweep_equals_pointwise_estimate_across_passes(case, procedure):
     rows = sweep_c2(sc, iter(GRID9), procedure)
     assert [c2v for c2v, _ in rows] == GRID9
     for c2v, metrics in rows:
-        assert metrics == estimate(replace(sc, c2=c2v), procedure)
+        assert metrics == estimate(sc._replace(c2=c2v), procedure)
 
 
 def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
@@ -335,7 +355,7 @@ def test_every_point_of_a_sweep_shares_one_design(monkeypatch):
 def test_block_size_never_changes_results(monkeypatch):
     # against one repetition per block; 40 repetitions at m = 1000 make
     # 3 blocks at the default size
-    for sc in (BLOCK_CASES["rho"], replace(BLOCK_CASES["paper"], reps=40)):
+    for sc in (BLOCK_CASES["rho"], BLOCK_CASES["paper"]._replace(reps=40)):
         monkeypatch.setattr(simulate, "_BLOCK", 1)
         expected = (compare_baseline(sc), estimate(sc, "step-up"),
                     estimate(sc, "bonferroni"))

@@ -16,11 +16,14 @@ change any output.
 Usage:
     python tools/mutate.py WORKDIR MODULE FUNC[,FUNC...] TEST [TEST ...]
 
-MODULE is a module of ``src/repval`` (``rvalue``), TEST a pytest path
-relative to the repository root (``tests/test_engine.py``). Example:
+MODULE is a module of ``src/repval`` (``rvalue``), FUNC a top-level
+function (``_entries``) or a method of a top-level class
+(``SimulationScenario.__init__``), TEST a pytest path relative to the
+repository root (``tests/test_engine.py``). Examples:
 
     python tools/mutate.py /tmp/mut rvalue _entries,_bracketed_kth \\
         tests/test_engine.py
+    python tools/mutate.py /tmp/mut model _Frozen.__eq__ tests/test_model.py
 """
 
 from __future__ import annotations
@@ -45,20 +48,33 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Mult: "*", ast.Div: "/"}
 
 
-def sites(tree: ast.Module, names: set[str]):
-    """(node, slot) for each swappable operator inside the named top-level
-    functions: slot is an index into a Compare's ops, or None for the op of
-    a BinOp or AugAssign."""
-    found = []
+def functions(tree: ast.Module, names: set[str]) -> dict[str, ast.AST]:
+    """The named functions of a module by name: ``func`` for a top-level
+    function, ``Class.method`` for a method of a top-level class."""
+    found = {}
     for top in tree.body:
-        if isinstance(top, ast.FunctionDef) and top.name in names:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Compare):
-                    found += [(node, i) for i, op in enumerate(node.ops)
-                              if type(op) in SWAPS]
-                elif (isinstance(node, (ast.BinOp, ast.AugAssign))
-                      and type(node.op) in SWAPS):
-                    found.append((node, None))
+        if isinstance(top, ast.FunctionDef):
+            found[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            found.update((f"{top.name}.{node.name}", node)
+                         for node in top.body
+                         if isinstance(node, ast.FunctionDef))
+    return {name: node for name, node in found.items() if name in names}
+
+
+def sites(tree: ast.Module, names: set[str]):
+    """(node, slot) for each swappable operator inside the named functions:
+    slot is an index into a Compare's ops, or None for the op of a BinOp or
+    AugAssign."""
+    found = []
+    for function in functions(tree, names).values():
+        for node in ast.walk(function):
+            if isinstance(node, ast.Compare):
+                found += [(node, i) for i, op in enumerate(node.ops)
+                          if type(op) in SWAPS]
+            elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and type(node.op) in SWAPS):
+                found.append((node, None))
     return found
 
 
@@ -126,6 +142,9 @@ def main(argv=None) -> int:
     copy(ROOT, base)
     path = Path("src", "repval", f"{args.module}.py")
     source = (base / path).read_text()
+    missing = names - functions(ast.parse(source), names).keys()
+    if missing:
+        parser.error(f"no function {', '.join(sorted(missing))} in {path}")
     count = len(sites(ast.parse(source), names))
     if not count:
         parser.error(f"no operator sites in {sorted(names)}")
