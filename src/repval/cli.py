@@ -15,21 +15,22 @@ Two subcommands:
 Exit codes: 0 success, 1 output that cannot be written (one line on stderr,
 say on a full disk; none when the reader closed the pipe), 2 invalid input
 data or scenario, 3 bad flags, including an ``--out`` path that cannot be
-opened for writing.
-Output is byte-stable across runs: r-values print as fixed %.4f, input
-columns are echoed verbatim, and simulation metrics use fixed formats.
+opened for writing. Each message on stderr is one line, ``PROG: MESSAGE``,
+PROG being ``repval`` or ``repval SUBCOMMAND`` (:func:`_report`). Output
+is byte-stable across runs: r-values print as fixed %.4f, input columns
+are echoed verbatim, and simulation metrics use fixed formats.
 
 A CLI process (:func:`entry`: ``python -m repval.cli`` and the ``repval``
 script) runs with the garbage collector off until it exits, from before
 this module's first import under ``python -m``: a call leaves a constant
 ~140 cyclic objects (~240 for ``simulate``) whatever the table size, so a
 pass has nothing to free. A plain ``import repval.cli`` leaves the
-collector as it is. Once its output is written
-and its exit handlers have run, the process ends with :func:`os._exit`: a
-normal exit would then free the whole heap object by object, which takes
-~6 ms a call and leaves nothing behind that the process has not already
-closed. :func:`main` leaves the collector and the interpreter's exit as
-they are, for callers in a long-lived process.
+collector as it is. Once its output is written and its exit handlers have
+run, the process ends with :func:`os._exit`: a normal exit would then free
+the whole heap object by object, which takes ~6 ms a call and leaves
+nothing behind that the process has not already closed. :func:`main`
+leaves the collector and the interpreter's exit as they are, for callers
+in a long-lived process.
 
 A call loads only the modules it runs. ``import repval.cli`` loads
 :mod:`repval.model` and this module. ``rvalues --method fdr`` adds
@@ -43,7 +44,7 @@ about 1 ms a class: every value class of the package is a plain
 module uses from those modules resolve on first use (:pep:`562`), through
 the package's own table of where each public name lives; the one name
 here that the package does not export, ``sweep_c2``, comes from
-:mod:`repval.simulate`.
+:mod:`repval.simulate`. All but the step-up functions are called here.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from .model import (AnalysisConfig, DatasetError, _check_unit,
 
 def __getattr__(name: str):
     # every name of repval.__all__, and the harness's sweep_c2, which the
-    # package does not export. The step-up functions and sweep_c2 are not
-    # called here: the perfbench tracer wraps them under this module's name.
+    # package does not export. The step-up functions are not called here:
+    # the perfbench tracer wraps them under this module's name.
     return _resolve(globals(), name,
                     "simulate" if name == "sweep_c2" else None)
 
@@ -123,7 +124,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_FLAGS, f"{self.prog}: error: {message}\n")
+        self.exit(_report(self.prog, f"error: {message}", EXIT_FLAGS))
 
 
 def build_parser() -> _Parser:
@@ -132,8 +133,8 @@ def build_parser() -> _Parser:
                                  "harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rv = sub.add_parser("rvalues", parents=[], help="compute r-values for a "
-                        "p-value table", add_help=True)
+    rv = sub.add_parser("rvalues", help="compute r-values for a p-value "
+                        "table")
     rv.add_argument("input", help="TSV/CSV file with header id, p1, p2")
     rv.add_argument("--m", type=int, required=True,
                     help="number of features examined in the primary study")
@@ -187,6 +188,12 @@ def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+def _report(prog: str, message: str, code: Optional[int] = None):
+    """Every stderr line of this tool: ``PROG: MESSAGE``. Returns ``code``."""
+    print(f"{prog}: {message}", file=sys.stderr)
+    return code
+
+
 def _open_output(prog: str,
                  out_path: Optional[str]) -> Optional[ContextManager[TextIO]]:
     """The output file opened for writing, or stdout (left open) when no
@@ -197,8 +204,7 @@ def _open_output(prog: str,
     try:
         return open(out_path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"repval {prog}: --out: {exc}", file=sys.stderr)
-        return None
+        return _report(prog, f"--out: {exc}")
 
 
 def cmd_rvalues(args) -> int:
@@ -213,26 +219,23 @@ def cmd_rvalues(args) -> int:
         if eps is not None and not 0.0 < eps <= 1.0:
             raise ValueError(f"--clamp-zero must lie in (0, 1], got {eps!r}")
     except ValueError as exc:
-        print(f"repval rvalues: error: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
+        return _report("repval rvalues", f"error: {exc}", EXIT_FLAGS)
 
     try:
         table = read_pvalue_table(args.input, clamp_zero=args.clamp_zero)
         dataset = validate_dataset(table, config)
     except DatasetError as exc:
-        print(f"repval rvalues: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report("repval rvalues", f"{args.input}: {exc}", EXIT_DATA)
     except OSError as exc:
-        print(f"repval rvalues: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report("repval rvalues", str(exc), EXIT_DATA)
 
     if args.refine_q is not None:
         before = len(dataset)
         dataset = _module.refine_for_replicability(dataset, config,
                                                    args.refine_q)
-        print(f"repval rvalues: refinement kept {len(dataset)} of {before} "
-              "features (non-followed primary p-values padded with 1.0; "
-              "padding can only shrink this set)", file=sys.stderr)
+        _report("repval rvalues", f"refinement kept {len(dataset)} of "
+                f"{before} features (non-followed primary p-values padded "
+                "with 1.0; padding can only shrink this set)")
 
     rvalues_fn = getattr(_module, _METHODS[args.method])
     # the except clause is evaluated only when an exception arrives, so only
@@ -240,8 +243,7 @@ def cmd_rvalues(args) -> int:
     try:
         rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
     except _module.NoConsistentRegime as exc:
-        print(f"repval rvalues: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report("repval rvalues", f"{args.input}: {exc}", EXIT_DATA)
 
     delim = {"tsv": "\t", "csv": ","}.get(args.format or "", table.delimiter)
 
@@ -250,7 +252,7 @@ def cmd_rvalues(args) -> int:
         header.append(f"meta_p_{args.meta}")
     if args.q is not None:
         header.append("replicated")
-    output = _open_output("rvalues", args.out)
+    output = _open_output("repval rvalues", args.out)
     if output is None:
         return EXIT_FLAGS
     with output as out:
@@ -311,8 +313,7 @@ def cmd_simulate(args) -> int:
                     if getattr(args, name) is not None)
         scenario = simulate.scenario_from_mapping(keys)
     except (ValueError, OSError) as exc:
-        print(f"repval simulate: bad scenario: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report("repval simulate", f"bad scenario: {exc}", EXIT_DATA)
 
     grid = [scenario.c2]
     if args.c2_grid:
@@ -321,19 +322,18 @@ def cmd_simulate(args) -> int:
             for c2v in grid[[0, -1]].tolist():  # monotone: the ends bound it
                 _check_unit("c2", c2v)
         except ValueError as exc:
-            print(f"repval simulate: --c2-grid: {exc}", file=sys.stderr)
-            return EXIT_FLAGS
-    output = _open_output("simulate", args.out)
+            return _report("repval simulate", f"--c2-grid: {exc}", EXIT_FLAGS)
+    output = _open_output("repval simulate", args.out)
     if output is None:
         return EXIT_FLAGS
     with output as out:
         try:
-            rows = simulate.sweep_c2(scenario, grid, args.procedure)
+            rows = _module.sweep_c2(scenario, grid, args.procedure)
         except MemoryError:
-            print(f"repval simulate: bad scenario: m = {scenario.m} with "
-                  f"reps = {scenario.reps} at {len(grid)} c2 points does "
-                  "not fit in memory", file=sys.stderr)
-            return EXIT_DATA
+            return _report("repval simulate", f"bad scenario: m = "
+                           f"{scenario.m} with reps = {scenario.reps} at "
+                           f"{len(grid)} c2 points does not fit in memory",
+                           EXIT_DATA)
         out.write(simulate.METRICS_CSV_HEADER + "\n")
         for c2v, metrics in rows:
             out.write(simulate.metrics_csv_row(scenario._replace(c2=c2v),
@@ -361,7 +361,7 @@ def entry() -> None:
         # (``| head``) needs no message. Point stdout at devnull so the
         # flush below does not fail again.
         if not isinstance(exc, BrokenPipeError):
-            print(f"repval: cannot write output: {exc}", file=sys.stderr)
+            _report("repval", f"cannot write output: {exc}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     # what a normal exit would still do, less freeing the heap

@@ -123,16 +123,15 @@ def _scaled(proc: _Procedure, p1: np.ndarray, p2: np.ndarray, r1):
     return p1 * proc.m_eff, p2 * r1 / proc.c2
 
 
-def _smallest_reaching(proc: _Procedure, a: np.ndarray,
-                       guess: Optional[np.ndarray] = None) -> np.ndarray:
+def _smallest_reaching(proc: _Procedure, a: np.ndarray) -> np.ndarray:
     """Elementwise the smallest double x in [floor, 1) with G(x) >= a, and
     1 where there is none: one bit pattern, as the patterns of nonnegative
     doubles order like their values and G is nondecreasing on them. The
-    search gallops from ``guess`` (any double, clipped into the range;
-    ``proc.guess(a)`` by default) in steps of 1, 2, 4, ... ulps until a
-    probe crosses, then bisects: a guess within a few ulps costs a few
-    probes, a useless one about 2 * 62. A probe is decided by the bracket
-    of G there, made exact only where it holds a: lo < a <= hi."""
+    search gallops from ``proc.guess(a)`` (any doubles, clipped into the
+    range) in steps of 1, 2, 4, ... ulps until a probe crosses, then
+    bisects: a guess within a few ulps costs a few probes, a useless one
+    about 2 * 62. A probe is decided by the bracket of G there, made exact
+    only where it holds a: lo < a <= hi."""
     below = np.float64(proc.floor).view(np.int64) - 1  # stands for G < a
     above = np.float64(1.0).view(np.int64)             # stands for G >= a
 
@@ -140,8 +139,7 @@ def _smallest_reaching(proc: _Procedure, a: np.ndarray,
         return _entries(proc, bits.view(np.float64), np.zeros(len(bits)),
                         lambda lo, hi: (lo < a) & (a <= hi))[1] >= a
 
-    guess = proc.guess(a) if guess is None else guess
-    x = np.clip(np.asarray(guess, float).view(np.int64), below + 1, above - 1)
+    x = np.clip(proc.guess(a).view(np.int64), below + 1, above - 1)
     down = reaches(x, a)
     lo, hi = np.where(down, below, x), np.where(down, x, above)
     todo, step = np.flatnonzero(hi - lo > 1), 1

@@ -83,8 +83,9 @@ class SimulationScenario(_Frozen):
     """Generative model plus analysis parameters for one simulation cell;
     ``rho`` is the equicorrelation within primary-study blocks of
     ``block_size`` features. Every value is checked on construction, and so
-    on every copy (``_replace``, :mod:`pickle`, :mod:`copy`). The
-    constructor's annotations give :data:`SCENARIO_FIELDS`."""
+    on every copy (``_replace``, :mod:`pickle`, :mod:`copy`); ``seed``,
+    ``reps``, ``block_size`` and ``m`` must be ``int`` or numpy integers.
+    The constructor's annotations give :data:`SCENARIO_FIELDS`."""
 
     __slots__ = _fields = ("pi1", "pi2", "seed", "m", "f00", "f01", "f10",
                            "f11", "l00", "c2", "q", "reps", "rho",
@@ -98,6 +99,10 @@ class SimulationScenario(_Frozen):
         self._set(pi1=pi1, pi2=pi2, seed=seed, m=m, f00=f00, f01=f01,
                   f10=f10, f11=f11, l00=l00, c2=c2, q=q, reps=reps, rho=rho,
                   block_size=block_size, scenario_id=scenario_id)
+        for name in ("seed", "reps", "block_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed!r}")
         self.analysis_config  # checks m, l00 and c2

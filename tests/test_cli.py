@@ -192,9 +192,10 @@ def test_scenario_too_large_for_memory_exits_2(flag):
 
 
 def test_c2_grid_matches_listed_points():
-    # 0.1:0.9:0.3 rounds to 4 points, and the last, 1.0, lies above HI
+    # 0.1:0.9:0.3 rounds to 4 points, and the last, 1.0, lies above HI;
+    # the last point of 0:1:1.000000000001 is HI + 1e-12 exactly, kept
     for spec in ("0.1:0.9:0.2", "0.1:0.95:0.2", "0.3:0.3:0.1",
-                 "0.05:0.95:0.15", "0.1:0.9:0.3"):
+                 "0.05:0.95:0.15", "0.1:0.9:0.3", "0:1:1.000000000001"):
         lo, hi, step = map(float, spec.split(":"))
         n = round((hi - lo) / step) + 1
         listed = [lo + i * step for i in range(n)
@@ -222,6 +223,28 @@ def test_failing_sweep_writes_no_rows(to_file, tmp_path, monkeypatch,
         cli.main(argv + (["--out", str(out)] if to_file else []))
     assert len(calls) == 9
     assert (out.read_text() if to_file else capsys.readouterr().out) == ""
+
+
+def test_simulate_sweeps_through_the_name_the_cli_resolves(monkeypatch,
+                                                           capsys):
+    # a stub or the benchmark tracer's wrapper bound to cli.sweep_c2 sees
+    # the one sweep of a simulate call
+    real, calls = cli.sweep_c2, []
+
+    def sweep(scenario, grid, procedure):
+        calls.append((scenario, list(grid), procedure))
+        return real(scenario, grid, procedure)
+
+    monkeypatch.setattr(cli, "sweep_c2", sweep)
+    code = cli.main([*SIM_DESIGN, "--c2-grid", "0.3:0.5:0.2", "--procedure",
+                     "bonferroni"])
+    assert code == cli.EXIT_OK
+    scenario = simulate.SimulationScenario(
+        pi1=0.8, pi2=0.8, seed=1, m=1000, f00=0.9, f01=0.025, f10=0.025,
+        f11=0.05, reps=2)
+    assert calls == [(scenario, [0.3, 0.5], "bonferroni")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == simulate.METRICS_CSV_HEADER and len(lines) == 3
 
 
 def test_reader_closing_the_pipe_stops_without_traceback():
@@ -276,6 +299,9 @@ def test_clamp_zero_out_of_range_exits_3_before_reading(capsys):
                          "--clamp-zero", eps])
         assert code == cli.EXIT_FLAGS
         assert "--clamp-zero must lie in (0, 1]" in capsys.readouterr().err
+    # the top of the range is in it
+    assert cli.main(["rvalues", str(DATA_DIR / "t2d.tsv"), "--m", "68",
+                     "--clamp-zero", "1"]) == cli.EXIT_OK
 
 
 def test_threshold_dep_without_t_exits_3_before_reading(capsys):
@@ -290,6 +316,7 @@ def test_threshold_dep_without_t_exits_3_before_reading(capsys):
 def test_c2_grid_outside_unit_interval_exits_3(capsys):
     for grid, message in (("0:1:0.5", "c2 must lie in (0, 1)"),
                           ("0.1:0.9", "expected LO:HI:STEP"),
+                          ("0.1:0.9:0", "bad grid"),
                           ("0.1:inf:0.1", "bad grid"),
                           ("0.1:0.9:5e-324", "STEP is too small")):
         code = cli.main([*SIM_DESIGN, "--c2-grid", grid])

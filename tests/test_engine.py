@@ -464,15 +464,16 @@ def test_guess_started_search_matches_full_range(method, l00):
     assert (ref[b <= g_floor] == proc.floor).all()
     for guess in (proc.guess(b), np.full(len(b), np.nan), np.zeros(len(b)),
                   np.full(len(b), np.inf), np.full(len(b), -1.0), b):
-        got = rvalue._smallest_reaching(proc, b, guess)
-        assert np.array_equal(got, ref)
+        started = proc._replace(guess=lambda _: guess)
+        assert np.array_equal(rvalue._smallest_reaching(started, b), ref)
     if proc.bounds is not None:
         # started where the upper end of the level's bracket is the target
         # itself, the first probe must be evaluated exactly
         x = 10.0 ** rng.uniform(np.log10(proc.floor), 0.0, 400)
         _, hi = proc.bounds(x, np.zeros(len(x)))
         ref = oracle_smallest_reaching(proc.level, hi, proc.floor)
-        assert np.array_equal(rvalue._smallest_reaching(proc, hi, x), ref)
+        started = proc._replace(guess=lambda _: x)
+        assert np.array_equal(rvalue._smallest_reaching(started, hi), ref)
 
 
 def _seeded_table(r1=1000, t=1e-4):
@@ -494,12 +495,12 @@ def test_inverse_takes_few_level_evaluations(method, monkeypatch):
     calls = []
     search = rvalue._smallest_reaching
 
-    def counted(proc, a, guess=None):
+    def counted(proc, a):
         name = "level" if proc.bounds is None else "bounds"
         probe = getattr(proc, name)
         counting = proc._replace(
             **{name: lambda *args: calls.append(args) or probe(*args)})
-        return search(counting, a, guess)
+        return search(counting, a)
 
     monkeypatch.setattr(rvalue, "_smallest_reaching", counted)
     monkeypatch.setattr(fwer, "_smallest_reaching", counted)

@@ -191,6 +191,26 @@ def test_scenario_mapping_errors():
     assert whole.m == 1000 and type(whole.m) is int
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("reps", 2.5), ("block_size", 2.5), ("seed", 3.0),
+    ("reps", "4")])
+def test_a_count_that_is_not_an_integer_is_refused(field, value):
+    # estimate would otherwise fail inside numpy with an unrelated error
+    match = rf"^{field} must be an integer, got {value!r}$"
+    with pytest.raises(ValueError, match=match):
+        _scenario(rho=0.5, **{field: value})
+    with pytest.raises(ValueError, match=match):
+        _scenario(rho=0.5)._replace(**{field: value})
+
+
+def test_a_numpy_integer_seed_still_runs():
+    kw = dict(pi1=0.8, pi2=0.8, m=100, f00=0.9, f01=0.0, f10=0.0, f11=0.1,
+              reps=3, block_size=4, rho=0.5)
+    scenario = SimulationScenario(seed=np.int64(7), **kw)
+    assert scenario._replace(reps=np.int32(3)) == scenario
+    assert estimate(scenario) == estimate(SimulationScenario(seed=7, **kw))
+
+
 def test_a_count_at_the_whole_number_tolerance_is_accepted():
     # f00 * m is the tolerance, 1e-9, exactly; f11 * m lies a little less
     # than 1e-9 below 1
