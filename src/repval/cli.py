@@ -233,9 +233,6 @@ def cmd_rvalues(args) -> int:
         before = len(dataset)
         dataset = _module.refine_for_replicability(dataset, config,
                                                    args.refine_q)
-        _report("repval rvalues", f"refinement kept {len(dataset)} of "
-                f"{before} features (non-followed primary p-values padded "
-                "with 1.0; padding can only shrink this set)")
 
     rvalues_fn = getattr(_module, _METHODS[args.method])
     # the except clause is evaluated only when an exception arrives, so only
@@ -274,6 +271,11 @@ def cmd_rvalues(args) -> int:
             if args.q is not None:
                 cells.append("yes" if rval <= args.q else "no")
             writer.writerow(cells)
+    # last, so that a call that fails writes its one line only
+    if args.refine_q is not None:
+        _report("repval rvalues", f"refinement kept {len(dataset)} of "
+                f"{before} features (non-followed primary p-values padded "
+                "with 1.0; padding can only shrink this set)")
     return EXIT_OK
 
 

@@ -31,11 +31,12 @@ or more, so with the features sorted by v only a prefix of them has finite
 entries at count r, and counts with fewer than r finite entries, where
 T(r) is inf, are skipped. b_i is also the minimum over r of
 max(A_i(r), S(r)), S(r) the minimum of T over the counts from r up, as
-A_i(r) falls with r; S rises, so one bisection over counts finds where
-they cross for all features. G is inverted by a search over doubles that
-starts from a closed-form guess of the inverse, gallops to a bracket a
-few ulps wide and bisects it; the smallest double reaching b_i is unique,
-so the start does not change it. A level that is dear to evaluate
+A_i(r) falls with r; S rises, so b_i = S(r*), r* the first count with
+S(r*) >= A_i(r*) (proof at :func:`_exact_rvalues`), which one bisection
+over counts finds for all features. G is inverted by a search over
+doubles that starts from a closed-form guess of the inverse, gallops to a
+bracket a few ulps wide and bisects it; the smallest double reaching b_i
+is unique, so the start does not change it. A level that is dear to evaluate
 (threshold-dependent selection) comes with cheap brackets; one rule,
 :func:`_make_exact`, makes it exact only where a bracket cannot decide a
 comparison with T(r), S(r) or b_i. All functions are pure. r-values come
@@ -245,13 +246,15 @@ def _entries(proc: _Procedure, x: np.ndarray, y: np.ndarray,
 
 def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
                    p2: np.ndarray) -> np.ndarray:
-    """r-values of all features by the min-max formula of the module
-    docstring. T(r) comes from blocks of at most _BLOCK elements (or one
-    row, where a row is wider), so memory stays O(R1) while time is
-    O(R1^2). With S(R1 + 1) = inf and r* the smallest count where
-    S(r*) >= A_i(r*), b_i = min(S(r*), A_i(r* - 1)), A_i(0) = inf: from
-    r* up the candidates are S(r) >= S(r*), below r* they are
-    A_i(r) >= A_i(r* - 1)."""
+    """r-values by the min-max formula of the module docstring, with T(r)
+    from blocks of at most _BLOCK elements (or one wider row): O(R1)
+    memory, O(R1^2) time. b_i = S(r*), S(R1 + 1) = inf: r* attains it,
+    no max(A_i(r), S(r)) above r* is below S(r*), and none below r* is
+    below A_i(p) >= S(r*), p = r* - 1. As p is no crossing, S(p) < A_i(p),
+    so S(p) = S(r*), or S(p) = T(p) and T(r*) <= A_i(p): the p features j
+    with A_j(p) <= T(p) and i give r* entries at r* no larger than A_i(p),
+    as A_j(r) falls with r. This holds on doubles, T(r) being exact for
+    bracketed levels too (:func:`_bracketed_kth`)."""
     r1 = len(p1)
     u, v = _scaled(proc, p1, p2, r1)
     order = np.argsort(v, kind="stable")
@@ -281,12 +284,8 @@ def _exact_rvalues(proc: _Procedure, p1: np.ndarray,
         _, top = _entries(proc, v / probe, u / probe,
                           lambda lo, hi: (lo <= cap) & (cap < hi))
         below = np.where(top <= cap, below, probe)
-    best = s[below]
-    with np.errstate(divide="ignore"):  # count 0 gives A_i(0) = inf
-        low, _ = _entries(proc, v / below, u / below, lambda lo, hi: lo < best)
-    np.minimum(best, low, out=best)
     values = np.empty(r1)
-    values[order] = _smallest_reaching(proc, best)
+    values[order] = _smallest_reaching(proc, s[below])
     return values
 
 

@@ -97,9 +97,26 @@ def test_stouffer_tiny_inputs_stay_in_range():
     assert meta_p(1.0, 0.2, "stouffer") == pytest.approx(1.0)
 
 
+def test_stouffer_against_mpmath():
+    # Phi-bar((Phi-bar^-1(p1) + Phi-bar^-1(p2)) / sqrt(2)) at 40 digits, at
+    # moderate and at tiny p
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def z(p):  # Phi-bar^-1(p)
+            return mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p))
+
+        for p1, p2 in ((0.01, 0.01), (8.57e-14, 1e-16)):
+            ref = mp.erfc((z(p1) + z(p2)) / 2) / 2
+            assert meta_p(p1, p2, "stouffer") == pytest.approx(float(ref),
+                                                               rel=1e-12)
+
+
 def test_meta_p_domain():
-    with pytest.raises(ValueError):
-        meta_p(0.0, 0.5)
+    for combiner in ("fisher", "stouffer"):
+        for p1, p2 in ((0.0, 0.5), (0.5, 0.0)):
+            with pytest.raises(ValueError,
+                               match=r"meta_p needs p-values in \(0, 1\]"):
+                meta_p(p1, p2, combiner)
     with pytest.raises(ValueError):
         meta_p(0.5, 1.2)
     with pytest.raises(ValueError):

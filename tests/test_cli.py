@@ -1,11 +1,14 @@
 """The command-line front end: documented exit codes and byte-stable output
 on the bundled published tables."""
 
+import contextlib
 import gc
 import importlib
 import io
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -20,12 +23,13 @@ from repval import (AnalysisConfig, cli, dependence,
                     validate_dataset)
 
 from _oracles import oracle_read_pvalue_table
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # The published-settings calls; each golden file is the output of the
-# release before the exact r-value engine, kept byte for byte.
+# release before the exact r-value engine, kept byte for byte, except
+# t2d-stouffer, the output of 48bbbe3, the release before that golden.
 PUBLISHED = {
     "iga-fdr-l00-0.0": ("iga_nephropathy.tsv", "--m", "444882", "--l00", "0.0"),
     "iga-fdr-l00-0.5": ("iga_nephropathy.tsv", "--m", "444882", "--l00", "0.5"),
@@ -37,6 +41,8 @@ PUBLISHED = {
     "iga-refine": ("iga_nephropathy.tsv", "--m", "444882", "--refine-q",
                    "0.05"),
     "t2d-fdr": ("t2d.tsv", "--m", "68", "--l00", "0.0"),
+    "t2d-stouffer": ("t2d.tsv", "--m", "68", "--l00", "0.0", "--meta",
+                     "stouffer"),
     "tpp-bonferroni": ("tpp.tsv", "--m", "486782", "--method",
                        "fwer-bonferroni"),
 }
@@ -788,7 +794,9 @@ def test_process_entry_writes_everything_and_skips_freeing_the_heap():
 def malformed_rvalues_calls(seed: int, count: int):
     """``count`` seeded (file bytes, flags) pairs for ``repval rvalues``:
     broken headers, ids and cells, mixed line endings, a BOM, and flags
-    outside their ranges. Some are valid, so every exit code shows."""
+    outside their ranges. Some are valid, so every exit code shows. Then
+    ``count`` byte mutations of ``data/t2d.tsv`` with such flags; these
+    need not be UTF-8."""
     rng = random.Random(seed)
     cells = ["0.01", "3e-6", "0.2", "1", "0", "-0.2", "1.5", "nan", "NaN",
              "inf", "abc", "", '"', "1e-400"]
@@ -799,6 +807,20 @@ def malformed_rvalues_calls(seed: int, count: int):
               "--q": (["0.05"], ["0", "1.5", "nan"]),
               "--clamp-zero": (["1e-10"], ["0", "2", "nan"]),
               "--t": (["0.5", "1e-3"], ["0", "2", "nan"])}
+
+    def flags():
+        method = rng.choice(list(cli._METHODS))
+        drawn = ["--method", method,
+                 "--meta", rng.choice(["none", "fisher", "stouffer"])]
+        for flag, (valid, invalid) in ranges.items():
+            # --m is required; without --t fdr-threshold-dep stops at once
+            if flag == "--m" or rng.random() < (
+                    0.95 if flag == "--t" and method == "fdr-threshold-dep"
+                    else 0.3):
+                bad = rng.random() < 0.1
+                drawn += [flag, rng.choice(invalid if bad else valid)]
+        return drawn
+
     for _ in range(count):
         header = ["id", "p1", "p2"]
         edit = rng.choice(["none", "none", "repeat", "drop", "extra", "empty",
@@ -829,17 +851,33 @@ def malformed_rvalues_calls(seed: int, count: int):
                        for row in rows)
         if rng.random() < 0.2:
             text = "\ufeff" + text
-        method = rng.choice(list(cli._METHODS))
-        flags = ["--method", method,
-                 "--meta", rng.choice(["none", "fisher", "stouffer"])]
-        for flag, (valid, invalid) in ranges.items():
-            # --m is required; without --t fdr-threshold-dep stops at once
-            if flag == "--m" or rng.random() < (
-                    0.95 if flag == "--t" and method == "fdr-threshold-dep"
-                    else 0.3):
-                bad = rng.random() < 0.1
-                flags += [flag, rng.choice(invalid if bad else valid)]
-        yield text.encode("utf-8"), flags
+        yield text.encode("utf-8"), flags()
+    t2d = (DATA_DIR / "t2d.tsv").read_bytes()
+    for _ in range(count):
+        data = bytearray(t2d)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(data) + 1)
+            edit = rng.choice(["bom", "nul", "quote", "delimiter", "cell",
+                               "bytes"])
+            if edit == "bom":
+                data[:0] = "\ufeff".encode("utf-8")
+            elif edit == "cell":
+                cell = rng.choice(list(re.finditer(rb"\d\.\d+e-\d+", data)))
+                data[cell.start():cell.end()] = rng.choice(
+                    [b"nan", b"1e-400"])
+            elif edit == "bytes":  # in place of up to two
+                data[at:at + rng.randint(0, 2)] = rng.randbytes(
+                    rng.randint(1, 4))
+            else:
+                data[at:at] = rng.choice({"nul": [b"\0"], "quote": [b'"'],
+                                          "delimiter": [b"\t", b","]}[edit])
+        extra = []
+        # m from below R1 = 11 to 2^62, and a refinement pass
+        if rng.random() < 0.7:
+            extra += ["--m", rng.choice(["5", "68", str(2**62)])]
+        if rng.random() < 0.2:
+            extra += ["--refine-q", rng.choice(["0.05", "0.5", "0", "nan"])]
+        yield bytes(data), flags() + extra
 
 
 def test_malformed_input_exits_with_one_line(tmp_path, capsys):
@@ -856,6 +894,9 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys):
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), (data, flags)
             assert out == "", (data, flags)
+        elif "--refine-q" in flags:  # one line says what refinement kept
+            assert err.startswith("repval rvalues: refinement kept ")
+            assert err.count("\n") == 1 and err.endswith("\n"), (data, flags)
         else:
             assert err == "", (data, flags)
         codes.add(code)
@@ -896,8 +937,12 @@ def _read_outcome(read, source, clamp_zero):
 
 def test_reader_matches_the_dictreader_reader(tmp_path):
     table = tmp_path / "table.txt"
-    texts = [data.decode("utf-8")
-             for data, _ in malformed_rvalues_calls(seed=1, count=200)]
+    texts = []
+    for data, _ in malformed_rvalues_calls(seed=1, count=200):
+        # the readers are compared on text; bytes that are not UTF-8 go
+        # only to the exit-code test above
+        with contextlib.suppress(UnicodeDecodeError):
+            texts.append(data.decode("utf-8"))
     for text in texts + READER_EDGES:
         table.write_text(text, encoding="utf-8", newline="")
         # from a path, line endings arrive as "\n"; from a stream, as given
@@ -906,3 +951,45 @@ def test_reader_matches_the_dictreader_reader(tmp_path):
                 assert _read_outcome(_read_table, source(), clamp_zero) \
                     == _read_outcome(oracle_read_pvalue_table, source(),
                                      clamp_zero), text
+
+
+def readme_examples():
+    """(command, shown lines) for each ``$ `` line in the fenced blocks of
+    README.md: the lines under it up to the next command or the fence."""
+    examples, current, fenced = [], None, False
+    for line in (REPO_ROOT / "README.md").read_text(
+            encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced, current = not fenced, None
+        elif fenced and line.startswith("$ "):
+            current = (line[2:], [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return examples
+
+
+@pytest.mark.parametrize("command, shown", [
+    pytest.param(*example, id=f"example{i}")
+    for i, example in enumerate(readme_examples(), 1)])
+def test_readme_example_prints_what_it_shows(command, shown):
+    # run as the README says, from the repository root; stdout, stderr
+    # (every stderr line starts "repval") and the exit code of the shell's
+    # echo are compared each on its own, as the two streams interleave
+    call = re.fullmatch(r'PYTHONPATH=src python -m repval\.cli (.*?)'
+                        r'(?: \| head -(\d+))?(; echo "exit \$\?")?', command)
+    assert call, command
+    argv, head, echo = call.groups()
+    code = 0
+    if echo:
+        *shown, last = shown
+        code = int(last.removeprefix("exit "))
+    result = subprocess.run(
+        [sys.executable, "-m", "repval.cli", *shlex.split(argv)],
+        cwd=REPO_ROOT, env={**CHILD_ENV, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60)
+    stdout = result.stdout.splitlines()[:int(head) if head else None]
+    assert result.returncode == code
+    assert stdout == [line for line in shown if not line.startswith("repval")]
+    assert result.stderr.splitlines() == [
+        line for line in shown if line.startswith("repval")]

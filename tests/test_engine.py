@@ -447,6 +447,27 @@ def test_engine_matches_exact_oracle_bitwise(instance, block):
         assert np.array_equal(ENGINE[method](ds, config), ref)
 
 
+def test_crossing_where_the_primary_term_binds_inside_an_open_bracket():
+    # threshold-dep, one feature: u = p1 * m lies strictly inside the open
+    # bracket of its follow-up level, so its entry is lo = u = S(1) < hi.
+    # The crossing search must make an entry exact where its lo equals
+    # S(r), or it sees no crossing and returns 1
+    design = dict(m=10**6, l00=0.8, c2=0.5, t=1e-4)
+    proc = dependence._threshold_procedure(AnalysisConfig(**design))
+    p2 = 1e-6
+    v = np.array([p2 / 0.5])
+    _, hi = proc.bounds(v, np.zeros(1))
+    p1 = (proc.level(v)[0] + hi[0]) / 2.0 / 10**6
+    ds, config = dataset_from_arrays([p1], [p2], **design)
+    u = ds.p1 * 10**6
+    lo, hi = proc.bounds(v, u)
+    assert lo[0] == u[0] == proc.level(v, u)[0] < hi[0]
+    values = fdr_rvalues_all_threshold_dep(ds, config)
+    assert values.tolist() == oracle_exact_rvalues(proc, ds.p1,
+                                                   ds.p2).tolist()
+    assert values[0] < 1.0
+
+
 @pytest.mark.parametrize("l00", (0.0, 0.8, 0.95))
 @pytest.mark.parametrize("method", METHODS[:3])
 def test_guess_started_search_matches_full_range(method, l00):
