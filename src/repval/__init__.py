@@ -19,7 +19,11 @@ which modules each call loads.
 
 The seeded Monte Carlo harness for verifying error control and power is
 its own module, :mod:`repval.simulate`, with its own ``__all__``. None of
-its names resolve here: only ``repval simulate`` needs it.
+its names resolve here: only ``repval simulate`` needs it. The same holds
+for the building blocks of the procedures, each public in the module that
+defines it: ``normal_sf`` and ``normal_quantile`` in :mod:`repval.normal`,
+``c1`` in :mod:`repval.rvalue`, ``m_star`` and ``c1_tilde`` in
+:mod:`repval.dependence`, and ``bh_reject`` in :mod:`repval.selection`.
 """
 
 import importlib
@@ -29,17 +33,15 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _SOURCES = {
     "baselines": ("max_p_bh", "meta_p"),
-    "dependence": ("NoConsistentRegime", "c1_tilde",
-                   "fdr_rvalues_all_general_dep",
-                   "fdr_rvalues_all_threshold_dep", "m_star",
+    "dependence": ("NoConsistentRegime", "fdr_rvalues_all_general_dep",
+                   "fdr_rvalues_all_threshold_dep",
                    "step_up_set_general_dep", "step_up_set_threshold_dep"),
     "fwer": ("bonferroni_rvalues_all",),
     "model": ("AnalysisConfig", "DatasetError", "FeatureRecord",
               "PValueTable", "ValidatedDataset", "read_pvalue_table",
               "validate_dataset"),
-    "normal": ("normal_quantile", "normal_sf"),
-    "rvalue": ("c1", "fdr_rvalues_all", "step_up_set"),
-    "selection": ("bh_reject", "refine_for_replicability"),
+    "rvalue": ("fdr_rvalues_all", "step_up_set"),
+    "selection": ("refine_for_replicability",),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -50,20 +50,26 @@ def _chi2_sf_4(x: float) -> float:
     return math.exp(-0.5 * x) * (1.0 + 0.5 * x)
 
 
-def meta_p(p1: float, p2: float, combiner: str = "fisher") -> float:
-    """Two-study combined p-value.
+def meta_p(p1, p2, combiner: str = "fisher"):
+    """Two-study combined p-value, element by element: a float for two
+    scalars, else a float64 array of their broadcast shape.
 
     fisher   -- chi-square(4) survival at -2 (ln p1 + ln p2)
     stouffer -- standard-normal survival of (z1 + z2)/sqrt(2),
                 z = Phi^-1(1 - p)
     """
-    if not (0.0 < p1 <= 1.0 and 0.0 < p2 <= 1.0):
+    a, b = np.broadcast_arrays(np.asarray(p1, dtype=float),
+                               np.asarray(p2, dtype=float))
+    if not ((0.0 < a) & (a <= 1.0) & (0.0 < b) & (b <= 1.0)).all():
         raise ValueError("meta_p needs p-values in (0, 1]")
     if combiner == "fisher":
-        return min(1.0, _chi2_sf_4(-2.0 * (math.log(p1) + math.log(p2))))
+        # math.log per element: the same bits for a row as for a table
+        out = [min(1.0, _chi2_sf_4(-2.0 * (math.log(x) + math.log(y))))
+               for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        return out[0] if a.ndim == 0 else np.reshape(out, a.shape)
     if combiner == "stouffer":
         # Phi^-1(1-p) computed as -Phi^-1(p) to keep tiny p exact
-        z1 = -normal_quantile(p1)
-        z2 = -normal_quantile(p2)
-        return float(normal_sf((z1 + z2) / math.sqrt(2.0)))
+        z1 = -normal_quantile(a)
+        z2 = -normal_quantile(b)
+        return normal_sf((z1 + z2) / math.sqrt(2.0))
     raise ValueError(f"unknown combiner {combiner!r}")

@@ -15,10 +15,12 @@ Two subcommands:
 Exit codes: 0 success, 1 output that cannot be written (one line on stderr,
 say on a full disk; none when the reader closed the pipe), 2 invalid input
 data or scenario, 3 bad flags, including an ``--out`` path that cannot be
-opened for writing. Each message on stderr is one line, ``PROG: MESSAGE``,
-PROG being ``repval`` or ``repval SUBCOMMAND`` (:func:`_report`). Output
-is byte-stable across runs: r-values print as fixed %.4f, input columns
-are echoed verbatim, and simulation metrics use fixed formats.
+opened for writing and ``fdr-threshold-dep`` flags whose t*m is too large
+for the level at any r-value below 1. Each message on stderr is one line,
+``PROG: MESSAGE``, PROG being ``repval`` or ``repval SUBCOMMAND``
+(:func:`_report`). Output is byte-stable across runs: r-values print as
+fixed %.4f, input columns are echoed verbatim, and simulation metrics
+use fixed formats.
 
 A CLI process (:func:`entry`: ``python -m repval.cli`` and the ``repval``
 script) runs with the garbage collector off until it exits, from before
@@ -212,6 +214,11 @@ def cmd_rvalues(args) -> int:
         if args.method == "fdr-threshold-dep" and args.t is None:
             raise ValueError("--t is required for --method fdr-threshold-dep")
         config = AnalysisConfig(m=args.m, l00=args.l00, c2=args.c2, t=args.t)
+        if args.method == "fdr-threshold-dep":
+            # NoConsistentRegime when t*m is too large for the level at any
+            # x below 1: a fault of these flags, whatever the table
+            from .dependence import _threshold_floor
+            _threshold_floor(args.t, args.m, args.l00, args.c2)
         for flag, q in (("--q", args.q), ("--refine-q", args.refine_q)):
             if q is not None:
                 _check_unit(flag, q)
@@ -219,6 +226,8 @@ def cmd_rvalues(args) -> int:
         if eps is not None and not 0.0 < eps <= 1.0:
             raise ValueError(f"--clamp-zero must lie in (0, 1], got {eps!r}")
     except ValueError as exc:
+        return _report("repval rvalues", f"error: {exc}", EXIT_FLAGS)
+    except _module.NoConsistentRegime as exc:  # loaded only by the check
         return _report("repval rvalues", f"error: {exc}", EXIT_FLAGS)
 
     try:
@@ -236,7 +245,8 @@ def cmd_rvalues(args) -> int:
 
     rvalues_fn = getattr(_module, _METHODS[args.method])
     # the except clause is evaluated only when an exception arrives, so only
-    # then does NoConsistentRegime load its module
+    # then does NoConsistentRegime load its module; past the flag check, it
+    # only reports a defect of the regime walk
     try:
         rvals = dict(zip(dataset.ids, rvalues_fn(dataset, config).tolist()))
     except _module.NoConsistentRegime as exc:
@@ -245,8 +255,10 @@ def cmd_rvalues(args) -> int:
     delim = {"tsv": "\t", "csv": ","}.get(args.format or "", table.delimiter)
 
     header = list(table.fieldnames) + ["r_value"]
+    metas = [None] * len(table)
     if args.meta != "none":
         header.append(f"meta_p_{args.meta}")
+        metas = _module.meta_p(table.p1, table.p2, args.meta).tolist()
     if args.q is not None:
         header.append("replicated")
     output = _open_output("repval rvalues", args.out)
@@ -259,14 +271,12 @@ def cmd_rvalues(args) -> int:
         writer.writerow(header)
         # each row's cells as read; the writer writes the None of a cell
         # a short row lacks as an empty cell
-        for fid, cells, p1, p2 in zip(table.ids, table.cells,
-                                      table.p1.tolist(), table.p2.tolist()):
+        for fid, cells, meta in zip(table.ids, table.cells, metas):
             rval = rvals.get(fid)
             if rval is None:  # dropped by --refine-q
                 continue
             cells = [*cells, f"{rval:.4f}"]
-            if args.meta != "none":
-                meta = _module.meta_p(p1, p2, args.meta)
+            if meta is not None:
                 cells.append(f"{meta:.6g}")
             if args.q is not None:
                 cells.append("yes" if rval <= args.q else "no")

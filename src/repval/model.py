@@ -181,13 +181,20 @@ class ValidatedDataset(_Frozen):
                                 self.p1[keep], self.p2[keep])
 
 
-def _row_fault(fid: str, p1: float, p2: float) -> str:
+def _row_fault(fid: str, p1: float, p2: float,
+               written: Sequence[Optional[str]] = (None, None)) -> str:
     """Why the row (fid, p1, p2) fails, in the order the rows are checked:
     p1 (NaN, not above 0, above 1), then p2; a repeated id when neither
-    p-value fails."""
-    for name, p in (("p1", p1), ("p2", p2)):
+    p-value fails. ``written`` holds the p1 and p2 cells as read, when
+    known: a 0.0 read from a cell with a nonzero digit before its exponent
+    underflowed, and its message quotes the cell."""
+    for name, p, cell in (("p1", p1, written[0]), ("p2", p2, written[1])):
         if math.isnan(p):
             return f"feature {fid!r}: {name} is NaN, not a p-value"
+        if p == 0.0 and cell and any(
+                c in "123456789" for c in cell.lower().partition("e")[0]):
+            return (f"feature {fid!r}: {name} {cell!r} is below the "
+                    "smallest positive double")
         if not p > 0.0:
             return f"feature {fid!r}: {name}={p} is not positive"
         if p > 1.0:
@@ -214,7 +221,8 @@ def validate_dataset(
     rejected, never clamped silently; ``read_pvalue_table(clamp_zero=)``
     opts in to replacing them in dirty real-world exports.
     ``source_lines`` attaches file line numbers to error messages, which
-    quote the p-values from the float64 columns.
+    quote the p-values from the float64 columns; for a table, a p-value
+    that underflowed to 0 is quoted as its cell was written.
     """
     if isinstance(records, PValueTable):
         ids, p1, p2 = records.ids, records.p1, records.p2
@@ -236,8 +244,12 @@ def validate_dataset(
                 break
             seen.add(fid)
     if first < len(ids):
-        raise DatasetError(_row_fault(ids[first], p1[first], p2[first]),
-                           lines[first])
+        written = (None, None)
+        if isinstance(records, PValueTable):
+            row = records.cells[first]
+            written = [row[records.fieldnames.index(c)] for c in ("p1", "p2")]
+        raise DatasetError(_row_fault(ids[first], p1[first], p2[first],
+                                      written), lines[first])
 
     if len(ids) > config.m:
         raise DatasetError(f"{len(ids)} features followed up but m={config.m}")
@@ -323,8 +335,9 @@ def read_pvalue_table(source, *, clamp_zero: Optional[float] = None) -> PValueTa
     as None. Blank lines are skipped.
     Scientific notation is accepted; numbers are stored as float64 while
     the original strings are retained for round-tripping.
-    ``clamp_zero`` opts in to replacing p-values that are exactly 0 with the
-    given epsilon, for dirty real-world exports.
+    ``clamp_zero`` opts in to replacing p-values that read as 0 with the
+    given epsilon, for dirty real-world exports: a zero and a cell below
+    the smallest positive double (``1e-400``) alike.
     """
     stream = io.StringIO(_read_text(source))
     first = stream.readline()

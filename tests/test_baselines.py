@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, bh_reject, fdr_rvalues_all, max_p_bh,
-                    meta_p, validate_dataset)
+from repval import (AnalysisConfig, fdr_rvalues_all, max_p_bh, meta_p,
+                    validate_dataset)
+from repval.selection import bh_reject
 
 from conftest import IGA_M, dataset_from_arrays, make_random_dataset
 from _oracles import oracle_chi2_sf_4, signif, spearman
@@ -111,9 +112,25 @@ def test_stouffer_against_mpmath():
                                                                rel=1e-12)
 
 
+def test_meta_p_of_arrays_is_the_per_row_value():
+    # one call on the columns gives each row's scalar value, bit for bit
+    rng = np.random.default_rng(32)
+    p1 = np.append(10.0 ** rng.uniform(-300, 0, 500), [1.0, 5e-324])
+    p2 = np.append(10.0 ** rng.uniform(-20, 0, 500), [1.0, 1.0])
+    for combiner in ("fisher", "stouffer"):
+        rows = [meta_p(a, b, combiner) for a, b in zip(p1.tolist(),
+                                                       p2.tolist())]
+        assert all(type(value) is float for value in rows)
+        got = meta_p(p1, p2, combiner)
+        assert got.dtype == np.float64 and got.shape == p1.shape
+        assert got.tolist() == rows
+        assert meta_p(p1[:0], p2[:0], combiner).shape == (0,)
+
+
 def test_meta_p_domain():
     for combiner in ("fisher", "stouffer"):
-        for p1, p2 in ((0.0, 0.5), (0.5, 0.0)):
+        for p1, p2 in ((0.0, 0.5), (0.5, 0.0),
+                       (np.array([0.5, 0.0]), np.array([0.5, 0.5]))):
             with pytest.raises(ValueError,
                                match=r"meta_p needs p-values in \(0, 1\]"):
                 meta_p(p1, p2, combiner)

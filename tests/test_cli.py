@@ -450,15 +450,15 @@ def test_replicated_column_calls_no_step_up_function(monkeypatch, tmp_path):
         assert "yes" in column.values()
 
 
-def test_no_consistent_regime_exits_2_with_one_line(tmp_path, capsys):
-    # at t*m = 5e14 a regime count passes 2^53 at every x below 1
-    table = tmp_path / "big.tsv"
-    table.write_text("id\tp1\tp2\na\t1e-20\t1e-20\nb\t0.3\t0.5\n")
-    code = cli.main(["rvalues", str(table), "--m", str(10**15), "--method",
-                     "fdr-threshold-dep", "--t", "0.5"])
-    assert code == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "no consistent regime" in err
+def test_no_consistent_regime_exits_3_before_reading(capsys):
+    # at t*m = 5e14 a regime count passes 2^53 at every x below 1: the
+    # flags alone decide that, so no table is opened
+    code = cli.main(["rvalues", "no-such-file.tsv", "--m", str(10**15),
+                     "--method", "fdr-threshold-dep", "--t", "0.5"])
+    assert code == cli.EXIT_FLAGS
+    assert capsys.readouterr().err == (
+        "repval rvalues: error: no consistent regime below 2^53 for any x "
+        "below 1 at t=0.5, m=1000000000000000\n")
 
 
 @pytest.mark.parametrize("l00", ["0", "0.8", "0.95"])
@@ -488,6 +488,9 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
 @pytest.mark.parametrize("text, flags, message", [
     ("id,p1,p2\na,0.1,0.2\nb,0,0.2\n", [],
      "{table}: line 3: feature 'b': p1=0.0 is not positive"),
+    ("id,p1,p2\na,0.1,0.2\nb,0.1,1e-400\n", [],
+     "{table}: line 3: feature 'b': p2 '1e-400' is below the smallest "
+     "positive double"),
     ("id,p1,p2\na,0.1,0.2\nb,0.1,1.5\n", [],
      "{table}: line 3: feature 'b': p2=1.5 exceeds 1"),
     ("id,p1,p2\na,0.1,0.2\n\na,0.1,0.3\n", [],
@@ -512,9 +515,9 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
      "{table}: line 3: empty feature id"),
     ("id,p1,p2\na,0.1,0.2\n\nf1,0.1\n", [],
      "{table}: line 4: could not parse p1/p2 for feature 'f1'"),
-], ids=["zero", "above-one", "duplicate-id", "r1-above-m", "above-t",
-        "above-t-refine-r1-2", "above-t-refine-r1-10", "above-t-fdr",
-        "column-twice", "empty-id", "short-row"])
+], ids=["zero", "underflow", "above-one", "duplicate-id", "r1-above-m",
+        "above-t", "above-t-refine-r1-2", "above-t-refine-r1-10",
+        "above-t-fdr", "column-twice", "empty-id", "short-row"])
 def test_invalid_data_exits_2_with_a_pinned_line(text, flags, message,
                                                  tmp_path, capsys):
     table = tmp_path / "bad.csv"

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repval import (AnalysisConfig, DatasetError, FeatureRecord,
-                    NoConsistentRegime, c1_tilde, fdr_rvalues_all,
+                    NoConsistentRegime, fdr_rvalues_all,
                     fdr_rvalues_all_general_dep,
-                    fdr_rvalues_all_threshold_dep, m_star,
-                    read_pvalue_table, step_up_set, step_up_set_general_dep,
+                    fdr_rvalues_all_threshold_dep, read_pvalue_table,
+                    step_up_set, step_up_set_general_dep,
                     step_up_set_threshold_dep, validate_dataset)
 from repval import dependence
-from repval.dependence import _harmonic
+from repval.dependence import _harmonic, c1_tilde, m_star
 from repval.rvalue import _inverse_level, _level, c1
 
 from conftest import dataset_from_arrays, make_random_dataset
@@ -46,14 +46,14 @@ def test_harmonic_against_direct_summation():
 
 def test_harmonic_at_the_table_edges_raises_no_warning():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
     k = np.array([0.0, 1.0, 1024.0, 1025.0])
     with np.errstate(all="raise"):
         h = _harmonic(k)
     assert h[:3].tolist() == dependence._PREFIX[[0, 1, 1024]].tolist()
     assert h[:2].tolist() == [0.0, 1.0]
-    for n, got in zip(k.tolist(), h.tolist()):
-        assert got == pytest.approx(float(mp.harmonic(int(n))), rel=1e-14)
+    with mp.workdps(40):
+        for n, got in zip(k.tolist(), h.tolist()):
+            assert got == pytest.approx(float(mp.harmonic(int(n))), rel=1e-14)
 
 
 def test_m_star_matches_direct_summation_at_scan_sizes():
@@ -276,6 +276,14 @@ def test_threshold_dep_rvalue_equal_when_regime_never_bites():
                 assert cons[i] == pytest.approx(r, abs=1e-10)
                 asserted += 1
     assert asserted >= 3
+    # t*m = 3e-13 lies below the level at the floor, G(1e-12) = 2.5e-12:
+    # no regime bites at any level, so each r-value is the plain one,
+    # floored at 1e-12
+    p1 = 1e-14 * 10.0 ** -rng.uniform(0, 8, 30)
+    ds, config = dataset_from_arrays(p1, 10.0 ** -rng.uniform(0, 20, 30),
+                                     m=30, l00=0.8, c2=0.5, t=1e-14)
+    assert np.array_equal(fdr_rvalues_all_threshold_dep(ds, config),
+                          np.maximum(fdr_rvalues_all(ds, config), 1e-12))
 
 
 def test_threshold_dep_floor_is_1e12():
@@ -291,6 +299,11 @@ def test_threshold_dep_floor_is_1e12():
     assert fdr_rvalues_all(ds, config)[0] < 1e-12
     assert 1e-12 < values[1] < 1.0
     assert "f0" in step_up_set_threshold_dep(ds, config, 1e-9)
+    # the floor rises with t*m; here the smallest x that keeps the regime
+    # counts below 2^53 is 1 itself, so no x below 1 is left
+    with pytest.raises(NoConsistentRegime, match="for any x below 1"):
+        fdr_rvalues_all_threshold_dep(ds, config._replace(
+            m=10**16, l00=0.0, t=0.011754432907346))
 
 
 def test_c1_tilde_raises_where_a_regime_count_passes_2_53():

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repval import dependence, fwer, rvalue, selection, simulate
-from repval import (AnalysisConfig, bonferroni_rvalues_all, c1_tilde,
-                    fdr_rvalues_all, fdr_rvalues_all_general_dep,
-                    fdr_rvalues_all_threshold_dep, m_star, step_up_set,
+from repval import (AnalysisConfig, bonferroni_rvalues_all, fdr_rvalues_all,
+                    fdr_rvalues_all_general_dep,
+                    fdr_rvalues_all_threshold_dep, step_up_set,
                     step_up_set_general_dep, step_up_set_threshold_dep)
+from repval.dependence import c1_tilde, m_star
 from repval.simulate import SimulationScenario
 
 from conftest import dataset_from_arrays
@@ -182,8 +183,16 @@ def _claimed_by_rule(method, ds, config, q):
     return {fid for fid, count in zip(ds.ids, need) if count <= 1}
 
 
+# v = p2 * R1 / c2 = 1 for the second feature: its entry level at count 1
+# is G(1) = inf. A finite G(1) would give it an r-value just below 1 at
+# which the step-up rule does not claim it.
+_V_AT_ONE = dataset_from_arrays([0.5, 1e-6], [0.125, 0.25], m=10, l00=0.8,
+                                c2=0.5)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(random_tables(), st.lists(st.integers(0, 38), min_size=1, max_size=3))
+@example(("fdr", _V_AT_ONE[1], _V_AT_ONE[0]), [1])
 def test_claimed_exactly_from_the_rvalue_on_random_tables(instance, picks):
     # the knife edge on a few features of each table: claimed at q = r_i
     # and not one double below

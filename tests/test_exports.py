@@ -5,17 +5,24 @@ import importlib
 import pkgutil
 import sys
 
+import pytest
+
 import repval
 
 # Adding or dropping a public name means editing this set.
 PUBLIC = {
     "AnalysisConfig", "DatasetError", "FeatureRecord", "NoConsistentRegime",
-    "PValueTable", "ValidatedDataset", "bh_reject", "bonferroni_rvalues_all",
-    "c1", "c1_tilde", "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
-    "fdr_rvalues_all_threshold_dep", "m_star", "max_p_bh", "meta_p",
-    "normal_quantile", "normal_sf", "read_pvalue_table",
-    "refine_for_replicability", "step_up_set", "step_up_set_general_dep",
-    "step_up_set_threshold_dep", "validate_dataset",
+    "PValueTable", "ValidatedDataset", "bonferroni_rvalues_all",
+    "fdr_rvalues_all", "fdr_rvalues_all_general_dep",
+    "fdr_rvalues_all_threshold_dep", "max_p_bh", "meta_p",
+    "read_pvalue_table", "refine_for_replicability", "step_up_set",
+    "step_up_set_general_dep", "step_up_set_threshold_dep",
+    "validate_dataset",
+}
+# Building blocks of the procedures, public through their modules only.
+HELPERS = {
+    "normal": {"normal_sf", "normal_quantile"}, "rvalue": {"c1"},
+    "dependence": {"m_star", "c1_tilde"}, "selection": {"bh_reject"},
 }
 # The simulation harness is public through its own module only.
 SIMULATE = {
@@ -36,7 +43,7 @@ def test_every_exported_name_resolves():
 
 
 def test_public_surface_is_pinned():
-    assert len(repval.__all__) == len(PUBLIC) == 24
+    assert len(repval.__all__) == len(PUBLIC) == 18
     assert set(repval.__all__) == PUBLIC
     assert PUBLIC <= set(dir(repval))
     star: dict = {}
@@ -57,6 +64,17 @@ def test_package_names_are_their_modules_objects():
 def test_package_does_not_mirror_the_harness():
     for name in ("estimate", "simulate_rep", "sweep_c2"):
         assert not hasattr(repval, name), name
+
+
+def test_building_blocks_are_public_in_their_modules_only():
+    # each stays the defining module's own public name; the package does
+    # not resolve it
+    for module, names in HELPERS.items():
+        home = importlib.import_module(f"repval.{module}")
+        assert names <= set(home.__all__), module
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(repval, name)
 
 
 def test_simulation_surface_is_pinned():

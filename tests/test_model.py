@@ -35,6 +35,20 @@ def test_zero_pvalue_rejected():
         validate_dataset(_records([(0.0, 0.5)]), config)
     with pytest.raises(DatasetError, match="p2=0.0 is not positive"):
         validate_dataset(_records([(0.5, 0.0)]), config)
+    # from a table, a zero numeral keeps that message, and a cell that
+    # underflowed to 0 is quoted as written; records hold no cells
+    for cell, message in (("0", "p2=0.0 is not positive"),
+                          ("-0e5", "p2=-0.0 is not positive"),
+                          ("1e-400", "p2 '1e-400' is below the smallest "
+                                     "positive double"),
+                          ("2.5E-999", "p2 '2.5E-999' is below the smallest "
+                                       "positive double")):
+        table = read_pvalue_table(io.StringIO(f"id,p1,p2\na,0.5,{cell}\n"))
+        with pytest.raises(DatasetError) as info:
+            validate_dataset(table, config)
+        assert str(info.value) == f"line 2: feature 'a': {message}"
+        with pytest.raises(DatasetError, match="is not positive"):
+            validate_dataset(table.records, config)
 
 
 def test_nan_pvalue_has_its_own_message():
@@ -45,11 +59,13 @@ def test_nan_pvalue_has_its_own_message():
 
 
 def test_clamp_zero_opt_in():
-    text = "id\tp1\tp2\na\t0\t0.5\n"
-    table = read_pvalue_table(io.StringIO(text), clamp_zero=1e-300)
-    ds = validate_dataset(table.records, AnalysisConfig(m=10))
-    assert ds.records[0].p1 == 1e-300
-    assert ds.records[0].p2 == 0.5
+    # a zero and a cell that underflows to 0 alike
+    for cell in ("0", "1e-400"):
+        text = f"id\tp1\tp2\na\t{cell}\t0.5\n"
+        table = read_pvalue_table(io.StringIO(text), clamp_zero=1e-300)
+        ds = validate_dataset(table.records, AnalysisConfig(m=10))
+        assert ds.records[0].p1 == 1e-300
+        assert ds.records[0].p2 == 0.5
 
 
 def test_r1_exceeds_m():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repval import (AnalysisConfig, bh_reject, fdr_rvalues_all,
-                    refine_for_replicability, step_up_set, validate_dataset)
+from repval import (AnalysisConfig, fdr_rvalues_all, refine_for_replicability,
+                    step_up_set, validate_dataset)
 from repval.rvalue import c1
+from repval.selection import bh_reject
 
 from conftest import (IGA_M, REFINED_IGA_SIGNIFICANT, dataset_from_arrays,
                       make_random_dataset)

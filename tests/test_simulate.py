@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import normal_quantile, normal_sf, simulate
+from repval import simulate
+from repval.normal import normal_quantile, normal_sf
 from repval.rvalue import _need_counts
 from repval.selection import _bh_mask, bh_reject
 from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
