@@ -20,10 +20,14 @@ which modules each call loads.
 The seeded Monte Carlo harness for verifying error control and power is
 its own module, :mod:`repval.simulate`, with its own ``__all__``. None of
 its names resolve here: only ``repval simulate`` needs it. The same holds
-for the building blocks of the procedures, each public in the module that
-defines it: ``normal_sf`` and ``normal_quantile`` in :mod:`repval.normal`,
-``c1`` in :mod:`repval.rvalue`, ``m_star`` and ``c1_tilde`` in
-:mod:`repval.dependence`, and ``bh_reject`` in :mod:`repval.selection`.
+for the building blocks of the procedures and the table's classes, each
+public in the module that defines it: ``normal_sf`` and
+``normal_quantile`` in :mod:`repval.normal`, ``c1`` in
+:mod:`repval.rvalue`, ``m_star`` and ``c1_tilde`` in
+:mod:`repval.dependence`, ``bh_reject`` in :mod:`repval.selection`, and
+``PValueTable`` and its row view ``FeatureRecord`` in :mod:`repval.model`.
+The row view is kept only for ``perfbench/tracing.py`` and the
+record-path tests, until ROADMAP item 5 deletes it.
 """
 
 import importlib
@@ -37,9 +41,8 @@ _SOURCES = {
                    "fdr_rvalues_all_threshold_dep",
                    "step_up_set_general_dep", "step_up_set_threshold_dep"),
     "fwer": ("bonferroni_rvalues_all",),
-    "model": ("AnalysisConfig", "DatasetError", "FeatureRecord",
-              "PValueTable", "ValidatedDataset", "read_pvalue_table",
-              "validate_dataset"),
+    "model": ("AnalysisConfig", "DatasetError", "ValidatedDataset",
+              "read_pvalue_table", "validate_dataset"),
     "rvalue": ("fdr_rvalues_all", "step_up_set"),
     "selection": ("refine_for_replicability",),
 }

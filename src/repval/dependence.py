@@ -175,7 +175,7 @@ def _threshold_floor(t: float, m: int, l00: float, c2: float) -> float:
     c_max = (_EXACT_COUNT * (1.0 - 2.0**-20)
              / (1.0 + _harmonic(np.array([_EXACT_COUNT]))[0]))
     x = _inverse_level(np.array([t * m / c_max]), l00, c2)[0]
-    if not 0.0 < x < 1.0:
+    if not x < 1.0:
         raise NoConsistentRegime(
             f"no consistent regime below 2^53 for any x below 1 at t={t}, "
             f"m={m}")

@@ -8,8 +8,10 @@ the number followed up (R1) and enters through :class:`AnalysisConfig`.
 A table read from a file keeps the same columns, and each row's cells for
 echoing them. The reader and the validator work on the columns and build
 no object per row. ``records``, one :class:`FeatureRecord` per row, is
-the only row view: it is built on each read and never stored, and is kept
-for the benchmark's tracer and the tests.
+the only row view: it is built on each read and never stored. It and
+:func:`validate_dataset`'s record sequences are kept only for
+``perfbench/tracing.py`` and the record-path tests, until ROADMAP item 5
+deletes them; both classes are public here, not in ``repval.__all__``.
 
 Everything here is immutable after construction and safe to share across
 threads: no field can be set after construction, and the p-value arrays

@@ -1,3 +1,4 @@
+import io
 import signal
 import sys
 from pathlib import Path
@@ -7,8 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repval import (AnalysisConfig, FeatureRecord, read_pvalue_table,
-                    validate_dataset)
+from repval import AnalysisConfig, read_pvalue_table, validate_dataset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -78,13 +78,14 @@ def tpp_table():
 @pytest.fixture
 def iga_dataset(iga_table):
     config = AnalysisConfig(m=IGA_M, l00=0.8, c2=0.5)
-    return validate_dataset(iga_table.records, config), config
+    return validate_dataset(iga_table, config), config
 
 
 def make_random_dataset(rng: np.random.Generator, r1=None, m=None,
                         max_m=50, spread=(-8.0, 0.0), with_ties=False):
-    """A small random instance: a mix of strong and null-ish p-values so
-    rejection sets are nontrivial at usual q levels."""
+    """A small random instance as columns ``(p1, p2, m)``: a mix of strong
+    and null-ish p-values so rejection sets are nontrivial at usual q
+    levels."""
     if r1 is None:
         r1 = int(rng.integers(1, 21))
     if m is None:
@@ -96,13 +97,16 @@ def make_random_dataset(rng: np.random.Generator, r1=None, m=None,
     if with_ties and r1 >= 2:
         p1[1] = p1[0]
         p2[1] = p2[0]
-    records = [FeatureRecord(f"f{i}", float(a), float(b))
-               for i, (a, b) in enumerate(zip(p1, p2))]
-    return records, m
+    return p1, p2, m
 
 
 def dataset_from_arrays(p1, p2, m, **config_kw):
-    records = [FeatureRecord(f"f{i}", float(a), float(b))
-               for i, (a, b) in enumerate(zip(p1, p2))]
+    """The features ``f0``, ``f1``, ... with these p-values, read and
+    validated as the CLI reads and validates a table. Each cell is written
+    as ``repr(float(x))``, which reads back as the same double."""
+    text = "id\tp1\tp2\n" + "".join(
+        f"f{i}\t{float(a)!r}\t{float(b)!r}\n"
+        for i, (a, b) in enumerate(zip(p1, p2)))
     config = AnalysisConfig(m=m, **config_kw)
-    return validate_dataset(records, config), config
+    return validate_dataset(read_pvalue_table(io.StringIO(text)),
+                            config), config

@@ -24,9 +24,8 @@ def test_max_p_empty_dataset():
 def test_max_p_reduces_to_plain_bh_at_l00_zero():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        records, m = make_random_dataset(rng)
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m, l00=0.0)
+        p1, p2, m = make_random_dataset(rng)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=0.0)
         got = max_p_bh(ds, config, 0.05)
         padded = list(np.maximum(ds.p1, ds.p2)) + [1.0] * (m - len(ds))
         ref = {i for i in bh_reject(padded, 0.05) if i < len(ds)}
@@ -39,10 +38,8 @@ def test_max_p_padding_both_regimes():
     rng = np.random.default_rng(13)
     for q, l00 in ((0.05, 0.8), (0.3, 0.8), (0.2, 0.8), (0.3, 0.5)):
         for _ in range(10):
-            records, m = make_random_dataset(rng, max_m=200)
-            ds, config = dataset_from_arrays(
-                [r.p1 for r in records], [r.p2 for r in records], m=m,
-                l00=l00)
+            p1, p2, m = make_random_dataset(rng, max_m=200)
+            ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00)
             padded = list(np.maximum(ds.p1, ds.p2)) + [1.0] * (m - len(ds))
             ref = {i for i in bh_reject(padded, q / (1.0 - l00))
                    if i < len(ds)}
@@ -54,7 +51,7 @@ def test_max_p_padding_both_regimes():
 
 def test_max_p_rejects_q_outside_the_unit_interval(t2d_table):
     config = AnalysisConfig(m=68, l00=0.0)
-    ds = validate_dataset(t2d_table.records, config)
+    ds = validate_dataset(t2d_table, config)
     for q in (1.5, float("nan"), -0.1, 0.0, 1.0):
         with pytest.raises(ValueError, match="q must lie in \\(0, 1\\)"):
             max_p_bh(ds, config, q)
@@ -62,9 +59,7 @@ def test_max_p_rejects_q_outside_the_unit_interval(t2d_table):
 
 def test_max_p_level_inflation_monotone():
     rng = np.random.default_rng(9)
-    records, m = make_random_dataset(rng, r1=15)
-    p1 = [r.p1 for r in records]
-    p2 = [r.p2 for r in records]
+    p1, p2, m = make_random_dataset(rng, r1=15)
     prev = frozenset()
     for l00 in (0.0, 0.5, 0.8):
         ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00)
@@ -142,7 +137,7 @@ def test_meta_p_domain():
 
 def test_rvalue_and_meta_rankings_differ(iga_table):
     config = AnalysisConfig(m=IGA_M, l00=0.8, c2=0.5)
-    ds = validate_dataset(iga_table.records, config)
+    ds = validate_dataset(iga_table, config)
     rvalues = list(fdr_rvalues_all(ds, config))
     meta = [meta_p(r.p1, r.p2, "fisher") for r in ds.records]
     rho = spearman(rvalues, meta)

@@ -197,6 +197,19 @@ def test_scenario_too_large_for_memory_exits_2(flag):
     assert "does not fit in memory" in lines[0]
 
 
+def test_sweep_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    # in-process, with the sweep stubbed on the name the CLI resolves
+    def sweep(scenario, grid, procedure):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sweep_c2", sweep)
+    code = cli.main([*SIM_DESIGN, "--c2-grid", "0.3:0.5:0.2"])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr() == (
+        "", "repval simulate: bad scenario: m = 1000 with reps = 2 at 2 c2 "
+        "points does not fit in memory\n")
+
+
 def test_c2_grid_matches_listed_points():
     # 0.1:0.9:0.3 rounds to 4 points, and the last, 1.0, lies above HI;
     # the last point of 0:1:1.000000000001 is HI + 1e-12 exactly, kept
@@ -418,7 +431,7 @@ def test_replicated_column_reads_the_exact_rvalue(method, tmp_path):
     # double below it is not; the column is the method's step-up set
     table = DATA_DIR / "iga_nephropathy.tsv"
     config = AnalysisConfig(m=444882, l00=0.8, c2=0.5, t=2e-4)
-    ds = validate_dataset(read_pvalue_table(table).records, config)
+    ds = validate_dataset(read_pvalue_table(table), config)
     rvals = getattr(cli, cli._METHODS[method])(ds, config)
     below_one = np.flatnonzero(rvals < 1.0)
     pick = below_one[np.argsort(rvals[below_one])[len(below_one) // 2]]
@@ -461,6 +474,22 @@ def test_no_consistent_regime_exits_3_before_reading(capsys):
         "below 1 at t=0.5, m=1000000000000000\n")
 
 
+def test_no_consistent_regime_past_the_flag_check_exits_2(monkeypatch,
+                                                          capsys):
+    # past the flag check, NoConsistentRegime from the regime walk is
+    # reported as a data error on the input
+    def walk(dataset, config):
+        raise dependence.NoConsistentRegime("the walk failed")
+
+    monkeypatch.setattr(cli, cli._METHODS["fdr-threshold-dep"], walk)
+    table = DATA_DIR / "t2d.tsv"
+    code = cli.main(["rvalues", str(table), "--m", "68", "--method",
+                     "fdr-threshold-dep", "--t", "0.5"])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr() == (
+        "", f"repval rvalues: {table}: the walk failed\n")
+
+
 @pytest.mark.parametrize("l00", ["0", "0.8", "0.95"])
 @pytest.mark.parametrize("m", ["1000000", "100000000"])
 def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
@@ -476,13 +505,25 @@ def test_large_t_m_threshold_dep_exits_0_at_its_floor(l00, m, tmp_path,
     assert rows[1:] == ["a\t1e-25\t1e-25\t0.0000", "b\t0.05\t0.5\t1.0000"]
     ds = read_pvalue_table(table)
     config = AnalysisConfig(m=int(m), l00=float(l00), t=0.1)
-    ds = validate_dataset(ds.records, config)
+    ds = validate_dataset(ds, config)
     floor = dependence._threshold_procedure(config).floor
     values = fdr_rvalues_all_threshold_dep(ds, config)
     assert 1e-12 < floor < 1e-5
     assert values[0] == floor and values[1] == 1.0
     assert "a" in step_up_set_threshold_dep(ds, config, floor)
     assert not step_up_set_threshold_dep(ds, config, 0.99 * floor)
+    # at the other end, t*m = 1e-309: the floor's argument underflows to
+    # 0, every regime count is 0 there, the floor is 1e-12, and the call
+    # prints the plain r-values
+    t = repr(1e-309 / int(m))
+    table.write_text(f"id\tp1\tp2\na\t{t}\t0.01\n")
+    printed = []
+    for method in ("fdr", "fdr-threshold-dep"):
+        assert cli.main(["rvalues", str(table), "--m", m, "--l00", l00,
+                         "--method", method, "--t", t]) == cli.EXIT_OK
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out.endswith("\t0.01\t0.0200\n")
 
 
 @pytest.mark.parametrize("text, flags, message", [

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, DatasetError, FeatureRecord,
-                    NoConsistentRegime, fdr_rvalues_all,
-                    fdr_rvalues_all_general_dep,
+from repval import (AnalysisConfig, DatasetError, NoConsistentRegime,
+                    fdr_rvalues_all, fdr_rvalues_all_general_dep,
                     fdr_rvalues_all_threshold_dep, read_pvalue_table,
                     step_up_set, step_up_set_general_dep,
                     step_up_set_threshold_dep, validate_dataset)
 from repval import dependence
 from repval.dependence import _harmonic, c1_tilde, m_star
+from repval.model import FeatureRecord
 from repval.rvalue import _inverse_level, _level, c1
 
 from conftest import dataset_from_arrays, make_random_dataset
@@ -163,10 +163,10 @@ def test_general_dep_single_feature_equals_plain():
 def test_general_dep_is_more_conservative():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=float(rng.uniform(0, 0.9)), c2=float(rng.uniform(0.2, 0.8)))
+            p1, p2, m=m, l00=float(rng.uniform(0, 0.9)),
+            c2=float(rng.uniform(0.2, 0.8)))
         plain = fdr_rvalues_all(ds, config)
         conservative = fdr_rvalues_all_general_dep(ds, config)
         assert (conservative >= plain - 1e-12).all()
@@ -176,10 +176,10 @@ def test_general_dep_step_up_equivalence():
     rng = np.random.default_rng(37)
     qs = [round(0.01 * k, 2) for k in range(1, 21)]
     for _ in range(40):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=float(rng.uniform(0, 0.9)), c2=float(rng.uniform(0.2, 0.8)))
+            p1, p2, m=m, l00=float(rng.uniform(0, 0.9)),
+            c2=float(rng.uniform(0.2, 0.8)))
         values = dict(zip(ds.ids, fdr_rvalues_all_general_dep(ds, config)))
         for q in qs:
             via_r = {fid for fid, r in values.items() if r <= q}
@@ -189,13 +189,11 @@ def test_general_dep_step_up_equivalence():
 def test_general_dep_step_up_matches_oracle():
     rng = np.random.default_rng(41)
     for _ in range(30):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         l00 = float(rng.uniform(0, 0.9))
         c2 = float(rng.uniform(0.2, 0.8))
         q = float(rng.uniform(0.01, 0.25))
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=l00, c2=c2)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00, c2=c2)
         got = step_up_set_general_dep(ds, config, q)
         ref = oracle_step_up(list(ds.p1), list(ds.p2), m, l00, c2, q,
                              m_eff=m_star(m))
@@ -244,13 +242,12 @@ def test_threshold_dep_tiny_t_leaves_procedure_unchanged():
     rng = np.random.default_rng(47)
     q = 0.05
     for _ in range(20):
-        records, m = make_random_dataset(rng, r1=8)
+        p1, p2, m = make_random_dataset(rng, r1=8)
         l00 = float(rng.uniform(0, 0.9))
         c2 = float(rng.uniform(0.2, 0.8))
         t = c1(q, l00, c2) * q / m * 0.99
-        p1 = np.array([r.p1 for r in records])
         p1 = p1 * (t / p1.max()) * 0.99  # legal cutoff: every p1 below t
-        ds, config = dataset_from_arrays(p1, [r.p2 for r in records], m=m,
+        ds, config = dataset_from_arrays(p1, p2, m=m,
                                          l00=l00, c2=c2, t=t)
         assert (step_up_set_threshold_dep(ds, config, q)
                 == step_up_set(ds, config, q))
@@ -304,6 +301,10 @@ def test_threshold_dep_floor_is_1e12():
     with pytest.raises(NoConsistentRegime, match="for any x below 1"):
         fdr_rvalues_all_threshold_dep(ds, config._replace(
             m=10**16, l00=0.0, t=0.011754432907346))
+    # at t*m = 1e-309 the floor's argument underflows to 0; every regime
+    # count is 0 there, so the floor is 1e-12 again
+    tiny = config._replace(m=1, t=1e-309)
+    assert dependence._threshold_procedure(tiny).floor == 1e-12
 
 
 def test_c1_tilde_raises_where_a_regime_count_passes_2_53():

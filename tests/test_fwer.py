@@ -17,7 +17,7 @@ def test_single_feature_closed_form():
 
 def test_tpp_rows(tpp_table):
     config = AnalysisConfig(m=TPP_M, l00=0.8, c2=0.5)
-    ds = validate_dataset(tpp_table.records, config)
+    ds = validate_dataset(tpp_table, config)
     values = bonferroni_rvalues_all(ds, config)
     # the published table carries two significant digits at five decimals
     printed = tuple(f"{signif(v, 2):.5f}" for v in values)
@@ -35,12 +35,10 @@ def test_all_ones_give_one():
 def test_bisection_matches_closed_form():
     rng = np.random.default_rng(19)
     for _ in range(40):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         l00 = float(rng.uniform(0, 0.95))
         c2 = float(rng.uniform(0.1, 0.9))
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=l00, c2=c2)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00, c2=c2)
         got = bonferroni_rvalues_all(ds, config)
         for i in range(len(ds)):
             ref = oracle_bonferroni(ds.p1[i], ds.p2[i], m, len(ds), l00, c2)
@@ -53,9 +51,7 @@ def test_bisection_matches_closed_form():
 def test_monotone_in_l00():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        records, m = make_random_dataset(rng)
-        p1 = [r.p1 for r in records]
-        p2 = [r.p2 for r in records]
+        p1, p2, m = make_random_dataset(rng)
         prev = None
         for l00 in (0.0, 0.4, 0.8, 0.95):
             ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00)
@@ -69,10 +65,9 @@ def test_threshold_equivalence():
     # r_j <= alpha exactly when f_j(alpha) <= alpha
     rng = np.random.default_rng(29)
     for _ in range(25):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         l00 = float(rng.uniform(0, 0.9))
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m, l00=l00)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00)
         values = bonferroni_rvalues_all(ds, config)
         for alpha in (0.01, 0.05, 0.1, 0.3):
             c1_a = c1(alpha, config.l00, config.c2)

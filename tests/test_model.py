@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repval import (AnalysisConfig, DatasetError, FeatureRecord,
-                    read_pvalue_table, validate_dataset)
+from repval import (AnalysisConfig, DatasetError, read_pvalue_table,
+                    validate_dataset)
 from repval.cli import main
+from repval.model import FeatureRecord
 from repval.simulate import (SimulationMetrics, SimulationScenario,
                              estimate)
 
 from _oracles import oracle_validate_dataset
-from conftest import IGA_M
+from conftest import IGA_M, dataset_from_arrays, make_random_dataset
 
 
 def _records(pairs):
@@ -88,6 +89,11 @@ def test_validation_is_idempotent():
     config = AnalysisConfig(m=10)
     ds = validate_dataset(_records([(0.1, 0.2), (0.3, 0.4)]), config)
     assert validate_dataset(ds.records, config) == ds
+    # the table path and the record path give equal datasets
+    p1, p2, m = make_random_dataset(np.random.default_rng(5))
+    ds, config = dataset_from_arrays(p1, p2, m)
+    assert validate_dataset(_records(zip(p1.tolist(), p2.tolist())),
+                            config) == ds
 
 
 def test_validated_dataset_is_immutable():
@@ -150,6 +156,14 @@ def test_every_value_class_pickles_and_copies(name, how):
     assert type(copied) is type(value)
     assert copied == value
     assert repr(copied) == repr(value)
+    # a copy hashes as its original does; a table has no hash
+    if name == "table":
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(copied)
+    else:
+        assert hash(copied) == hash(value)
+    # a value of another type is never equal
+    assert not value == object() and value != object()
     # rebuilt through the constructor: the columns are read-only again
     for column in ("p1", "p2"):
         if isinstance(getattr(value, column, None), np.ndarray):
@@ -195,6 +209,11 @@ def test_read_tsv_and_csv_with_scientific_notation(tmp_path):
     table = read_pvalue_table(csvfile)
     assert table.delimiter == ","
     assert table.records[0].p2 == 1.0
+    # the columns a short row lacks read as None, and no more cells
+    table = read_pvalue_table(io.StringIO("id,p1,p2,gene,note\na,0.5,1\n"
+                                          "b,0.1,0.2,TNF\n"))
+    assert table.cells == [["a", "0.5", "1", None, None],
+                           ["b", "0.1", "0.2", "TNF", None]]
 
 
 def test_read_reports_line_numbers():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from repval import (AnalysisConfig, FeatureRecord, bonferroni_rvalues_all,
-                    fdr_rvalues_all, fdr_rvalues_all_general_dep,
+from repval import (AnalysisConfig, bonferroni_rvalues_all, fdr_rvalues_all,
+                    fdr_rvalues_all_general_dep,
                     fdr_rvalues_all_threshold_dep, step_up_set,
                     step_up_set_general_dep, validate_dataset)
 from repval.rvalue import c1
@@ -89,10 +89,10 @@ def test_f_over_x_strictly_decreasing():
     rng = np.random.default_rng(7)
     xs = np.linspace(0.01, 0.99, 50)
     for _ in range(10):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9)))
+            p1, p2, m=m, l00=float(rng.uniform(0, 0.95)),
+            c2=float(rng.uniform(0.1, 0.9)))
         ratios = np.array([[_f(ds, config, float(x), i) / x
                             for i in range(len(ds))] for x in xs])
         assert (np.diff(ratios, axis=0) < 0).all()
@@ -116,7 +116,7 @@ def test_rvalue_iga_headline_row(iga_dataset):
 
 def test_rvalue_t2d_first_row(t2d_table):
     config = AnalysisConfig(m=68, l00=0.0, c2=0.5)
-    ds = validate_dataset(t2d_table.records, config)
+    ds = validate_dataset(t2d_table, config)
     values = fdr_rvalues_all(ds, config)
     assert round(values[ds.ids.index("chr7:27953796")], 4) == 0.0055
 
@@ -125,7 +125,7 @@ def test_iga_significant_counts(iga_table):
     from repval import read_pvalue_table  # noqa: F401  (fixture supplies table)
     for l00, expected in IGA_SIGNIFICANT.items():
         config = AnalysisConfig(m=IGA_M, l00=l00, c2=0.5)
-        ds = validate_dataset(iga_table.records, config)
+        ds = validate_dataset(iga_table, config)
         values = fdr_rvalues_all(ds, config)
         assert tuple(round(v, 4) for v in values[:7]) == expected
         assert (values[7:] == 1.0).all()
@@ -133,7 +133,7 @@ def test_iga_significant_counts(iga_table):
 
 def test_t2d_five_replicated(t2d_table):
     config = AnalysisConfig(m=68, l00=0.0, c2=0.5)
-    ds = validate_dataset(t2d_table.records, config)
+    ds = validate_dataset(t2d_table, config)
     values = fdr_rvalues_all(ds, config)
     assert int((values <= 0.05).sum()) == 5
 
@@ -150,10 +150,10 @@ def test_fixed_point_residual(iga_dataset):
     cases = [(ds, AnalysisConfig(m=IGA_M, l00=l, c2=0.5))
              for l in (0.0, 0.5, 0.8)]
     for _ in range(10):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         cases.append(dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9))))
+            p1, p2, m=m, l00=float(rng.uniform(0, 0.95)),
+            c2=float(rng.uniform(0.1, 0.9))))
     for data, config in cases:
         for i, r in enumerate(fdr_rvalues_all(data, config)):
             if r < 1.0:
@@ -163,11 +163,9 @@ def test_fixed_point_residual(iga_dataset):
 def test_l00_zero_reduces_to_adjusted_evalues():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         c2 = float(rng.uniform(0.1, 0.9))
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=0.0, c2=c2)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=0.0, c2=c2)
         got = fdr_rvalues_all(ds, config)
         ref = oracle_adjusted_capped(list(ds.p1), list(ds.p2), m, c2)
         assert np.allclose(got, ref, rtol=0, atol=1e-10)
@@ -177,9 +175,7 @@ def test_rvalues_monotone_in_l00():
     rng = np.random.default_rng(13)
     grid = (0.0, 0.3, 0.6, 0.9)
     for _ in range(15):
-        records, m = make_random_dataset(rng)
-        p1 = [r.p1 for r in records]
-        p2 = [r.p2 for r in records]
+        p1, p2, m = make_random_dataset(rng)
         prev = None
         for l00 in grid:
             ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00, c2=0.5)
@@ -195,9 +191,7 @@ def test_rvalues_monotone_in_l00():
     ids=["fdr", "fdr-general-dep", "fdr-threshold-dep", "fwer-bonferroni"])
 def test_record_order_never_matters(rvalues_fn):
     rng = np.random.default_rng(17)
-    records, m = make_random_dataset(rng, r1=40, spread=(-8.0, -0.5))
-    p1 = np.array([r.p1 for r in records])
-    p2 = np.array([r.p2 for r in records])
+    p1, p2, m = make_random_dataset(rng, r1=40, spread=(-8.0, -0.5))
     # f0 and f1 tie in both p-values; the eight next strongest follow-up
     # p-values tie in pairs, so their v = p2 * R1 / c2 tie too
     p1[:2], p2[:2] = 1e-7, 1e-4
@@ -236,13 +230,11 @@ def test_step_up_iga_matches_table(iga_dataset):
 def test_step_up_matches_oracle_on_random_data():
     rng = np.random.default_rng(23)
     for _ in range(50):
-        records, m = make_random_dataset(rng, with_ties=bool(rng.integers(2)))
+        p1, p2, m = make_random_dataset(rng, with_ties=bool(rng.integers(2)))
         l00 = float(rng.uniform(0, 0.95))
         c2 = float(rng.uniform(0.1, 0.9))
         q = float(rng.uniform(0.01, 0.3))
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=l00, c2=c2)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00, c2=c2)
         got = step_up_set(ds, config, q)
         ref = oracle_step_up(list(ds.p1), list(ds.p2), m, l00, c2, q)
         assert got == frozenset(f"f{j}" for j in ref)
@@ -252,10 +244,10 @@ def test_threshold_and_rvalue_routes_agree():
     rng = np.random.default_rng(29)
     qs = [round(0.01 * k, 2) for k in range(1, 21)]
     for _ in range(60):
-        records, m = make_random_dataset(rng, with_ties=bool(rng.integers(2)))
+        p1, p2, m = make_random_dataset(rng, with_ties=bool(rng.integers(2)))
         ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m,
-            l00=float(rng.uniform(0, 0.95)), c2=float(rng.uniform(0.1, 0.9)))
+            p1, p2, m=m, l00=float(rng.uniform(0, 0.95)),
+            c2=float(rng.uniform(0.1, 0.9)))
         values = dict(zip(ds.ids, fdr_rvalues_all(ds, config)))
         for q in qs:
             via_rvalues = {fid for fid, r in values.items() if r <= q}

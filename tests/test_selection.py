@@ -120,7 +120,7 @@ def test_bh_rejects_a_pvalue_outside_the_unit_interval(bad):
 def test_step_up_and_refinement_reject_q_outside_the_unit_interval(
         t2d_table):
     config = AnalysisConfig(m=68, l00=0.0)
-    ds = validate_dataset(t2d_table.records, config)
+    ds = validate_dataset(t2d_table, config)
     for fn in (step_up_set, refine_for_replicability):
         for q in (1.5, float("nan"), -0.1, 0.0, 1.0):
             with pytest.raises(ValueError, match="q must lie in \\(0, 1\\)"):
@@ -195,10 +195,9 @@ def test_refine_monotone_with_theoretical_level():
     rng = np.random.default_rng(17)
     q = 0.05
     for _ in range(20):
-        records, m = make_random_dataset(rng)
+        p1, p2, m = make_random_dataset(rng)
         l00 = float(rng.uniform(0, 0.9))
-        ds, config = dataset_from_arrays(
-            [r.p1 for r in records], [r.p2 for r in records], m=m, l00=l00)
+        ds, config = dataset_from_arrays(p1, p2, m=m, l00=l00)
         full = {fid for fid, r in zip(ds.ids, fdr_rvalues_all(ds, config))
                 if r <= q}
         level = c1(q, config.l00, config.c2) * q
@@ -213,9 +212,8 @@ def test_refine_padding_matches_materialised_ones():
     rng = np.random.default_rng(19)
     for q in (0.05, 0.5, 0.95):
         for _ in range(10):
-            records, m = make_random_dataset(rng, max_m=200)
-            ds, config = dataset_from_arrays(
-                [r.p1 for r in records], [r.p2 for r in records], m=m)
+            p1, p2, m = make_random_dataset(rng, max_m=200)
+            ds, config = dataset_from_arrays(p1, p2, m=m)
             got = refine_for_replicability(ds, config, q)
             padded = bh_reject(np.concatenate(
                 [ds.p1, np.ones(m - len(ds))]), q)

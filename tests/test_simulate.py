@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repval import simulate
 from repval.normal import normal_quantile, normal_sf
-from repval.rvalue import _need_counts
+from repval.rvalue import _need_counts, c1
 from repval.selection import _bh_mask, bh_reject
 from repval.simulate import (METRICS_CSV_HEADER, SimulationMetrics,
                              SimulationScenario, compare_baseline, estimate,
@@ -125,6 +125,62 @@ def test_mu_calibration_identities():
         mu2 = simulate._shift(sc.pi2, r1)
         attained = normal_sf(normal_quantile(1 - 0.05 / r1) - mu2)
         assert attained == pytest.approx(sc.pi2, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho, block_size", [(0.0, 1), (0.5, 50), (0.9, 1000)])
+def test_selection_at_the_global_null_is_the_bh_level(rho, block_size):
+    # BH at level a on independent uniform p-values selects something with
+    # probability exactly a (Simes 1986), and at most a under the positive
+    # dependence of equicorrelated blocks (Sarkar 1998). Here a = c1(q) * q
+    # = 0.1136, and the SE of the share over 20 000 repetitions is
+    # sqrt(a * (1 - a) / 20 000) = 0.0022
+    sc = SimulationScenario(pi1=0.8, pi2=0.8, seed=11, m=1000, f00=1.0,
+                            f01=0.0, f10=0.0, f11=0.0, reps=20000, rho=rho,
+                            block_size=block_size)
+    r1 = simulate._outcomes(sc, [sc.c2], ["step-up"], range(sc.reps))[
+        0, 0, :, 0]
+    share = float(np.mean(r1 >= 1))
+    level = c1(sc.q, sc.l00, sc.c2) * sc.q
+    se = math.sqrt(level * (1.0 - level) / sc.reps)
+    assert round(level, 4) == 0.1136 and round(se, 4) == 0.0022
+    if rho == 0.0:
+        assert abs(share - level) <= 3.0 * se
+    else:
+        assert share <= level + 3.0 * se
+
+
+@pytest.mark.parametrize("m, f01, f11, reps, selected, se", [
+    (1000, 0.9, 0.1, 100, 11110, 0.0047),
+    # one feature, without primary signal: selected when p1 <= c1(q) * q
+    (1, 1.0, 0.0, 2000, 240, 0.0323),
+], ids=["m-1000", "m-1"])
+def test_follow_up_power_is_pi2_at_the_realised_r1(m, f01, f11, reps,
+                                                   selected, se, monkeypatch):
+    # the follow-up p-values, read through a normal_sf stub, of features
+    # that all have follow-up signal: each selected one has p2 <= 0.05/R1
+    # with probability pi2 = 0.5 exactly, since its follow-up draw does not
+    # depend on selection. The SE of the share over the N selected
+    # features is sqrt(pi2 * (1 - pi2) / N)
+    sc = SimulationScenario(pi1=0.8, pi2=0.5, seed=7, m=m, f00=0.0, f01=f01,
+                            f10=0.0, f11=f11, reps=reps)
+    calls, real = [], simulate.normal_sf
+
+    def recorded(x):
+        calls.append(real(x))
+        return calls[-1]
+
+    monkeypatch.setattr(simulate, "normal_sf", recorded)
+    monkeypatch.setattr(simulate, "_BLOCK", 10 * sc.m)
+    r1 = simulate._outcomes(sc, [sc.c2], ["step-up"], range(sc.reps))[
+        0, 0, :, 0]
+    # per block of 10 repetitions one call for the primary candidates,
+    # then one for the follow-up p-values of the one point
+    assert len(calls) == 2 * reps // 10
+    p2 = np.concatenate(calls[1::2])
+    assert len(p2) == r1.sum() == selected
+    share = float(np.mean(p2 <= 0.05 / np.repeat(r1, r1)))
+    assert round(math.sqrt(sc.pi2 * (1.0 - sc.pi2) / selected), 4) == se
+    assert abs(share - sc.pi2) <= 3.0 * se
 
 
 def test_claims_never_exceed_selection():
